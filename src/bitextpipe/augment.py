@@ -18,13 +18,14 @@ from __future__ import annotations
 import random
 import string
 from dataclasses import dataclass, replace as dc_replace
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .corpus import ParallelCorpus, SentencePair, reverse_pair
 from .errors import AugmentError, CorpusError
-from .lang import ENGLISH, LanguageTag
+from .lang import ENGLISH
 from .lexicon import BilingualLexicon, truncate_topk
-from .rng import derive_rng, derive_seed
+from .rng import derive_rng, derive_seed, pick
+from .sampling import largest_remainder
 
 MODE_RANDOM_LANGUAGE = "random-language"
 MODE_PAIR_TARGET = "pair-target"
@@ -60,27 +61,28 @@ class AugmentationPolicy:
 class SubstitutionSet:
     """Per-language substitution tables derived from lexicons and a policy.
 
-    Applies the policy's top-K truncation and drops multi-word entries,
-    which whitespace tokenization cannot match.
+    Tables are keyed by rendered target tag (``hin_Deva``). Applies the
+    policy's top-K truncation and drops multi-word entries, which
+    whitespace tokenization cannot match.
     """
 
-    def __init__(self, tables: Mapping[LanguageTag, Mapping[str, tuple[str, ...]]]):
+    def __init__(self, tables: Mapping[str, Mapping[str, tuple[str, ...]]]):
         self.tables = dict(tables)
-        self.languages = sorted(self.tables, key=str)
+        self.languages = sorted(self.tables)
 
     @classmethod
     def prepare(
         cls, lexicons: Iterable[BilingualLexicon], top_k: int
     ) -> "SubstitutionSet":
-        tables: dict[LanguageTag, dict[str, tuple[str, ...]]] = {}
+        tables: dict[str, dict[str, tuple[str, ...]]] = {}
         for lexicon in lexicons:
-            if lexicon.tgt_lang in tables:
+            tag = str(lexicon.tgt_lang)
+            if tag in tables:
                 raise AugmentError(
-                    f"two lexicons for {lexicon.tgt_lang}; merge them first "
-                    "(lexicon.merge)"
+                    f"two lexicons for {tag}; merge them first (lexicon.merge)"
                 )
             truncated = truncate_topk(lexicon, top_k)
-            tables[lexicon.tgt_lang] = {
+            tables[tag] = {
                 entry.source: entry.translations
                 for entry in truncated.entries
                 if not entry.is_phrase
@@ -157,28 +159,34 @@ def augment_sentence(
     if pair.src_lang != ENGLISH:
         raise AugmentError(f"source language must be {ENGLISH}, got {pair.src_lang}")
     subs = _as_substitution_set(lexicons, policy)
-    table = _choose_table(subs, pair.tgt_lang, policy.mode, rng)
+    result = augment_record(pair.source, str(pair.tgt_lang), subs, policy, rng)
+    if result is None or result[0] is None:  # no table, or nothing replaced
+        return None
+    return dc_replace(pair, source=result[0])
+
+
+def augment_record(
+    source: str,
+    tgt_lang: str,
+    subs: SubstitutionSet,
+    policy: AugmentationPolicy,
+    rng: random.Random,
+) -> tuple[str | None, int, int] | None:
+    """Code-switch one English source toward the rendered tag ``tgt_lang``.
+
+    Chooses the substitution table (the pair's target in pair-target mode,
+    one uniform draw over ``subs.languages`` otherwise) and returns
+    :func:`substitute_tokens`' result, or None when no table applies.
+    """
+    if policy.mode == MODE_PAIR_TARGET:
+        table = subs.tables.get(tgt_lang)
+    elif subs.languages:
+        table = subs.tables[subs.languages[rng.randrange(len(subs.languages))]]
+    else:
+        table = None
     if table is None:
         return None
-    new_source, _, replaced = substitute_tokens(pair.source, table, policy.probability, rng)
-    if not replaced:
-        return None
-    assert new_source is not None
-    return dc_replace(pair, source=new_source)
-
-
-def _choose_table(
-    subs: SubstitutionSet,
-    tgt_lang: LanguageTag,
-    mode: str,
-    rng: random.Random,
-) -> Mapping[str, tuple[str, ...]] | None:
-    if mode == MODE_PAIR_TARGET:
-        return subs.tables.get(tgt_lang)
-    if not subs.languages:
-        return None
-    tag = subs.languages[rng.randrange(len(subs.languages))]
-    return subs.tables[tag]
+    return substitute_tokens(source, table, policy.probability, rng)
 
 
 @dataclass(frozen=True)
@@ -220,17 +228,14 @@ def augment_corpus(
                 f"pair {index}: source language must be {ENGLISH}, got {pair.src_lang}"
             )
         rng.seed(derive_seed(policy.seed, "augment", index))
-        table = _choose_table(subs, pair.tgt_lang, policy.mode, rng)
-        if table is None:
+        result = augment_record(pair.source, str(pair.tgt_lang), subs, policy, rng)
+        if result is None:
             without_lexicon += 1
             continue
-        new_source, matched, replaced = substitute_tokens(
-            pair.source, table, policy.probability, rng
-        )
+        new_source, matched, replaced = result
         matched_total += matched
         replaced_total += replaced
-        if replaced:
-            assert new_source is not None
+        if new_source is not None:
             augmented.append(dc_replace(pair, source=new_source))
             origins.append(index)
     stats = AugmentStats(
@@ -361,46 +366,14 @@ def select_seed(
     if budget > available:
         raise CorpusError(f"budget {budget} exceeds available pairs {available}")
 
-    shares = {label: size / available for label, size in sizes.items()}
-    allocation = _largest_remainder_str(shares, budget)
-    # Proportional quotas can exceed a subset's supply only through rounding;
-    # shift any excess to subsets with spare pairs, largest first.
-    overflow = 0
-    for label in allocation:
-        if allocation[label] > sizes[label]:
-            overflow += allocation[label] - sizes[label]
-            allocation[label] = sizes[label]
-    while overflow:
-        for label in sorted(allocation, key=lambda x: (-(sizes[x] - allocation[x]), x)):
-            if allocation[label] < sizes[label]:
-                allocation[label] += 1
-                overflow -= 1
-                break
-
+    allocation = largest_remainder(sizes, budget)
     out: list[SentencePair] = []
     for label in SEED_SUBSETS:
         if label not in subset_corpora:
             continue
         pool = subset_corpora[label].pairs
-        want = allocation[label]
         rng = derive_rng(seed, "seed-select", label)
-        chosen = sorted(rng.sample(range(len(pool)), want))
-        for i in chosen:
+        for i in pick(len(pool), allocation[label], rng):
             pair = pool[i]
             out.append(pair if pair.subset == label else dc_replace(pair, subset=label))
     return ParallelCorpus(tuple(out))
-
-
-def _largest_remainder_str(shares: Mapping[str, float], budget: int) -> dict[str, int]:
-    quotas = {key: budget * share for key, share in shares.items()}
-    alloc = {key: int(quota) for key, quota in quotas.items()}
-    leftover = budget - sum(alloc.values())
-    if leftover < 0:
-        raise CorpusError("internal rounding error in seed allocation")
-    order = sorted(shares, key=lambda key: (-(quotas[key] - alloc[key]), key))
-    i = 0
-    while leftover > 0:
-        alloc[order[i % len(order)]] += 1
-        i += 1
-        leftover -= 1
-    return alloc

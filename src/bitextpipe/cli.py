@@ -14,8 +14,8 @@ A defaults file with ``key = value`` lines can be pointed to by the
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
-import math
 import multiprocessing
 import os
 import random
@@ -34,7 +34,7 @@ from . import trainconfig
 from .errors import AugmentError, ConfigError, CorpusError, PipelineError
 from .lang import ENGLISH, LanguageTag, load_extra_tags, parse_pair, parse_tag, registry
 from .manifest import RunManifest, manifest_path_for, sha256_file
-from .rng import derive_rng, derive_seed
+from .rng import derive_seed
 
 _CONFIG_ENV = "PIPELINE_CONFIG"
 
@@ -91,9 +91,9 @@ class Run:
     def __init__(self, args: argparse.Namespace, file_cfg: dict[str, str]):
         self.args = args
         self.file_cfg = file_cfg
-        self.seed_given = self._resolve("seed", None) is not None
-        self.seed: int = self._resolve("seed", secrets.randbits(32))
-        self.threads: int = self._resolve("threads", 1)
+        self.seed_given = self.opt("seed", None) is not None
+        self.seed: int = self.opt("seed", secrets.randbits(32))
+        self.threads: int = self.opt("threads", 1)
         if self.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {self.threads}")
         tags_file = getattr(args, "tags_file", None)
@@ -103,21 +103,18 @@ class Run:
         self.valid_tags = {str(t) for t in registry()} | {str(t) for t in self.extra_tags}
         self.write_manifest = not getattr(args, "no_manifest", False)
 
-    def _resolve(self, key: str, default):
+    def opt(self, key: str, default):
         value = getattr(self.args, key, None)
         if value is None and key in self.file_cfg:
             value = _convert(key, self.file_cfg[key])
         return default if value is None else value
 
-    def opt(self, key: str, default):
-        return self._resolve(key, default)
-
     def parse_tag(self, text: str) -> LanguageTag:
         return parse_tag(text, self.extra_tags)
 
-    def check_tag(self, rendered: str, where: str) -> None:
+    def check_tag(self, rendered: str, path: str | Path, lineno: int) -> None:
         if rendered not in self.valid_tags:
-            raise CorpusError(f"{where}: unknown language tag {rendered!r}")
+            raise CorpusError(f"{path}:{lineno}: unknown language tag {rendered!r}")
 
     def finish(
         self,
@@ -145,16 +142,6 @@ class Run:
 # Row streaming helpers (raw TSV fields, no object construction)
 
 
-def _iter_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
-    for lineno, line in enumerate(corpus_mod.iter_lines(path), start=1):
-        fields = line.split("\t")
-        if len(fields) not in (5, 6):
-            raise CorpusError(
-                f"{path}:{lineno}: expected 5 or 6 tab-separated fields, got {len(fields)}"
-            )
-        yield lineno, fields
-
-
 def _accounting_tag(fields: list[str]) -> str:
     src, tgt = fields[0], fields[1]
     if src == _ENG_TEXT:
@@ -162,6 +149,17 @@ def _accounting_tag(fields: list[str]) -> str:
     if tgt == _ENG_TEXT:
         return src
     return tgt
+
+
+def _count_accounting_tags(run: Run, path: str) -> dict[str, int]:
+    """Rows per rendered accounting language; validates both tags of each row."""
+    counts: dict[str, int] = {}
+    for lineno, fields in corpus_mod.iter_fields(path):
+        run.check_tag(fields[0], path, lineno)
+        run.check_tag(fields[1], path, lineno)
+        tag = _accounting_tag(fields)
+        counts[tag] = counts.get(tag, 0) + 1
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -174,34 +172,26 @@ def _cmd_ingest(run: Run) -> int:
     out = Path(args.out)
     excluded = set(args.exclude_subset or ())
     skipped: list[tuple[int, str]] = []
-    kept = 0
 
     if args.in_path:
         inputs = [args.in_path]
 
         def rows() -> Iterator[str]:
-            nonlocal kept
-            for lineno, fields in _iter_rows(args.in_path):
-                run.check_tag(fields[0], f"{args.in_path}:{lineno}")
-                run.check_tag(fields[1], f"{args.in_path}:{lineno}")
+            for lineno, fields in corpus_mod.iter_fields(args.in_path):
+                run.check_tag(fields[0], args.in_path, lineno)
+                run.check_tag(fields[1], args.in_path, lineno)
                 if fields[0] == fields[1]:
                     raise CorpusError(
                         f"{args.in_path}:{lineno}: source and target language are equal"
                     )
-                source = corpus_mod.clean_text(fields[2])
-                target = corpus_mod.clean_text(fields[3])
+                source, target, reason = corpus_mod.clean_pair(fields[2], fields[3])
                 subset = fields[4]
                 if subset in excluded:
-                    skipped.append((lineno, f"excluded subset:{subset}"))
-                    continue
-                if not source or not target:
-                    reason = "empty source" if not source else "empty target"
-                    if not source and not target:
-                        reason = "both sides empty"
+                    reason = f"excluded subset:{subset}"
+                if reason:
                     skipped.append((lineno, reason))
-                    continue
-                kept += 1
-                yield "\t".join((fields[0], fields[1], source, target, subset))
+                else:
+                    yield "\t".join((fields[0], fields[1], source, target, subset))
 
     else:
         if not (args.src and args.tgt and args.src_lang and args.tgt_lang):
@@ -219,20 +209,14 @@ def _cmd_ingest(run: Run) -> int:
         row_prefix = f"{src_tag}\t{tgt_tag}\t"
 
         def rows() -> Iterator[str]:
-            nonlocal kept
             for lineno, src_line, tgt_line in corpus_mod.iter_paired_lines(args.src, args.tgt):
-                source = corpus_mod.clean_text(src_line)
-                target = corpus_mod.clean_text(tgt_line)
-                if not source or not target:
-                    reason = "empty source" if not source else "empty target"
-                    if not source and not target:
-                        reason = "both sides empty"
+                source, target, reason = corpus_mod.clean_pair(src_line, tgt_line)
+                if reason:
                     skipped.append((lineno, reason))
-                    continue
-                kept += 1
-                yield f"{row_prefix}{source}\t{target}\t{subset}"
+                else:
+                    yield f"{row_prefix}{source}\t{target}\t{subset}"
 
-    corpus_mod.write_tsv_rows(rows(), out)
+    kept = corpus_mod.write_tsv_rows(rows(), out)
     skip_path = Path(str(out) + ".skipped.txt")
     corpus_mod.write_skip_report(
         corpus_mod.IngestReport(kept, tuple(skipped)), skip_path
@@ -255,12 +239,7 @@ def _cmd_ingest(run: Run) -> int:
 def _cmd_stats(run: Run) -> int:
     args = run.args
     started = time.monotonic()
-    counts: dict[str, int] = {}
-    for lineno, fields in _iter_rows(args.in_path):
-        run.check_tag(fields[0], f"{args.in_path}:{lineno}")
-        run.check_tag(fields[1], f"{args.in_path}:{lineno}")
-        tag = _accounting_tag(fields)
-        counts[tag] = counts.get(tag, 0) + 1
+    counts = _count_accounting_tags(run, args.in_path)
     stats_value = corpus_mod.stats_from_counts(
         {run.parse_tag(tag): n for tag, n in counts.items()}
     )
@@ -279,45 +258,14 @@ def _cmd_reduce(run: Run) -> int:
     started = time.monotonic()
     threshold = run.opt("threshold", corpus_mod.HIGH_RESOURCE_THRESHOLD)
     factor = run.opt("factor", corpus_mod.HIGH_RESOURCE_FACTOR)
-    if not 0.0 < factor <= 1.0:
-        raise CorpusError(f"factor must be in (0, 1], got {factor}")
-    if threshold <= 0:
-        raise CorpusError(f"threshold must be positive, got {threshold}")
-
-    counts: dict[str, int] = {}
-    for lineno, fields in _iter_rows(args.in_path):
-        run.check_tag(fields[0], f"{args.in_path}:{lineno}")
-        run.check_tag(fields[1], f"{args.in_path}:{lineno}")
-        tag = _accounting_tag(fields)
-        counts[tag] = counts.get(tag, 0) + 1
-
-    chosen: dict[str, set[int]] = {}
-    for tag in sorted(counts):
-        n = counts[tag]
-        if n <= threshold:
-            continue
-        keep = math.ceil(factor * n)
-        rng = derive_rng(run.seed, "reduce", tag)
-        chosen[tag] = set(rng.sample(range(n), keep))
-
-    ordinal: dict[str, int] = {}
-    kept = 0
-
-    def rows() -> Iterator[str]:
-        nonlocal kept
-        for _, fields in _iter_rows(args.in_path):
-            tag = _accounting_tag(fields)
-            i = ordinal.get(tag, 0)
-            ordinal[tag] = i + 1
-            keep_set = chosen.get(tag)
-            if keep_set is None or i in keep_set:
-                kept += 1
-                yield "\t".join(fields[:5])
-
-    corpus_mod.write_tsv_rows(rows(), args.out)
+    counts = _count_accounting_tags(run, args.in_path)
+    keep = corpus_mod.reduce_keep(counts, threshold, factor, run.seed)
+    rows = (fields for _, fields in corpus_mod.iter_fields(args.in_path))
+    kept_rows = corpus_mod.keep_ordinals(rows, _accounting_tag, keep)
+    kept = corpus_mod.write_tsv_rows(("\t".join(f[:5]) for f in kept_rows), args.out)
     print(
         f"reduce: kept {kept} of {sum(counts.values())} pairs "
-        f"({len(chosen)} languages over threshold {threshold}) -> {args.out}"
+        f"({len(keep)} languages over threshold {threshold}) -> {args.out}"
     )
     config = {
         "in": args.in_path,
@@ -391,65 +339,50 @@ def _parse_lex_specs(specs: Sequence[str]) -> list[tuple[str, str]]:
 _WORKER: dict = {}
 
 
-def _augment_worker_init(tables: dict, policy: tuple, eng: str) -> None:
-    _WORKER[0] = (tables, sorted(tables), policy, eng)
+def _augment_worker_init(
+    subs: augment_mod.SubstitutionSet, policy: augment_mod.AugmentationPolicy
+) -> None:
+    _WORKER[0] = (subs, policy)
 
 
-def _augment_chunk(task: tuple[int, list[str], str]) -> tuple[list[str], int, int, int, int, int]:
-    """Augment one chunk of raw TSV lines; pure given the worker state."""
-    tables, langs, (probability, mode, seed), eng = _WORKER[0]
+def _augment_chunk(task: tuple[int, list[str], str]) -> tuple[list[str], int, int, int, int]:
+    """Augment one chunk of raw TSV lines; pure given the worker state.
+
+    ``start`` is the corpus index of the chunk's first line, so every record
+    draws from the same stream as in :func:`augment.augment_corpus`.
+    """
+    subs, policy = _WORKER[0]
     start, lines, label = task
     out: list[str] = []
-    seen = 0
-    augmented = 0
     without_lexicon = 0
     matched_total = 0
     replaced_total = 0
     rng = random.Random()
-    for offset, line in enumerate(lines):
-        fields = line.split("\t")
-        if len(fields) not in (5, 6):
-            raise CorpusError(
-                f"{label}:{start + offset + 1}: expected 5 or 6 fields, got {len(fields)}"
-            )
-        if fields[0] != eng:
+    for index, line in enumerate(lines, start=start):
+        fields = corpus_mod.split_row(line, label, index + 1)
+        if fields[0] != _ENG_TEXT:
             raise AugmentError(
-                f"{label}:{start + offset + 1}: source language must be {eng}, got {fields[0]!r}"
+                f"{label}:{index + 1}: source language must be {_ENG_TEXT}, got {fields[0]!r}"
             )
-        seen += 1
-        rng.seed(derive_seed(seed, "augment", start + offset))
-        if mode == augment_mod.MODE_PAIR_TARGET:
-            table = tables.get(fields[1])
-        elif langs:
-            table = tables[langs[rng.randrange(len(langs))]]
-        else:
-            table = None
-        if table is None:
+        rng.seed(derive_seed(policy.seed, "augment", index))
+        result = augment_mod.augment_record(fields[2], fields[1], subs, policy, rng)
+        if result is None:
             without_lexicon += 1
             continue
-        new_source, matched, replaced = augment_mod.substitute_tokens(
-            fields[2], table, probability, rng
-        )
+        new_source, matched, replaced = result
         matched_total += matched
         replaced_total += replaced
-        if replaced:
-            augmented += 1
+        if new_source is not None:
             out.append("\t".join((fields[0], fields[1], new_source, fields[3], fields[4])))
-    return out, seen, augmented, without_lexicon, matched_total, replaced_total
+    return out, len(lines), without_lexicon, matched_total, replaced_total
 
 
 def _read_chunks(path: str | Path, size: int) -> Iterator[tuple[int, list[str], str]]:
-    label = str(path)
-    chunk: list[str] = []
+    lines = corpus_mod.iter_lines(path)
     start = 0
-    for index, line in enumerate(corpus_mod.iter_lines(path)):
-        chunk.append(line)
-        if len(chunk) >= size:
-            yield start, chunk, label
-            start = index + 1
-            chunk = []
-    if chunk:
-        yield start, chunk, label
+    while chunk := list(itertools.islice(lines, size)):
+        yield start, chunk, str(path)
+        start += len(chunk)
 
 
 def _cmd_augment(run: Run) -> int:
@@ -470,17 +403,12 @@ def _cmd_augment(run: Run) -> int:
             raise ConfigError("lexicon target language cannot be eng_Latn")
         lexicons.append(lexicon_mod.load(path, fmt, tgt))
     subs = augment_mod.SubstitutionSet.prepare(lexicons, policy.top_k)
-    tables = {str(tag): table for tag, table in subs.tables.items()}
-    for tag_text in tables:
-        run.check_tag(tag_text, "--lex")
+    totals = [0, 0, 0, 0]  # seen, without lexicon, matched, replaced
 
-    policy_tuple = (policy.probability, policy.mode, policy.seed)
-    totals = [0, 0, 0, 0, 0]  # seen, augmented, without lexicon, matched, replaced
-
-    def consume(results: Iterable[tuple[list[str], int, int, int, int, int]]) -> Iterator[str]:
-        for out_lines, *stats_part in results:
-            for i in range(5):
-                totals[i] += stats_part[i]
+    def consume(results: Iterable[tuple[list[str], int, int, int, int]]) -> Iterator[str]:
+        for out_lines, *counts in results:
+            for i, n in enumerate(counts):
+                totals[i] += n
             yield from out_lines
 
     chunks = _read_chunks(args.in_path, _AUGMENT_CHUNK)
@@ -488,20 +416,18 @@ def _cmd_augment(run: Run) -> int:
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
         with ctx.Pool(
-            run.threads,
-            initializer=_augment_worker_init,
-            initargs=(tables, policy_tuple, str(ENGLISH)),
+            run.threads, initializer=_augment_worker_init, initargs=(subs, policy)
         ) as pool:
-            corpus_mod.write_tsv_rows(
+            augmented = corpus_mod.write_tsv_rows(
                 consume(pool.imap(_augment_chunk, chunks)), args.out
             )
     else:
-        _augment_worker_init(tables, policy_tuple, str(ENGLISH))
-        corpus_mod.write_tsv_rows(
+        _augment_worker_init(subs, policy)
+        augmented = corpus_mod.write_tsv_rows(
             consume(_augment_chunk(chunk) for chunk in chunks), args.out
         )
 
-    seen, augmented, without_lexicon, matched, replaced = totals
+    seen, without_lexicon, matched, replaced = totals
     rate = replaced / matched if matched else 0.0
     print(
         f"augment: {augmented} of {seen} pairs augmented "
@@ -554,25 +480,25 @@ def _augment_policy_snapshot(aug_path: str) -> dict | None:
 def _cmd_mixture(run: Run) -> int:
     args = run.args
     started = time.monotonic()
-    eng = str(ENGLISH)
+    eng = _ENG_TEXT
     n_original = 0
     n_augmented = 0
     original_targets: set[str] = set()
 
     def rows() -> Iterator[str]:
         nonlocal n_original, n_augmented
-        for lineno, fields in _iter_rows(args.in_path):
+        for lineno, fields in corpus_mod.iter_fields(args.in_path):
             if fields[0] != eng:
                 raise AugmentError(
                     f"{args.in_path}:{lineno}: original corpus must be {eng} source"
                 )
-            run.check_tag(fields[1], f"{args.in_path}:{lineno}")
+            run.check_tag(fields[1], args.in_path, lineno)
             original_targets.add(fields[1])
             n_original += 1
             yield "\t".join(fields[:5]) + "\torig"
-        for _, fields in _iter_rows(args.in_path):
+        for _, fields in corpus_mod.iter_fields(args.in_path):
             yield "\t".join((fields[1], fields[0], fields[3], fields[2], fields[4], "rev"))
-        for lineno, fields in _iter_rows(args.aug):
+        for lineno, fields in corpus_mod.iter_fields(args.aug):
             if fields[0] != eng:
                 raise AugmentError(
                     f"{args.aug}:{lineno}: augmented corpus must be {eng} source"

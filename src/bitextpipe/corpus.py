@@ -1,10 +1,12 @@
 """Parallel corpus ingestion, statistics, reduction, and reversal.
 
 Two representations are used. Library operations work on in-memory
-:class:`ParallelCorpus` values. The CLI additionally streams raw TSV rows
-(tuples of strings) through :func:`iter_tsv_rows` / :func:`write_tsv_rows`
-so that ingestion and augmentation run in constant memory regardless of
-corpus size.
+:class:`ParallelCorpus` values. The CLI additionally streams raw TSV fields
+through :func:`iter_fields` / :func:`write_tsv_rows` so that ingestion,
+reduction and augmentation run in constant memory regardless of corpus
+size. Both call the same per-row cores: :func:`split_row` (the field
+check), :func:`clean_pair` (the empty-side rule) and :func:`reduce_keep`
+(the reduction plan).
 
 Wire format (one sentence pair per line)::
 
@@ -17,13 +19,17 @@ The optional sixth column tags mixture provenance (``orig``, ``rev``,
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping, TypeVar
 
 from .errors import CorpusError
 from .lang import ENGLISH, LANGUAGE_NAMES, LanguageTag, parse_tag
-from .rng import derive_rng
+from .rng import derive_rng, pick
+
+K = TypeVar("K")
+T = TypeVar("T")
 
 DEFAULT_SUBSET = "general"
 
@@ -43,18 +49,13 @@ def clean_text(text: str) -> str:
 
 @dataclass(frozen=True, slots=True)
 class SentencePair:
-    """One aligned bitext record with direction and provenance metadata.
-
-    ``repeat`` marks which whole-corpus copy a pair belongs to after
-    upsampling (0 for the original draw).
-    """
+    """One aligned bitext record with direction and provenance metadata."""
 
     source: str
     target: str
     src_lang: LanguageTag
     tgt_lang: LanguageTag
     subset: str = DEFAULT_SUBSET
-    repeat: int = 0
 
     def __post_init__(self) -> None:
         if self.src_lang == self.tgt_lang:
@@ -170,17 +171,26 @@ def ingest(
     pairs: list[SentencePair] = []
     skipped: list[tuple[int, str]] = []
     for lineno, src, tgt in iter_paired_lines(source_path, target_path):
-        src = clean_text(src)
-        tgt = clean_text(tgt)
-        if not src and not tgt:
-            skipped.append((lineno, "both sides empty"))
-        elif not src:
-            skipped.append((lineno, "empty source"))
-        elif not tgt:
-            skipped.append((lineno, "empty target"))
+        src, tgt, reason = clean_pair(src, tgt)
+        if reason:
+            skipped.append((lineno, reason))
         else:
             pairs.append(SentencePair(src, tgt, src_lang, tgt_lang, subset))
     return ParallelCorpus(tuple(pairs)), IngestReport(len(pairs), tuple(skipped))
+
+
+def clean_pair(source: str, target: str) -> tuple[str, str, str | None]:
+    """Whitespace-normalize both sides; the reason to skip the pair, if any.
+
+    A pair is skipped when either side is empty after normalization.
+    """
+    source = clean_text(source)
+    target = clean_text(target)
+    if source and target:
+        return source, target, None
+    if not source and not target:
+        return source, target, "both sides empty"
+    return source, target, "empty source" if not source else "empty target"
 
 
 def iter_paired_lines(
@@ -207,11 +217,7 @@ def iter_paired_lines(
 
 def stats(corpus: ParallelCorpus) -> CorpusStats:
     """Count pairs per accounting language."""
-    counts: dict[LanguageTag, int] = {}
-    for pair in corpus:
-        tag = accounting_language(pair)
-        counts[tag] = counts.get(tag, 0) + 1
-    return CorpusStats(counts)
+    return CorpusStats(dict(Counter(map(accounting_language, corpus))))
 
 
 def stats_from_counts(counts: Mapping[LanguageTag, int]) -> CorpusStats:
@@ -235,30 +241,44 @@ def reduce_highresource(
     original order. Languages at or below the threshold pass through
     untouched. Deterministic given (corpus, seed).
     """
+    keep = reduce_keep(stats(corpus).counts, threshold, factor, seed)
+    if not keep:
+        return corpus
+    return ParallelCorpus(tuple(keep_ordinals(corpus, accounting_language, keep)))
+
+
+def reduce_keep(
+    counts: Mapping[K, int], threshold: int, factor: float, seed: int
+) -> dict[K, set[int]]:
+    """The reduction plan: surviving ordinals of each over-threshold key.
+
+    Keys are accounting languages (tags or rendered tags), counted in
+    corpus order; ordinal ``i`` is the key's ``i``-th pair. Keys at or
+    below the threshold are absent from the plan and keep every pair.
+    """
     if not 0.0 < factor <= 1.0:
         raise CorpusError(f"factor must be in (0, 1], got {factor}")
     if threshold <= 0:
         raise CorpusError(f"threshold must be positive, got {threshold}")
+    return {
+        key: set(pick(n, math.ceil(factor * n), derive_rng(seed, "reduce", str(key))))
+        for key, n in counts.items()
+        if n > threshold
+    }
 
-    groups: dict[LanguageTag, list[int]] = {}
-    for index, pair in enumerate(corpus):
-        groups.setdefault(accounting_language(pair), []).append(index)
 
-    drop: set[int] = set()
-    for tag in sorted(groups, key=str):
-        indices = groups[tag]
-        n = len(indices)
-        if n <= threshold:
-            continue
-        keep = math.ceil(factor * n)
-        rng = derive_rng(seed, "reduce", str(tag))
-        chosen = set(rng.sample(range(n), keep))
-        drop.update(indices[i] for i in range(n) if i not in chosen)
-
-    if not drop:
-        return corpus
-    pairs = tuple(pair for i, pair in enumerate(corpus) if i not in drop)
-    return ParallelCorpus(pairs)
+def keep_ordinals(
+    items: Iterable[T], key: Callable[[T], K], keep: Mapping[K, set[int]]
+) -> Iterator[T]:
+    """Stream the items a :func:`reduce_keep` plan retains, in order."""
+    seen: dict[K, int] = {}
+    for item in items:
+        k = key(item)
+        ordinal = seen.get(k, 0)
+        seen[k] = ordinal + 1
+        chosen = keep.get(k)
+        if chosen is None or ordinal in chosen:
+            yield item
 
 
 def reverse(corpus: ParallelCorpus) -> ParallelCorpus:
@@ -287,16 +307,27 @@ def format_tsv_row(pair: SentencePair, origin: str | None = None) -> str:
     return "\t".join(fields)
 
 
+def split_row(line: str, path: str | Path, lineno: int) -> list[str]:
+    """The tab-separated fields of one corpus line; 5 or 6 are required."""
+    fields = line.split("\t")
+    if len(fields) not in (5, 6):
+        raise CorpusError(
+            f"{path}:{lineno}: expected 5 or 6 tab-separated fields, got {len(fields)}"
+        )
+    return fields
+
+
+def iter_fields(path: str | Path) -> Iterator[tuple[int, list[str]]]:
+    """Stream (line number, raw fields) from a corpus TSV."""
+    for lineno, line in enumerate(iter_lines(path), start=1):
+        yield lineno, split_row(line, path, lineno)
+
+
 def iter_tsv_rows(
     path: str | Path, extra_tags: Collection[LanguageTag] = ()
 ) -> Iterator[tuple[int, SentencePair]]:
     """Stream (line number, pair) from a corpus TSV, validating tags."""
-    for lineno, line in enumerate(iter_lines(path), start=1):
-        fields = line.split("\t")
-        if len(fields) not in (5, 6):
-            raise CorpusError(
-                f"{path}:{lineno}: expected 5 or 6 tab-separated fields, got {len(fields)}"
-            )
+    for lineno, fields in iter_fields(path):
         src_lang = parse_tag(fields[0], extra_tags)
         tgt_lang = parse_tag(fields[1], extra_tags)
         try:

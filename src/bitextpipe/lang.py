@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Collection, Iterable
+from typing import Collection
 
 from .errors import TagError
 
@@ -30,10 +30,6 @@ class LanguageTag:
 
     def __str__(self) -> str:
         return f"{self.code}_{self.script}"
-
-    @property
-    def rendered(self) -> str:
-        return str(self)
 
 
 ENGLISH = LanguageTag("eng", "Latn")
@@ -101,10 +97,6 @@ def registry() -> tuple[LanguageTag, ...]:
     return _REGISTRY
 
 
-def indic_tags() -> tuple[LanguageTag, ...]:
-    return _INDIC
-
-
 def parse_tag(text: str, extra: Collection[LanguageTag] = ()) -> LanguageTag:
     """Parse and validate a rendered tag like ``asm_Beng``.
 
@@ -155,7 +147,3 @@ def load_extra_tags(path: str | Path) -> tuple[LanguageTag, ...]:
         seen.add(line)
         tags.append(LanguageTag(match.group(1), match.group(2)))
     return tuple(tags)
-
-
-def render_all(tags: Iterable[LanguageTag]) -> list[str]:
-    return [str(tag) for tag in tags]

@@ -32,3 +32,16 @@ def derive_rng(base_seed: int, *parts: int | str) -> random.Random:
     exactly the same stream as constructing ``random.Random(seed)`` fresh.
     """
     return random.Random(derive_seed(base_seed, *parts))
+
+
+def pick(n: int, want: int, rng: random.Random) -> list[int]:
+    """Indices of a seeded draw of ``want`` items from a pool of ``n``.
+
+    ``want // n`` whole copies of the pool in order, then a uniform sample
+    without replacement of the remainder, also in pool order. Reduce,
+    temperature sampling and seed selection all draw through this.
+    """
+    if want == 0:
+        return []
+    full, remainder = divmod(want, n)
+    return [*range(n)] * full + sorted(rng.sample(range(n), remainder))

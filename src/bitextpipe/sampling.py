@@ -7,20 +7,24 @@ language's share is exponentiated to 1/T and renormalized,
 
 so T=1 reproduces the raw proportions and large T approaches uniform.
 Target counts for a fixed budget are allocated by largest-remainder
-rounding, which preserves the budget exactly and is independent of input
-order.
+rounding over exact rational quotas, which preserves the budget exactly
+and is independent of input order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace as dc_replace
+from fractions import Fraction
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, TypeVar
 
 from .corpus import CorpusStats, ParallelCorpus, SentencePair, accounting_language
 from .errors import PlanError
 from .lang import LanguageTag
-from .rng import derive_rng
+from .rng import derive_rng, pick
+
+K = TypeVar("K")
 
 
 @dataclass(frozen=True)
@@ -56,23 +60,24 @@ def distribution(stats: CorpusStats, temperature: float, seed: int | None = None
     return SamplingPlan(temperature, counts, probabilities, seed=seed)
 
 
-def largest_remainder(shares: Mapping[LanguageTag, float], budget: int) -> dict[LanguageTag, int]:
-    """Integer allocation of ``budget`` proportional to ``shares``.
+def largest_remainder(weights: Mapping[K, float], budget: int) -> dict[K, int]:
+    """Integer allocation of ``budget`` proportional to ``weights``.
 
-    Floors every quota, then hands the leftover units to the largest
-    fractional remainders; ties break on rendered tag so the result does
-    not depend on mapping order.
+    Quotas ``budget * w / sum(w)`` are exact rationals. Every quota is
+    floored, then the leftover units go to the largest remainders; ties
+    break on ``str(key)`` so the result does not depend on mapping order.
+    Sampling passes language probabilities, seed selection subset sizes.
     """
     if budget < 0:
         raise PlanError(f"budget must be non-negative, got {budget}")
-    quotas = {tag: budget * share for tag, share in shares.items()}
-    alloc = {tag: int(quota) for tag, quota in quotas.items()}
+    exact = {key: Fraction(weight) for key, weight in weights.items()}
+    total = sum(exact.values())
+    quotas = {key: budget * weight / total for key, weight in exact.items()}
+    alloc = {key: math.floor(quota) for key, quota in quotas.items()}
     leftover = budget - sum(alloc.values())
-    remainders = sorted(
-        shares, key=lambda tag: (-(quotas[tag] - alloc[tag]), str(tag))
-    )
-    for tag in remainders[:leftover]:
-        alloc[tag] += 1
+    order = sorted(quotas, key=lambda key: (-(quotas[key] - alloc[key]), str(key)))
+    for key in order[:leftover]:
+        alloc[key] += 1
     return alloc
 
 
@@ -94,9 +99,9 @@ def materialize(
 
     Languages whose target count is at most their supply are downsampled
     without replacement (survivors keep corpus order); languages needing
-    more are repeated whole plus a seeded remainder sample, with the
-    ``repeat`` field marking each extra copy. Output is grouped by
-    rendered tag, so it depends only on (plan, corpus, seed).
+    more are repeated whole plus a seeded remainder sample (see
+    :func:`rng.pick`). Output is grouped by rendered tag, so it depends
+    only on (plan, corpus, seed).
     """
     if budget is None:
         budget = plan.budget if plan.budget is not None else len(corpus)
@@ -125,18 +130,8 @@ def materialize(
         if want == 0:
             continue
         pool = groups[tag]
-        n = len(pool)
-        full, remainder = divmod(want, n)
         rng = derive_rng(seed, "materialize", str(tag))
-        extra = sorted(rng.sample(range(n), remainder))
-        for copy in range(full):
-            if copy == 0:
-                out.extend(pool)
-            else:
-                out.extend(dc_replace(pair, repeat=copy) for pair in pool)
-        out.extend(
-            dc_replace(pool[i], repeat=full) if full else pool[i] for i in extra
-        )
+        out.extend(pool[i] for i in pick(len(pool), want, rng))
     return ParallelCorpus(tuple(out))
 
 

@@ -299,6 +299,13 @@ class TestSelectSeed:
         counts = Counter(p.subset for p in out)
         assert counts == {"ILCI": 30, "Wiki": 20}
 
+    def test_exact_remainder_tie_breaks_on_label(self):
+        # quotas 35 + 2301/6063 for ILCI and 1437 + 2301/6063 for Massive:
+        # the one leftover unit goes to ILCI, which sorts first
+        subsets = self._subsets({"ILCI": 51, "Massive": 2072, "Daily": 3940})
+        out = select_seed(subsets, budget=4206, seed=1)
+        assert Counter(p.subset for p in out) == {"ILCI": 36, "Massive": 1437, "Daily": 2733}
+
     def test_full_budget_is_identity(self):
         subsets = self._subsets({"ILCI": 25, "Massive": 10, "Daily": 5})
         out = select_seed(subsets, budget=40, seed=1)

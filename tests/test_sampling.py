@@ -127,14 +127,12 @@ class TestMaterialize:
         plan = distribution(stats(corpus), temperature=1.0)
         out = materialize(plan, corpus, budget=25, seed=1)
         assert len(out) == 25
-        by_repeat = Counter(p.repeat for p in out)
-        assert by_repeat == {0: 10, 1: 10, 2: 5}
-        # the two full copies contain every pair; the remainder is a subset
-        sources = [p.source for p in corpus]
-        assert sorted(p.source for p in out if p.repeat == 0) == sorted(sources)
-        assert sorted(p.source for p in out if p.repeat == 1) == sorted(sources)
-        extras = [p.source for p in out if p.repeat == 2]
-        assert len(set(extras)) == 5 and set(extras) <= set(sources)
+        # two whole copies in corpus order, then 5 distinct extras in corpus order
+        assert out.pairs[:10] == corpus.pairs
+        assert out.pairs[10:20] == corpus.pairs
+        positions = [corpus.pairs.index(p) for p in out.pairs[20:]]
+        assert len(set(positions)) == 5
+        assert positions == sorted(positions)
 
     def test_downsampling_keeps_order(self):
         corpus = mk_corpus(40)
