@@ -15,7 +15,7 @@ from typing import Collection, Mapping, Sequence
 from . import metrics
 from .errors import MetricError
 from .lang import LanguageTag, parse_pair
-from .metrics import CHRF, CHRF_PP, BleuConfig
+from .metrics import CHRF, CHRF_PP, BleuConfig, ChrfStats
 
 _TSV_HEADER = "pair\tbleu\tchrf\tchrfpp"
 
@@ -54,13 +54,24 @@ class ScoreReport:
 
 
 def read_lines(path: str | Path) -> list[str]:
+    """Lines split on ``\n`` only, without their line endings.
+
+    A lone ``\r`` stays inside its line, as in :func:`corpus.iter_lines`
+    and sacreBLEU, so line counts agree across readers.
+    """
     try:
-        with open(path, encoding="utf-8") as handle:
-            return [line.rstrip("\r\n") for line in handle]
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise MetricError(f"cannot read {path}: {exc}") from exc
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise MetricError(f"{path}: invalid UTF-8: {exc}") from exc
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise MetricError(f"{path}: invalid UTF-8 at line {lineno}: {exc}") from exc
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return [line.rstrip("\r") for line in lines]
 
 
 def score_run(
@@ -79,12 +90,15 @@ def score_run(
     if not hyps:
         raise MetricError(f"{hyp_path} is empty")
     src_lang, tgt_lang = pair
+    # One n-gram pass: chrF's statistics are the character-order prefix of chrF++'s.
+    pp_stats = metrics.sum_stats(metrics.chrf_segment_stats, hyps, refs, CHRF_PP)
+    chrf_stats = ChrfStats(pp_stats.counts[: 3 * CHRF.order])
     return ScoreRow(
         src_lang=src_lang,
         tgt_lang=tgt_lang,
         bleu=metrics.bleu(hyps, refs, bleu_cfg).value,
-        chrf=metrics.chrf(hyps, refs, CHRF).value,
-        chrf_pp=metrics.chrf(hyps, refs, CHRF_PP).value,
+        chrf=metrics.chrf_from_stats(chrf_stats, CHRF).value,
+        chrf_pp=metrics.chrf_from_stats(pp_stats, CHRF_PP).value,
     )
 
 

@@ -5,9 +5,11 @@ times a brevity penalty, computed on 13a-tokenized text with NIST-style
 exponential smoothing of zero-match orders. chrF is the F-beta score of
 averaged character n-gram (1..6) precisions and recalls; chrF++ adds word
 n-grams up to order 2, with punctuation split off word edges. Both are
-corpus-level: per-segment sufficient statistics are summed, then one score
-is computed, so segment statistics can be accumulated in any order (or in
-parallel) without changing the result.
+corpus-level: per-segment sufficient statistics are summed (:func:`sum_stats`),
+then one score is computed, so segment statistics can be accumulated in any
+order (or in parallel) without changing the result. chrF++ statistics list
+the character orders first, so their character-order prefix is exactly the
+chrF statistics: a scorer that wants both extracts n-grams once per segment.
 
 Every score carries a signature string recording the exact configuration:
 
@@ -21,10 +23,13 @@ import math
 import re
 import string
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Sequence, TypeVar
 
 from .errors import MetricError
+
+C = TypeVar("C")
+S = TypeVar("S")
 
 # --- 13a tokenization -------------------------------------------------------
 # Minimal mteval-style tokenization: unscape a few XML entities, then split
@@ -130,25 +135,26 @@ def bleu_segment_stats(hypothesis: str, reference: str, cfg: BleuConfig) -> Bleu
     """Clipped n-gram match statistics for one (hypothesis, reference) pair."""
     hyp_tokens = _tokenize(hypothesis, cfg.tokenizer)
     ref_tokens = _tokenize(reference, cfg.tokenizer)
-    ref_grams = _word_ngrams(ref_tokens, cfg.max_order)
-    hyp_grams = _word_ngrams(hyp_tokens, cfg.max_order)
-    correct = [0] * cfg.max_order
-    total = [0] * cfg.max_order
-    for gram, count in hyp_grams.items():
-        order = len(gram) - 1
-        total[order] += count
-        ref_count = ref_grams.get(gram)
-        if ref_count:
-            correct[order] += min(count, ref_count)
+    orders = range(1, cfg.max_order + 1)
+    correct = [
+        _clipped_matches(_word_ngrams(hyp_tokens, n), _word_ngrams(ref_tokens, n)) for n in orders
+    ]
+    total = [max(len(hyp_tokens) - n + 1, 0) for n in orders]
     return BleuStats(len(hyp_tokens), len(ref_tokens), correct, total)
 
 
-def _word_ngrams(tokens: list[str], max_order: int) -> Counter:
-    grams: Counter = Counter()
-    for n in range(1, max_order + 1):
-        for i in range(len(tokens) - n + 1):
-            grams[tuple(tokens[i : i + n])] += 1
-    return grams
+def _word_ngrams(tokens: list[str], n: int) -> Counter:
+    return Counter(zip(*[tokens[k:] for k in range(n)]))
+
+
+def _clipped_matches(hyp_grams: Counter, ref_grams: Counter) -> int:
+    """Sum over shared n-grams of the smaller of the two counts."""
+    match = 0
+    for gram in hyp_grams.keys() & ref_grams.keys():
+        a = hyp_grams[gram]
+        b = ref_grams[gram]
+        match += a if a < b else b
+    return match
 
 
 def bleu_from_stats(stats: BleuStats, cfg: BleuConfig = BleuConfig()) -> Score:
@@ -196,11 +202,7 @@ def bleu(
     hypotheses: Sequence[str], references: Sequence[str], cfg: BleuConfig = BleuConfig()
 ) -> Score:
     """Corpus BLEU over aligned hypothesis and reference segments."""
-    _check_inputs(hypotheses, references)
-    stats = BleuStats()
-    for hyp, ref in zip(hypotheses, references):
-        stats = stats + bleu_segment_stats(hyp, ref, cfg)
-    return bleu_from_stats(stats, cfg)
+    return bleu_from_stats(sum_stats(bleu_segment_stats, hypotheses, references, cfg), cfg)
 
 
 # --- chrF / chrF++ ----------------------------------------------------------
@@ -239,12 +241,19 @@ class ChrfConfig:
 
 
 CHRF = ChrfConfig()
-CHRF_PP = ChrfConfig(word_order=2)
+# chrF++ differs from chrF only in its word orders, so the first
+# 3 * CHRF.order counts of a chrF++ ChrfStats are exactly chrF's.
+CHRF_PP = replace(CHRF, word_order=2)
 
 
 @dataclass
 class ChrfStats:
-    """Per-order [hyp, ref, match] counts, summed across segments."""
+    """Per-order [hyp, ref, match] counts, summed across segments.
+
+    Character orders 1..char_order come first, then word orders
+    1..word_order, so a prefix of the counts is the statistics of the
+    same configuration with fewer word orders.
+    """
 
     counts: list[int] = field(default_factory=list)
 
@@ -274,33 +283,32 @@ def _split_word_punctuation(sent: str) -> list[str]:
 
 
 def _segment_ngrams(segment: str, cfg: ChrfConfig) -> list[Counter]:
+    """Character n-gram counts for orders 1..char_order, then word n-gram counts."""
     text = segment if cfg.whitespace else "".join(segment.split())
-    per_order: list[Counter] = []
-    for n in range(1, cfg.char_order + 1):
-        per_order.append(Counter(text[i : i + n] for i in range(len(text) - n + 1)))
+    per_order = [
+        Counter([text[i : i + n] for i in range(len(text) - n + 1)])
+        for n in range(1, cfg.char_order + 1)
+    ]
     if cfg.word_order > 0:
         words = _split_word_punctuation(segment)
-        for n in range(1, cfg.word_order + 1):
-            per_order.append(
-                Counter(" ".join(words[i : i + n]) for i in range(len(words) - n + 1))
-            )
+        per_order += [
+            Counter([" ".join(words[i : i + n]) for i in range(len(words) - n + 1)])
+            for n in range(1, cfg.word_order + 1)
+        ]
     return per_order
 
 
 def chrf_segment_stats(hypothesis: str, reference: str, cfg: ChrfConfig) -> ChrfStats:
     """[hyp count, ref count, match count] per n-gram order for one segment."""
-    hyp_orders = _segment_ngrams(hypothesis, cfg)
-    ref_orders = _segment_ngrams(reference, cfg)
     counts: list[int] = []
-    for hyp_grams, ref_grams in zip(hyp_orders, ref_orders):
-        hyp_count = 0
-        match = 0
-        for gram, count in hyp_grams.items():
-            hyp_count += count
-            ref_count = ref_grams.get(gram)
-            if ref_count:
-                match += min(count, ref_count)
-        counts.extend((hyp_count, sum(ref_grams.values()), match))
+    for hyp_grams, ref_grams in zip(
+        _segment_ngrams(hypothesis, cfg), _segment_ngrams(reference, cfg)
+    ):
+        counts += (
+            sum(hyp_grams.values()),
+            sum(ref_grams.values()),
+            _clipped_matches(hyp_grams, ref_grams),
+        )
     return ChrfStats(counts)
 
 
@@ -337,17 +345,25 @@ def chrf(
     hypotheses: Sequence[str], references: Sequence[str], cfg: ChrfConfig = CHRF
 ) -> Score:
     """Corpus chrF (word_order=0) or chrF++ (word_order=2)."""
-    _check_inputs(hypotheses, references)
-    stats = ChrfStats()
-    for hyp, ref in zip(hypotheses, references):
-        stats = stats + chrf_segment_stats(hyp, ref, cfg)
-    return chrf_from_stats(stats, cfg)
+    return chrf_from_stats(sum_stats(chrf_segment_stats, hypotheses, references, cfg), cfg)
 
 
-def _check_inputs(hypotheses: Sequence[str], references: Sequence[str]) -> None:
+def sum_stats(segment_stats: Callable[[str, str, C], S], hypotheses: Sequence[str],
+              references: Sequence[str], cfg: C) -> S:
+    """Sum ``segment_stats(hyp, ref, cfg)`` over aligned segments.
+
+    ``segment_stats`` is :func:`bleu_segment_stats` or
+    :func:`chrf_segment_stats`; finalize the sum with the matching
+    ``*_from_stats``.
+    """
     if len(hypotheses) != len(references):
         raise MetricError(
             f"hypothesis/reference length mismatch: {len(hypotheses)} vs {len(references)}"
         )
     if not hypotheses:
         raise MetricError("nothing to score: empty input")
+    pairs = zip(hypotheses, references)
+    stats = segment_stats(*next(pairs), cfg)
+    for hyp, ref in pairs:
+        stats = stats + segment_stats(hyp, ref, cfg)
+    return stats

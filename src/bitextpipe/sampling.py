@@ -56,6 +56,11 @@ def distribution(stats: CorpusStats, temperature: float, seed: int | None = None
     inv_t = 1.0 / temperature
     weights = {tag: (count / total) ** inv_t for tag, count in counts.items()}
     norm = sum(weights.values())
+    if norm == 0.0:
+        raise PlanError(
+            f"temperature {temperature} is too small: every language weight "
+            f"(n/N)**(1/T) underflows to 0"
+        )
     probabilities = {tag: weight / norm for tag, weight in weights.items()}
     return SamplingPlan(temperature, counts, probabilities, seed=seed)
 

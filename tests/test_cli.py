@@ -122,6 +122,21 @@ class TestStatsReduceSample:
         assert plan.splitlines()[0] == "lang\tn\tp\tc"
         assert (tmp_path / "sampled.tsv.plot.tsv").exists()
 
+    def test_sample_underflowing_temperature_exits_1(self, tmp_path, capsys):
+        corpus = tmp_path / "two_langs.tsv"
+        corpus.write_text(
+            "eng_Latn\thin_Deva\ta\tक\tdefault\n"
+            "eng_Latn\thin_Deva\tb\tख\tdefault\n"
+            "eng_Latn\tbrx_Deva\tc\tग\tdefault\n",
+            encoding="utf-8",
+        )
+        code = run_cli("sample", "--in", corpus, "--out", tmp_path / "s.tsv",
+                       "--temperature", 0.0001, "--budget", 2, "--seed", 1)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "temperature 0.0001" in err
+        assert len(err.splitlines()) == 1
+
 
 class TestLexiconAugmentMixture:
     def test_lexicon_normalize(self, tmp_path, hin_lex, capsys):

@@ -1,11 +1,19 @@
 import statistics
+import tempfile
+from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle_metrics as oracle
+from bitextpipe import metrics
 from bitextpipe.errors import MetricError, TagError
 from bitextpipe.evalharness import (
     ScoreReport,
     ScoreRow,
+    read_lines,
     read_rows_tsv,
     render_text,
     report,
@@ -73,6 +81,97 @@ class TestScoreRun:
     def test_registry_invalid_pair_rejected(self):
         with pytest.raises(TagError):
             parse_pair("hin_Deva-qqq_Qqqq")
+
+    # Recorded at full precision from the two-pass scorer (chrF and chrF++
+    # each extracting their own n-grams) before chrF was derived from the
+    # chrF++ statistics; the score row files print these to 4 decimals.
+    @pytest.mark.parametrize(
+        "name,expected",
+        [
+            ("deva", (45.07373838911417, 64.38039230569935, 63.643482866115185)),
+            ("parity", (44.0594316750937, 64.56223442591184, 64.67806332152017)),
+        ],
+    )
+    def test_full_fixture_values_are_pinned(self, name, expected):
+        row = score_run(
+            FIXTURES / f"{name}_hyp.txt", FIXTURES / f"{name}_ref.txt",
+            parse_pair("eng_Latn-hin_Deva"),
+        )
+        assert (row.bleu, row.chrf, row.chrf_pp) == expected
+
+    def test_one_chrf_pass_per_segment(self, monkeypatch):
+        calls = []
+        original = metrics.chrf_segment_stats
+
+        def counting(hyp, ref, cfg):
+            calls.append(cfg)
+            return original(hyp, ref, cfg)
+
+        monkeypatch.setattr(metrics, "chrf_segment_stats", counting)
+        score_run(FIXTURES / "parity_hyp.txt", FIXTURES / "parity_ref.txt",
+                  parse_pair("hin_Deva-eng_Latn"))
+        assert len(calls) == len(read_lines(FIXTURES / "parity_hyp.txt")) == 50
+
+    def test_lone_carriage_return_stays_inside_its_segment(self, tmp_path):
+        hyp = tmp_path / "h.txt"
+        ref = tmp_path / "r.txt"
+        hyp.write_bytes(b"a b\rc d\r\nx y\n")
+        ref.write_bytes(b"a b c d\nx y\n")
+        assert read_lines(hyp) == ["a b\rc d", "x y"]
+        row = score_run(hyp, ref, parse_pair("hin_Deva-eng_Latn"))
+        # inside a segment \r is whitespace, like the space in the reference
+        assert (row.bleu, row.chrf, row.chrf_pp) == (100.0, 100.0, 100.0)
+
+    def test_invalid_utf8_names_the_line(self, tmp_path):
+        path = tmp_path / "h.txt"
+        path.write_bytes(b"fine\nalso fine\nbad \xff byte\n")
+        with pytest.raises(MetricError, match=r"h\.txt: invalid UTF-8 at line 3"):
+            read_lines(path)
+
+
+# Characters that stress segmentation: whitespace runs, edge punctuation,
+# Devanagari with combining marks (virama, vowel signs, nukta, anusvara)
+# and Perso-Arabic letters and punctuation.
+SEGMENT_CHARS = (
+    " \t" + "ab.,!?()'\"-"
+    + "कखषि्ाीं़।"
+    + "بیانکه،؟"
+)
+segments = st.text(alphabet=SEGMENT_CHARS, max_size=24)
+
+
+def _naive_bleu_counts(hyps, refs, max_order=4):
+    correct = [0] * max_order
+    total = [0] * max_order
+    for hyp, ref in zip(hyps, refs):
+        hyp_tokens = oracle.tok13a(hyp)
+        ref_tokens = oracle.tok13a(ref)
+        for n in range(1, max_order + 1):
+            hyp_list = oracle._ngram_list(hyp_tokens, n)
+            clipped = Counter(hyp_list) & Counter(oracle._ngram_list(ref_tokens, n))
+            correct[n - 1] += sum(clipped.values())
+            total[n - 1] += len(hyp_list)
+    return correct, total
+
+
+class TestOnePassScoring:
+    @settings(max_examples=80, deadline=None)
+    @given(pairs=st.lists(st.tuples(segments, segments), min_size=1, max_size=6))
+    def test_one_pass_equals_two_passes(self, pairs):
+        hyps = [h for h, _ in pairs]
+        refs = [r for _, r in pairs]
+        with tempfile.TemporaryDirectory() as tmp:
+            hyp = Path(tmp) / "h.txt"
+            ref = Path(tmp) / "r.txt"
+            hyp.write_text("".join(h + "\n" for h in hyps), encoding="utf-8")
+            ref.write_text("".join(r + "\n" for r in refs), encoding="utf-8")
+            row = score_run(hyp, ref, parse_pair("hin_Deva-eng_Latn"))
+        assert row.chrf == metrics.chrf(hyps, refs, metrics.CHRF).value
+        assert row.chrf_pp == metrics.chrf(hyps, refs, metrics.CHRF_PP).value
+        assert row.bleu == metrics.bleu(hyps, refs).value
+
+        stats = metrics.sum_stats(metrics.bleu_segment_stats, hyps, refs, metrics.BleuConfig())
+        assert (stats.correct, stats.total) == _naive_bleu_counts(hyps, refs)
 
 
 class TestReport:

@@ -56,6 +56,11 @@ class TestDistribution:
         with pytest.raises(PlanError):
             distribution(_stats({"hin_Deva": 3}), temperature=-1.0)
 
+    def test_underflowing_temperature_is_a_plan_error(self):
+        # (2/3)**10000 and (1/3)**10000 are both 0.0 in floating point
+        with pytest.raises(PlanError, match="temperature 0.0001"):
+            distribution(_stats({"hin_Deva": 2, "brx_Deva": 1}), temperature=0.0001)
+
     @settings(max_examples=60, deadline=None)
     @given(
         counts=st.lists(st.integers(min_value=1, max_value=10**7), min_size=2, max_size=8),
