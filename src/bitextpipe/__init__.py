@@ -41,7 +41,7 @@ from .errors import (
 from .evalharness import ScoreReport, ScoreRow, report, score_run
 from .lang import ENGLISH, LanguageTag, parse_pair, parse_tag, registry
 from .lexicon import BilingualLexicon, LexiconEntry, load as load_lexicon, truncate_topk
-from .metrics import BleuConfig, ChrfConfig, Score, bleu, chrf
+from .metrics import ChrfConfig, Score, bleu, chrf
 from .sampling import SamplingPlan, distribution, materialize
 from .trainconfig import TrainConfig, emit as emit_train_config
 
@@ -52,7 +52,6 @@ __all__ = [
     "AugmentError",
     "AugmentStats",
     "BilingualLexicon",
-    "BleuConfig",
     "ChrfConfig",
     "ConfigError",
     "CorpusError",

@@ -31,7 +31,7 @@ from . import evalharness
 from . import lexicon as lexicon_mod
 from . import sampling
 from . import trainconfig
-from .errors import AugmentError, ConfigError, CorpusError, PipelineError
+from .errors import AugmentError, ConfigError, CorpusError, PipelineError, read_text
 from .lang import ENGLISH, LanguageTag, load_extra_tags, parse_pair, parse_tag, registry
 from .manifest import RunManifest, manifest_path_for, sha256_file
 from .rng import derive_seed
@@ -55,10 +55,7 @@ def _load_config_file(path: str | None) -> dict[str, str]:
     if not path:
         return {}
     values: dict[str, str] = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    text = read_text(path, ConfigError)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -736,7 +733,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         file_cfg = _load_config_file(os.environ.get(_CONFIG_ENV))
         run = Run(args, file_cfg)
         return args.func(run)
-    except PipelineError as exc:
+    except (PipelineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,4 +1,9 @@
-"""Exception hierarchy shared by all pipeline modules."""
+"""Exception hierarchy shared by all pipeline modules, and the one reader
+that turns an unreadable input file into one of these errors."""
+
+from __future__ import annotations
+
+from pathlib import Path
 
 
 class PipelineError(Exception):
@@ -31,3 +36,20 @@ class MetricError(PipelineError):
 
 class ConfigError(PipelineError):
     """Invalid run configuration (CLI flags, config file, train phase)."""
+
+
+def read_text(path: str | Path, error: type[PipelineError]) -> str:
+    """The whole file decoded as UTF-8, with no newline translation.
+
+    A missing or unreadable file raises ``error`` naming the path; invalid
+    UTF-8 raises ``error`` naming the path and the line, counted in ``\\n``.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}: invalid UTF-8 at line {lineno}: {exc}") from exc

@@ -13,9 +13,9 @@ from pathlib import Path
 from typing import Collection, Mapping, Sequence
 
 from . import metrics
-from .errors import MetricError
+from .errors import MetricError, read_text
 from .lang import LanguageTag, parse_pair
-from .metrics import CHRF, CHRF_PP, BleuConfig, ChrfStats
+from .metrics import BLEU_SIGNATURE, CHRF, CHRF_PP, ChrfStats
 
 _TSV_HEADER = "pair\tbleu\tchrf\tchrfpp"
 
@@ -59,26 +59,14 @@ def read_lines(path: str | Path) -> list[str]:
     A lone ``\r`` stays inside its line, as in :func:`corpus.iter_lines`
     and sacreBLEU, so line counts agree across readers.
     """
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise MetricError(f"cannot read {path}: {exc}") from exc
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise MetricError(f"{path}: invalid UTF-8 at line {lineno}: {exc}") from exc
-    lines = text.split("\n")
+    lines = read_text(path, MetricError).split("\n")
     if lines[-1] == "":
         lines.pop()
     return [line.rstrip("\r") for line in lines]
 
 
 def score_run(
-    hyp_path: str | Path,
-    ref_path: str | Path,
-    pair: tuple[LanguageTag, LanguageTag],
-    bleu_cfg: BleuConfig = BleuConfig(),
+    hyp_path: str | Path, ref_path: str | Path, pair: tuple[LanguageTag, LanguageTag]
 ) -> ScoreRow:
     """Score one system output file against its reference file."""
     hyps = read_lines(hyp_path)
@@ -96,7 +84,7 @@ def score_run(
     return ScoreRow(
         src_lang=src_lang,
         tgt_lang=tgt_lang,
-        bleu=metrics.bleu(hyps, refs, bleu_cfg).value,
+        bleu=metrics.bleu(hyps, refs).value,
         chrf=metrics.chrf_from_stats(chrf_stats, CHRF).value,
         chrf_pp=metrics.chrf_from_stats(pp_stats, CHRF_PP).value,
     )
@@ -104,7 +92,7 @@ def score_run(
 
 def report(rows: Sequence[ScoreRow], metadata: Mapping[str, str] | None = None) -> ScoreReport:
     meta = dict(metadata) if metadata else {}
-    meta.setdefault("bleu_signature", BleuConfig().signature)
+    meta.setdefault("bleu_signature", BLEU_SIGNATURE)
     meta.setdefault("chrf_signature", CHRF.signature)
     meta.setdefault("chrfpp_signature", CHRF_PP.signature)
     return ScoreReport(tuple(rows), meta)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Collection
 
-from .errors import TagError
+from .errors import TagError, read_text
 
 _TAG_RE = re.compile(r"^([a-z]{3})_([A-Z][a-z]{3})$")
 
@@ -135,13 +135,15 @@ def load_extra_tags(path: str | Path) -> tuple[LanguageTag, ...]:
     """
     tags: list[LanguageTag] = []
     seen: set[str] = set(_BY_RENDERED)
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for lineno, raw in enumerate(read_text(path, TagError).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         match = _TAG_RE.match(line)
         if match is None:
-            raise TagError(f"malformed language tag {line!r} in {path}")
+            raise TagError(
+                f"{path}:{lineno}: malformed language tag {line!r}: expected <lll>_<Ssss>"
+            )
         if line in seen:
             continue
         seen.add(line)

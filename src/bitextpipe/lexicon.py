@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .errors import LexiconError
+from .errors import LexiconError, read_text
 from .lang import ENGLISH, LanguageTag
 
 MUSE = "muse"
@@ -78,12 +78,7 @@ def load(path: str | Path, format: str, tgt_lang: LanguageTag) -> BilingualLexic
     """
     if format not in FORMATS:
         raise LexiconError(f"unknown lexicon format {format!r}; expected one of {FORMATS}")
-    try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise LexiconError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise LexiconError(f"{path}: invalid UTF-8: {exc}") from exc
+    raw = read_text(path, LexiconError)
 
     order: list[str] = []
     translations: dict[str, list[str]] = {}

@@ -1,4 +1,4 @@
-"""Corpus-level BLEU and chrF/chrF++ compatible with the sacreBLEU library.
+"""Corpus-level BLEU and chrF/chrF++ exactly as the sacreBLEU library scores them.
 
 BLEU is the geometric mean of modified n-gram precisions (orders 1..4)
 times a brevity penalty, computed on 13a-tokenized text with NIST-style
@@ -11,10 +11,11 @@ order (or in parallel) without changing the result. chrF++ statistics list
 the character orders first, so their character-order prefix is exactly the
 chrF statistics: a scorer that wants both extracts n-grams once per segment.
 
-Every score carries a signature string recording the exact configuration:
+Each metric has one fixed configuration, sacreBLEU's default, and every
+score carries the signature string that records it:
 
-    bleu|o:<max order>|tok:<tokenizer>|smooth:<mode>|case:mixed
-    chrf|nc:<char order>|nw:<word order>|b:<beta>|space:<yes/no>|eff:<yes/no>|case:mixed
+    bleu|o:4|tok:13a|smooth:exp|case:mixed
+    chrf|nc:6|nw:<word order>|b:2|space:no|eff:yes|case:mixed
 """
 
 from __future__ import annotations
@@ -23,12 +24,11 @@ import math
 import re
 import string
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence, TypeVar
 
 from .errors import MetricError
 
-C = TypeVar("C")
 S = TypeVar("S")
 
 # --- 13a tokenization -------------------------------------------------------
@@ -60,39 +60,6 @@ def tokenize_13a(line: str) -> list[str]:
     return line.split()
 
 
-def _tokenize(line: str, tokenizer: str) -> list[str]:
-    if tokenizer == "13a":
-        return tokenize_13a(line.rstrip())
-    if tokenizer == "none":
-        return line.split()
-    raise MetricError(f"unknown tokenizer {tokenizer!r}; expected '13a' or 'none'")
-
-
-# --- BLEU -------------------------------------------------------------------
-
-_SMOOTH_DEFAULTS = {"exp": None, "floor": 0.1, "add-k": 1.0, "none": None}
-
-
-@dataclass(frozen=True)
-class BleuConfig:
-    max_order: int = 4
-    tokenizer: str = "13a"
-    smoothing: str = "exp"
-    smooth_value: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.max_order < 1:
-            raise MetricError(f"max_order must be >= 1, got {self.max_order}")
-        if self.smoothing not in _SMOOTH_DEFAULTS:
-            raise MetricError(
-                f"unknown smoothing {self.smoothing!r}; expected one of {sorted(_SMOOTH_DEFAULTS)}"
-            )
-
-    @property
-    def signature(self) -> str:
-        return f"bleu|o:{self.max_order}|tok:{self.tokenizer}|smooth:{self.smoothing}|case:mixed"
-
-
 @dataclass(frozen=True)
 class Score:
     """A score in [0, 100] plus the configuration fingerprint behind it."""
@@ -107,6 +74,13 @@ class Score:
                 object.__setattr__(self, "value", min(100.0, max(0.0, self.value)))
             else:
                 raise MetricError(f"score {self.value} outside [0, 100]")
+
+
+# --- BLEU -------------------------------------------------------------------
+# sacreBLEU's corpus BLEU defaults, the only configuration scored here.
+
+MAX_ORDER = 4
+BLEU_SIGNATURE = f"bleu|o:{MAX_ORDER}|tok:13a|smooth:exp|case:mixed"
 
 
 @dataclass
@@ -131,11 +105,11 @@ class BleuStats:
         )
 
 
-def bleu_segment_stats(hypothesis: str, reference: str, cfg: BleuConfig) -> BleuStats:
+def bleu_segment_stats(hypothesis: str, reference: str) -> BleuStats:
     """Clipped n-gram match statistics for one (hypothesis, reference) pair."""
-    hyp_tokens = _tokenize(hypothesis, cfg.tokenizer)
-    ref_tokens = _tokenize(reference, cfg.tokenizer)
-    orders = range(1, cfg.max_order + 1)
+    hyp_tokens = tokenize_13a(hypothesis.rstrip())
+    ref_tokens = tokenize_13a(reference.rstrip())
+    orders = range(1, MAX_ORDER + 1)
     correct = [
         _clipped_matches(_word_ngrams(hyp_tokens, n), _word_ngrams(ref_tokens, n)) for n in orders
     ]
@@ -157,52 +131,32 @@ def _clipped_matches(hyp_grams: Counter, ref_grams: Counter) -> int:
     return match
 
 
-def bleu_from_stats(stats: BleuStats, cfg: BleuConfig = BleuConfig()) -> Score:
-    """Finalize corpus BLEU from summed statistics."""
+def bleu_from_stats(stats: BleuStats) -> Score:
+    """Finalize corpus BLEU from summed statistics.
+
+    As in sacreBLEU, an order without hypothesis n-grams keeps precision 0,
+    whose log (-9999999999) sends the score to 0.0; a zero-match order is
+    smoothed to ``100 / (2**k * total)`` for the k-th such order.
+    """
     if not stats.total:
         raise MetricError("no segments scored")
-    correct = list(stats.correct)
-    total = list(stats.total)
-
-    if stats.sys_len == 0:
-        bp = 0.0
-    elif stats.sys_len < stats.ref_len:
-        bp = math.exp(1 - stats.ref_len / stats.sys_len)
-    else:
-        bp = 1.0
-
-    if not any(correct):
-        return Score(0.0, cfg.signature)
-
-    smooth = cfg.smooth_value
-    if smooth is None:
-        smooth = _SMOOTH_DEFAULTS[cfg.smoothing]
-    precisions = [0.0] * cfg.max_order
+    if not any(stats.correct) or 0 in stats.total:
+        return Score(0.0, BLEU_SIGNATURE)
+    bp = math.exp(1 - stats.ref_len / stats.sys_len) if stats.sys_len < stats.ref_len else 1.0
+    log_sum = 0.0
     doubling = 1.0
-    for n in range(1, cfg.max_order + 1):
-        if cfg.smoothing == "add-k" and n > 1:
-            correct[n - 1] += smooth
-            total[n - 1] += smooth
-        if total[n - 1] == 0:
-            break
-        if correct[n - 1] == 0:
-            if cfg.smoothing == "exp":
-                doubling *= 2.0
-                precisions[n - 1] = 100.0 / (doubling * total[n - 1])
-            elif cfg.smoothing == "floor":
-                precisions[n - 1] = 100.0 * smooth / total[n - 1]
+    for correct, total in zip(stats.correct, stats.total):
+        if correct == 0:
+            doubling *= 2.0
+            log_sum += math.log(100.0 / (doubling * total))
         else:
-            precisions[n - 1] = 100.0 * correct[n - 1] / total[n - 1]
-
-    log_sum = sum(math.log(p) for p in precisions if p > 0.0)
-    return Score(bp * math.exp(log_sum / cfg.max_order), cfg.signature)
+            log_sum += math.log(100.0 * correct / total)
+    return Score(bp * math.exp(log_sum / MAX_ORDER), BLEU_SIGNATURE)
 
 
-def bleu(
-    hypotheses: Sequence[str], references: Sequence[str], cfg: BleuConfig = BleuConfig()
-) -> Score:
+def bleu(hypotheses: Sequence[str], references: Sequence[str]) -> Score:
     """Corpus BLEU over aligned hypothesis and reference segments."""
-    return bleu_from_stats(sum_stats(bleu_segment_stats, hypotheses, references, cfg), cfg)
+    return bleu_from_stats(sum_stats(bleu_segment_stats, hypotheses, references))
 
 
 # --- chrF / chrF++ ----------------------------------------------------------
@@ -210,47 +164,44 @@ def bleu(
 _PUNCTS = set(string.punctuation)
 
 
+CHAR_ORDER = 6
+BETA = 2.0
+
+
 @dataclass(frozen=True)
 class ChrfConfig:
-    char_order: int = 6
-    word_order: int = 0  # 2 selects chrF++
-    beta: float = 2.0
-    whitespace: bool = False  # keep whitespace inside char n-grams
-    eps_smoothing: bool = False
+    """chrF (``word_order=0``) or chrF++ (``word_order=2``).
+
+    Everything else is sacreBLEU's default: character orders 1..6 over the
+    segment with whitespace removed, beta 2, effective-order averaging.
+    """
+
+    word_order: int = 0
 
     def __post_init__(self) -> None:
-        if self.char_order < 1:
-            raise MetricError(f"char_order must be >= 1, got {self.char_order}")
         if self.word_order < 0:
             raise MetricError(f"word_order must be >= 0, got {self.word_order}")
-        if self.beta <= 0:
-            raise MetricError(f"beta must be positive, got {self.beta}")
 
     @property
     def order(self) -> int:
-        return self.char_order + self.word_order
+        return CHAR_ORDER + self.word_order
 
     @property
     def signature(self) -> str:
-        space = "yes" if self.whitespace else "no"
-        eff = "no" if self.eps_smoothing else "yes"
-        return (
-            f"chrf|nc:{self.char_order}|nw:{self.word_order}|b:{self.beta:g}"
-            f"|space:{space}|eff:{eff}|case:mixed"
-        )
+        return f"chrf|nc:{CHAR_ORDER}|nw:{self.word_order}|b:{BETA:g}|space:no|eff:yes|case:mixed"
 
 
 CHRF = ChrfConfig()
 # chrF++ differs from chrF only in its word orders, so the first
 # 3 * CHRF.order counts of a chrF++ ChrfStats are exactly chrF's.
-CHRF_PP = replace(CHRF, word_order=2)
+CHRF_PP = ChrfConfig(word_order=2)
 
 
 @dataclass
 class ChrfStats:
     """Per-order [hyp, ref, match] counts, summed across segments.
 
-    Character orders 1..char_order come first, then word orders
+    Character orders 1..CHAR_ORDER come first, then word orders
     1..word_order, so a prefix of the counts is the statistics of the
     same configuration with fewer word orders.
     """
@@ -283,11 +234,11 @@ def _split_word_punctuation(sent: str) -> list[str]:
 
 
 def _segment_ngrams(segment: str, cfg: ChrfConfig) -> list[Counter]:
-    """Character n-gram counts for orders 1..char_order, then word n-gram counts."""
-    text = segment if cfg.whitespace else "".join(segment.split())
+    """Character n-gram counts for orders 1..CHAR_ORDER, then word n-gram counts."""
+    text = "".join(segment.split())
     per_order = [
         Counter([text[i : i + n] for i in range(len(text) - n + 1)])
-        for n in range(1, cfg.char_order + 1)
+        for n in range(1, CHAR_ORDER + 1)
     ]
     if cfg.word_order > 0:
         words = _split_word_punctuation(segment)
@@ -313,21 +264,20 @@ def chrf_segment_stats(hypothesis: str, reference: str, cfg: ChrfConfig) -> Chrf
 
 
 def chrf_from_stats(stats: ChrfStats, cfg: ChrfConfig = CHRF) -> Score:
-    """Finalize chrF from summed statistics."""
+    """Finalize chrF from summed statistics.
+
+    Precision and recall are averaged over the orders with n-grams on both
+    sides (effective-order averaging), then combined with F-beta.
+    """
     if not stats.counts:
         raise MetricError("no segments scored")
-    eps = 1e-16
-    factor = cfg.beta**2
+    factor = BETA**2
     avg_prec = 0.0
     avg_rec = 0.0
     effective = 0
     for i in range(cfg.order):
         n_hyp, n_ref, n_match = stats.counts[3 * i : 3 * i + 3]
-        if cfg.eps_smoothing:
-            avg_prec += eps if n_hyp == 0 else n_match / n_hyp
-            avg_rec += eps if n_ref == 0 else n_match / n_ref
-            effective += 1
-        elif n_hyp > 0 and n_ref > 0:
+        if n_hyp > 0 and n_ref > 0:
             avg_prec += n_match / n_hyp
             avg_rec += n_match / n_ref
             effective += 1
@@ -348,13 +298,13 @@ def chrf(
     return chrf_from_stats(sum_stats(chrf_segment_stats, hypotheses, references, cfg), cfg)
 
 
-def sum_stats(segment_stats: Callable[[str, str, C], S], hypotheses: Sequence[str],
-              references: Sequence[str], cfg: C) -> S:
-    """Sum ``segment_stats(hyp, ref, cfg)`` over aligned segments.
+def sum_stats(segment_stats: Callable[..., S], hypotheses: Sequence[str],
+              references: Sequence[str], *cfg: object) -> S:
+    """Sum ``segment_stats(hyp, ref, *cfg)`` over aligned segments.
 
-    ``segment_stats`` is :func:`bleu_segment_stats` or
-    :func:`chrf_segment_stats`; finalize the sum with the matching
-    ``*_from_stats``.
+    ``segment_stats`` is :func:`bleu_segment_stats` (no ``cfg``) or
+    :func:`chrf_segment_stats` (one :class:`ChrfConfig`); finalize the sum
+    with the matching ``*_from_stats``.
     """
     if len(hypotheses) != len(references):
         raise MetricError(
@@ -363,7 +313,7 @@ def sum_stats(segment_stats: Callable[[str, str, C], S], hypotheses: Sequence[st
     if not hypotheses:
         raise MetricError("nothing to score: empty input")
     pairs = zip(hypotheses, references)
-    stats = segment_stats(*next(pairs), cfg)
+    stats = segment_stats(*next(pairs), *cfg)
     for hyp, ref in pairs:
-        stats = stats + segment_stats(hyp, ref, cfg)
+        stats = stats + segment_stats(hyp, ref, *cfg)
     return stats

@@ -77,7 +77,9 @@ def bleu(hypotheses: list[str], references: list[str], max_order: int = 4) -> fl
     halvings = 1.0
     for n in range(1, max_order + 1):
         if total[n - 1] == 0:
-            break
+            # sacreBLEU leaves this order's precision at 0 and averages
+            # log(0) = -9999999999 over all orders: the score is 0
+            return 0.0
         if correct[n - 1] == 0:
             halvings *= 2.0
             precisions.append(100.0 / (halvings * total[n - 1]))

@@ -320,6 +320,37 @@ class TestConfigAndManifest:
         manifest = json.loads(Path(str(out) + ".run.json").read_text())
         assert isinstance(manifest["seed"], int)
 
+    @pytest.mark.parametrize("content", [None, b"snd_Arab\n\xff\n"])
+    def test_unreadable_tags_file_is_one_error_line(self, tmp_path, en_hi_files, capsys,
+                                                     content):
+        corpus = _ingest(tmp_path, en_hi_files)
+        tags = tmp_path / "tags.txt"
+        if content is not None:
+            tags.write_bytes(content)
+        capsys.readouterr()
+        assert run_cli("stats", "--in", corpus, "--tags-file", tags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(tags) in err
+
+    @pytest.mark.parametrize("command", ["reduce", "score"])
+    def test_out_in_missing_directory_is_one_error_line(self, tmp_path, en_hi_files, capsys,
+                                                         command):
+        corpus = _ingest(tmp_path, en_hi_files)
+        out = tmp_path / "nodir" / "x.tsv"
+        argv = {
+            "reduce": ["reduce", "--in", corpus],
+            "score": ["score", "--hyp", en_hi_files[1], "--ref", en_hi_files[1],
+                      "--pair", "hin_Deva-eng_Latn"],
+        }[command]
+        capsys.readouterr()
+        assert run_cli(*argv, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(out) in err
+        assert not (tmp_path / "nodir").exists()
+        assert not list(tmp_path.rglob("*.tmp"))
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
             run_cli("frobnicate")

@@ -8,6 +8,7 @@ library result.
 
 from __future__ import annotations
 
+import json
 import tempfile
 from collections import defaultdict
 from pathlib import Path
@@ -21,6 +22,8 @@ from bitextpipe.augment import (
     SEED_SUBSETS,
     AugmentationPolicy,
     augment_corpus,
+    build_pretraining_mixture,
+    mixture_origins,
     select_seed,
 )
 from bitextpipe.cli import main
@@ -184,6 +187,31 @@ def test_augment_both_modes(corpus, lex_tags, mode, probability, top_k, seed):
         policy = AugmentationPolicy(probability, top_k, mode, seed)
         augmented, _ = augment_corpus(read_tsv(root / "in.tsv"), lexicons, policy)
         _same_bytes(out, augmented, root)
+
+
+@SETTINGS
+@given(
+    original=corpora(english_source=True),
+    augmented=corpora(english_source=True),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_mixture(original, augmented, seed):
+    targets = {pair.tgt_lang for pair in original}
+    augmented = ParallelCorpus(tuple(p for p in augmented if p.tgt_lang in targets))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        write_tsv(original, root / "in.tsv")
+        write_tsv(augmented, root / "aug.tsv")
+        out = root / "cli.tsv"
+        _cli("mixture", "--in", root / "in.tsv", "--aug", root / "aug.tsv",
+             "--seed", seed, "--out", out)
+        mixture, manifest = build_pretraining_mixture(
+            read_tsv(root / "in.tsv"), read_tsv(root / "aug.tsv"), seed=seed
+        )
+        _same_bytes(out, mixture, root, origins=mixture_origins(manifest))
+        recorded = json.loads(Path(f"{out}.mixture.json").read_text(encoding="utf-8"))
+        expected = manifest.to_dict()
+        assert {key: recorded[key] for key in expected} == expected
 
 
 @SETTINGS

@@ -170,7 +170,7 @@ class TestOnePassScoring:
         assert row.chrf_pp == metrics.chrf(hyps, refs, metrics.CHRF_PP).value
         assert row.bleu == metrics.bleu(hyps, refs).value
 
-        stats = metrics.sum_stats(metrics.bleu_segment_stats, hyps, refs, metrics.BleuConfig())
+        stats = metrics.sum_stats(metrics.bleu_segment_stats, hyps, refs)
         assert (stats.correct, stats.total) == _naive_bleu_counts(hyps, refs)
 
 

@@ -91,3 +91,19 @@ def test_extra_tags_malformed_line(tmp_path):
     override.write_text("not-a-tag\n", encoding="utf-8")
     with pytest.raises(TagError):
         load_extra_tags(override)
+
+
+def test_extra_tags_malformed_line_names_file_and_line(tmp_path):
+    override = tmp_path / "tags.txt"
+    override.write_text("snd_Arab\nbad tag\n", encoding="utf-8")
+    with pytest.raises(TagError, match=r"tags\.txt:2: malformed language tag 'bad tag'"):
+        load_extra_tags(override)
+
+
+def test_extra_tags_unreadable_file_is_a_tag_error(tmp_path):
+    with pytest.raises(TagError, match=r"cannot read .*missing\.txt"):
+        load_extra_tags(tmp_path / "missing.txt")
+    override = tmp_path / "tags.txt"
+    override.write_bytes(b"snd_Arab\n\xff\n")
+    with pytest.raises(TagError, match=r"tags\.txt: invalid UTF-8 at line 2"):
+        load_extra_tags(override)

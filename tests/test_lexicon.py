@@ -33,6 +33,12 @@ class TestLoadMuse:
         with pytest.raises(LexiconError, match="empty"):
             load(path, MUSE, HIN)
 
+    def test_invalid_utf8_names_the_line(self, tmp_path):
+        path = tmp_path / "lex.txt"
+        path.write_bytes("dog कुत्ता\ncat बिल्ली\n".encode("utf-8") + b"house \xe0\xa4\n")
+        with pytest.raises(LexiconError, match=r"lex\.txt: invalid UTF-8 at line 3"):
+            load(path, MUSE, HIN)
+
     def test_malformed_lines_skipped_and_counted(self, tmp_path):
         lines = [f"word{i} शब्द{i}" for i in range(9)]
         lines.insert(4, "onlyonefield")

@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 import oracle_metrics as oracle
 from bitextpipe.errors import MetricError
 from bitextpipe.metrics import (
+    BLEU_SIGNATURE,
     CHRF,
     CHRF_PP,
-    BleuConfig,
     BleuStats,
-    ChrfConfig,
     ChrfStats,
     Score,
     bleu,
@@ -75,11 +74,12 @@ class TestBleu:
         assert score.value == 0.0
 
     def test_short_corpus_keeps_full_order_denominator(self):
-        # a perfect match with no 3- or 4-grams anywhere still divides the
-        # log-precision sum by 4, the reference corpus-level behavior
-        score = bleu(["ab cd"], ["ab cd"])
-        assert score.value == pytest.approx((100.0**2) ** 0.25, abs=1e-9)
-        assert oracle.bleu(["ab cd"], ["ab cd"]) == pytest.approx(score.value, abs=1e-12)
+        # a perfect match with no 4-grams (or no 3- and 4-grams) anywhere:
+        # sacreBLEU keeps precision 0 for an order with no hypothesis
+        # n-grams and averages log(0) = -9999999999 over all 4 orders
+        for segment in ("a b c", "ab cd"):
+            assert bleu([segment], [segment]).value == 0.0
+            assert oracle.bleu([segment], [segment]) == 0.0
 
     def test_hand_computed_case(self):
         # hyp unigrams 5/6 correct, bigrams 3/5, trigrams 1/4, 4-grams 0/3
@@ -90,12 +90,12 @@ class TestBleu:
 
     def test_brevity_penalty_applies(self):
         full = bleu(["the cat sat on the mat"], ["the cat sat on the mat"])
-        short = bleu(["the cat sat"], ["the cat sat on the mat"])
+        short = bleu(["the cat sat on"], ["the cat sat on the mat"])
         assert short.value < full.value
-        # 3 perfect orders, no 4-grams possible: geometric mean still uses
-        # the full order count, then the brevity penalty exp(1 - 6/3) applies
-        expected = math.exp(1 - 6 / 3) * (100.0**3) ** 0.25
+        # 4 perfect orders, then the brevity penalty exp(1 - 6/4) applies
+        expected = 100.0 * math.exp(1 - 6 / 4)
         assert short.value == pytest.approx(expected, abs=1e-9)
+        assert short.value == pytest.approx(60.6531, abs=1e-4)
 
     def test_frozen_mixed_fixture(self):
         hyps = _fixture_lines("parity_hyp.txt")[:20]
@@ -124,38 +124,29 @@ class TestBleu:
             bleu([], [])
 
     def test_stats_reduce_associatively(self):
-        cfg = BleuConfig()
         hyps = _fixture_lines("parity_hyp.txt")[:12]
         refs = _fixture_lines("parity_ref.txt")[:12]
-        parts = [bleu_segment_stats(h, r, cfg) for h, r in zip(hyps, refs)]
+        parts = [bleu_segment_stats(h, r) for h, r in zip(hyps, refs)]
         left = BleuStats()
         for p in parts:
             left = left + p
         mid = (parts[0] + parts[1]) + (parts[2] + parts[3])
         for p in parts[4:]:
             mid = mid + p
-        assert bleu_from_stats(left, cfg).value == bleu_from_stats(mid, cfg).value
-        assert bleu_from_stats(left, cfg).value == bleu(hyps, refs, cfg).value
+        assert bleu_from_stats(left).value == bleu_from_stats(mid).value
+        assert bleu_from_stats(left).value == bleu(hyps, refs).value
 
-    def test_smoothing_modes(self):
-        hyp, ref = ["the cat sat on the mat"], ["the cat is on the mat"]
-        none = bleu(hyp, ref, BleuConfig(smoothing="none"))
-        floor = bleu(hyp, ref, BleuConfig(smoothing="floor"))
-        exp = bleu(hyp, ref, BleuConfig(smoothing="exp"))
-        # no 4-gram match: unsmoothed drops the order from the product only
-        # via its zero, floor substitutes 0.1/total, exp halves repeatedly
-        assert none.value == pytest.approx(((500 / 6) * 60 * 25) ** 0.25, abs=1e-9)
-        assert floor.value == pytest.approx(
-            ((500 / 6) * 60 * 25 * (100 * 0.1 / 3)) ** 0.25, abs=1e-9
-        )
-        assert exp.value > floor.value
+    def test_exp_smoothing_halves_each_zero_match_order(self):
+        # unigrams 4/5, bigrams 2/4, trigrams 0/3, 4-grams 0/2: the first
+        # zero-match order gets 100 / (2*3), the second 100 / (4*2)
+        hyp, ref = ["a b c d e"], ["a b x d e"]
+        expected = (80.0 * 50.0 * (100 / 6) * (100 / 8)) ** 0.25
+        assert bleu(hyp, ref).value == pytest.approx(expected, abs=1e-9)
+        assert oracle.bleu(hyp, ref) == pytest.approx(expected, abs=1e-9)
 
     def test_signature(self):
         assert bleu(["a"], ["a"]).signature == "bleu|o:4|tok:13a|smooth:exp|case:mixed"
-        assert (
-            BleuConfig(tokenizer="none").signature
-            == "bleu|o:4|tok:none|smooth:exp|case:mixed"
-        )
+        assert bleu(["a b c d"], ["a b c e"]).signature == BLEU_SIGNATURE
 
 
 class TestChrf:
@@ -209,7 +200,6 @@ class TestChrf:
     def test_signature(self):
         assert CHRF.signature == "chrf|nc:6|nw:0|b:2|space:no|eff:yes|case:mixed"
         assert CHRF_PP.signature == "chrf|nc:6|nw:2|b:2|space:no|eff:yes|case:mixed"
-        assert ChrfConfig(eps_smoothing=True).signature.endswith("eff:no|case:mixed")
 
     def test_errors(self):
         with pytest.raises(MetricError):
@@ -264,3 +254,16 @@ def test_score_range_validation():
         Score(101.0, "sig")
     with pytest.raises(MetricError):
         Score(-0.5, "sig")
+
+
+def test_readme_signature_block_matches_code():
+    readme = (FIXTURES.parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Metrics\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```", 2)[1]
+    assert block.strip().splitlines() == [BLEU_SIGNATURE, CHRF_PP.signature]
+    differing = [
+        (a, b)
+        for a, b in zip(CHRF.signature.split("|"), CHRF_PP.signature.split("|"))
+        if a != b
+    ]
+    assert differing == [("nw:0", "nw:2")]
