@@ -5,94 +5,81 @@ high-resource reduction, temperature sampling, bilingual-lexicon loading,
 code-switching augmentation, pre-training mixture assembly, seed-data
 selection, training-config emission, and sacreBLEU-compatible BLEU and
 chrF/chrF++ scoring with per-language report tables.
+
+The public names below are loaded on first use (PEP 562), so importing
+the package, or running one CLI subcommand, imports only the submodules
+that are actually needed.
 """
 
-from .augment import (
-    AugmentationPolicy,
-    AugmentStats,
-    MixtureManifest,
-    augment_corpus,
-    augment_sentence,
-    build_pretraining_mixture,
-    select_seed,
-)
-from .corpus import (
-    CorpusStats,
-    IngestReport,
-    ParallelCorpus,
-    SentencePair,
-    ingest,
-    read_tsv,
-    reduce_highresource,
-    reverse,
-    stats,
-    write_tsv,
-)
-from .errors import (
-    AugmentError,
-    ConfigError,
-    CorpusError,
-    LexiconError,
-    MetricError,
-    PipelineError,
-    PlanError,
-    TagError,
-)
-from .evalharness import ScoreReport, ScoreRow, report, score_run
-from .lang import ENGLISH, LanguageTag, parse_pair, parse_tag, registry
-from .lexicon import BilingualLexicon, LexiconEntry, load as load_lexicon, truncate_topk
-from .metrics import ChrfConfig, Score, bleu, chrf
-from .sampling import SamplingPlan, distribution, materialize
-from .trainconfig import TrainConfig, emit as emit_train_config
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AugmentationPolicy",
-    "AugmentError",
-    "AugmentStats",
-    "BilingualLexicon",
-    "ChrfConfig",
-    "ConfigError",
-    "CorpusError",
-    "CorpusStats",
-    "ENGLISH",
-    "IngestReport",
-    "LanguageTag",
-    "LexiconEntry",
-    "LexiconError",
-    "MetricError",
-    "MixtureManifest",
-    "ParallelCorpus",
-    "PipelineError",
-    "PlanError",
-    "SamplingPlan",
-    "Score",
-    "ScoreReport",
-    "ScoreRow",
-    "SentencePair",
-    "TagError",
-    "TrainConfig",
-    "augment_corpus",
-    "augment_sentence",
-    "bleu",
-    "build_pretraining_mixture",
-    "chrf",
-    "distribution",
-    "emit_train_config",
-    "ingest",
-    "load_lexicon",
-    "materialize",
-    "parse_pair",
-    "parse_tag",
-    "read_tsv",
-    "reduce_highresource",
-    "registry",
-    "report",
-    "reverse",
-    "score_run",
-    "select_seed",
-    "stats",
-    "truncate_topk",
-    "write_tsv",
-]
+# Public name -> defining submodule, or "submodule:attribute" when renamed.
+_EXPORTS = {
+    "AugmentationPolicy": "augment",
+    "AugmentError": "errors",
+    "AugmentStats": "augment",
+    "BilingualLexicon": "lexicon",
+    "ChrfConfig": "metrics",
+    "ConfigError": "errors",
+    "CorpusError": "errors",
+    "CorpusStats": "corpus",
+    "ENGLISH": "lang",
+    "IngestReport": "corpus",
+    "LanguageTag": "lang",
+    "LexiconEntry": "lexicon",
+    "LexiconError": "errors",
+    "MetricError": "errors",
+    "MixtureManifest": "augment",
+    "ParallelCorpus": "corpus",
+    "PipelineError": "errors",
+    "PlanError": "errors",
+    "SamplingPlan": "sampling",
+    "Score": "metrics",
+    "ScoreReport": "evalharness",
+    "ScoreRow": "evalharness",
+    "SentencePair": "corpus",
+    "TagError": "errors",
+    "TrainConfig": "trainconfig",
+    "augment_corpus": "augment",
+    "augment_sentence": "augment",
+    "bleu": "metrics",
+    "build_pretraining_mixture": "augment",
+    "chrf": "metrics",
+    "distribution": "sampling",
+    "emit_train_config": "trainconfig:emit",
+    "ingest": "corpus",
+    "load_lexicon": "lexicon:load",
+    "materialize": "sampling",
+    "parse_pair": "lang",
+    "parse_tag": "lang",
+    "read_tsv": "corpus",
+    "reduce_highresource": "corpus",
+    "registry": "lang",
+    "report": "evalharness",
+    "reverse": "corpus",
+    "score_run": "evalharness",
+    "select_seed": "augment",
+    "stats": "corpus",
+    "truncate_topk": "lexicon",
+    "write_tsv": "corpus",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    # Names outside the table raise AttributeError, which is also what lets
+    # ``from bitextpipe import augment`` fall through to the submodule import.
+    try:
+        module, _, attr = _EXPORTS[name].partition(":")
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f"{__name__}.{module}"), attr or name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

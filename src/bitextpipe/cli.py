@@ -14,27 +14,27 @@ A defaults file with ``key = value`` lines can be pointed to by the
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
-import multiprocessing
 import os
 import random
-import secrets
 import sys
 import time
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
-from . import augment as augment_mod
+# Only what every subcommand needs is imported here, so a call never pays
+# for another command's modules: each handler imports the rest when it runs
+# and looks functions up on their module then, so a rebound module
+# attribute (a test double, a tracer) takes effect.
 from . import corpus as corpus_mod
-from . import evalharness
-from . import lexicon as lexicon_mod
-from . import sampling
-from . import trainconfig
-from .errors import AugmentError, ConfigError, CorpusError, PipelineError, read_text
+from .errors import AugmentError, ConfigError, CorpusError, PipelineError, read_lines
 from .lang import ENGLISH, LanguageTag, load_extra_tags, parse_pair, parse_tag, registry
 from .manifest import RunManifest, manifest_path_for, sha256_file
-from .rng import derive_seed
+
+if TYPE_CHECKING:
+    from .augment import AugmentationPolicy, SubstitutionSet
 
 _CONFIG_ENV = "PIPELINE_CONFIG"
 
@@ -46,6 +46,12 @@ _CONFIG_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
 _AUGMENT_CHUNK = 4096
 _ENG_TEXT = str(ENGLISH)
 
+# Parser choices, equal to lexicon.FORMATS, augment.MODES and
+# trainconfig.PHASES (a test ties them) without importing those modules.
+_FORMATS = ("muse", "gatitos")
+_MODES = ("random-language", "pair-target")
+_PHASES = ("pretrain", "finetune")
+
 
 # ---------------------------------------------------------------------------
 # Config file and flag resolution
@@ -55,8 +61,7 @@ def _load_config_file(path: str | None) -> dict[str, str]:
     if not path:
         return {}
     values: dict[str, str] = {}
-    text = read_text(path, ConfigError)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(read_lines(path, ConfigError), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -88,8 +93,13 @@ class Run:
     def __init__(self, args: argparse.Namespace, file_cfg: dict[str, str]):
         self.args = args
         self.file_cfg = file_cfg
-        self.seed_given = self.opt("seed", None) is not None
-        self.seed: int = self.opt("seed", secrets.randbits(32))
+        seed = self.opt("seed", None)
+        self.seed_given = seed is not None
+        if seed is None:
+            import secrets
+
+            seed = secrets.randbits(32)
+        self.seed: int = seed
         self.threads: int = self.opt("threads", 1)
         if self.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {self.threads}")
@@ -120,7 +130,9 @@ class Run:
         inputs: Iterable[str | Path],
         outputs: Iterable[str | Path],
         started: float,
+        digests: Mapping[str, str] | None = None,
     ) -> None:
+        """Write ``run.json``; ``digests`` holds input digests already computed."""
         if not self.write_manifest:
             return
         outputs = [Path(p) for p in outputs]
@@ -128,7 +140,7 @@ class Run:
             return
         run = RunManifest(command=command, config=config, seed=self.seed)
         for path in inputs:
-            run.add_input(path)
+            run.add_input(path, (digests or {}).get(str(path)))
         for path in outputs:
             run.add_output(path)
         run.wall_time_s = time.monotonic() - started
@@ -157,6 +169,17 @@ def _count_accounting_tags(run: Run, path: str) -> dict[str, int]:
         tag = _accounting_tag(fields)
         counts[tag] = counts.get(tag, 0) + 1
     return counts
+
+
+@contextlib.contextmanager
+def _remove_on_error(*paths: str | Path) -> Iterator[None]:
+    """Delete ``paths`` if the block raises, so a failed run leaves no output."""
+    try:
+        yield
+    except BaseException:
+        for path in paths:
+            Path(path).unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +299,8 @@ def _cmd_reduce(run: Run) -> int:
 
 
 def _cmd_sample(run: Run) -> int:
+    from . import sampling
+
     args = run.args
     started = time.monotonic()
     temperature = run.opt("temperature", 5.0)
@@ -288,8 +313,9 @@ def _cmd_sample(run: Run) -> int:
     corpus_mod.write_tsv(sampled, args.out)
     plan_path = Path(args.plan_out or f"{args.out}.plan.tsv")
     plot_path = Path(args.plot_out or f"{args.out}.plot.tsv")
-    sampling.write_plan_tsv(plan, plan_path)
-    sampling.write_plot_tsv(plan, plot_path)
+    with _remove_on_error(args.out, plan_path):
+        sampling.write_plan_tsv(plan, plan_path)
+        sampling.write_plot_tsv(plan, plot_path)
     print(
         f"sample: T={temperature:g} budget={budget} languages={len(plan.probabilities)} "
         f"-> {args.out}"
@@ -306,6 +332,8 @@ def _cmd_sample(run: Run) -> int:
 
 
 def _cmd_lexicon(run: Run) -> int:
+    from . import lexicon as lexicon_mod
+
     args = run.args
     started = time.monotonic()
     fmt = run.opt("format", lexicon_mod.MUSE)
@@ -336,9 +364,7 @@ def _parse_lex_specs(specs: Sequence[str]) -> list[tuple[str, str]]:
 _WORKER: dict = {}
 
 
-def _augment_worker_init(
-    subs: augment_mod.SubstitutionSet, policy: augment_mod.AugmentationPolicy
-) -> None:
+def _augment_worker_init(subs: SubstitutionSet, policy: AugmentationPolicy) -> None:
     _WORKER[0] = (subs, policy)
 
 
@@ -348,6 +374,9 @@ def _augment_chunk(task: tuple[int, list[str], str]) -> tuple[list[str], int, in
     ``start`` is the corpus index of the chunk's first line, so every record
     draws from the same stream as in :func:`augment.augment_corpus`.
     """
+    from . import augment as augment_mod
+    from .rng import derive_seed
+
     subs, policy = _WORKER[0]
     start, lines, label = task
     out: list[str] = []
@@ -383,6 +412,9 @@ def _read_chunks(path: str | Path, size: int) -> Iterator[tuple[int, list[str], 
 
 
 def _cmd_augment(run: Run) -> int:
+    from . import augment as augment_mod
+    from . import lexicon as lexicon_mod
+
     args = run.args
     started = time.monotonic()
     fmt = run.opt("format", lexicon_mod.MUSE)
@@ -410,6 +442,8 @@ def _cmd_augment(run: Run) -> int:
 
     chunks = _read_chunks(args.in_path, _AUGMENT_CHUNK)
     if run.threads > 1:
+        import multiprocessing
+
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
         with ctx.Pool(
@@ -475,6 +509,8 @@ def _augment_policy_snapshot(aug_path: str) -> dict | None:
 
 
 def _cmd_mixture(run: Run) -> int:
+    from . import augment as augment_mod
+
     args = run.args
     started = time.monotonic()
     eng = _ENG_TEXT
@@ -518,23 +554,24 @@ def _cmd_mixture(run: Run) -> int:
     mix_path = Path(args.mixture_manifest or f"{args.out}.mixture.json")
     doc = manifest.to_dict()
     doc["policy"] = _augment_policy_snapshot(args.aug)
-    doc["inputs"] = {
-        str(args.in_path): sha256_file(args.in_path),
-        str(args.aug): sha256_file(args.aug),
-    }
-    mix_path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    digests = {str(path): sha256_file(path) for path in (args.in_path, args.aug)}
+    doc["inputs"] = digests
+    with _remove_on_error(args.out):
+        mix_path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     print(
         f"mixture: {manifest.n_total} pairs "
         f"(2*{n_original} + {n_augmented}) -> {args.out}"
     )
     config = {"in": args.in_path, "aug": args.aug, "threads": run.threads}
     run.finish(
-        "mixture", config, [args.in_path, args.aug], [args.out, mix_path], started
+        "mixture", config, [args.in_path, args.aug], [args.out, mix_path], started, digests
     )
     return 0
 
 
 def _cmd_seed_select(run: Run) -> int:
+    from . import augment as augment_mod
+
     args = run.args
     started = time.monotonic()
     budget = run.opt("budget", augment_mod.DEFAULT_SEED_BUDGET)
@@ -559,6 +596,8 @@ def _cmd_seed_select(run: Run) -> int:
 
 
 def _cmd_score(run: Run) -> int:
+    from . import evalharness
+
     args = run.args
     started = time.monotonic()
     pair = parse_pair(args.pair, run.extra_tags)
@@ -574,6 +613,8 @@ def _cmd_score(run: Run) -> int:
 
 
 def _cmd_report(run: Run) -> int:
+    from . import evalharness
+
     args = run.args
     started = time.monotonic()
     rows: list[evalharness.ScoreRow] = []
@@ -592,6 +633,8 @@ def _cmd_report(run: Run) -> int:
 
 
 def _cmd_train_config(run: Run) -> int:
+    from . import trainconfig
+
     args = run.args
     started = time.monotonic()
     config = trainconfig.emit(args.phase)
@@ -666,7 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lexicon", help="normalize and truncate a bilingual lexicon")
     p.add_argument("--in", dest="in_path", required=True)
-    p.add_argument("--format", default=None, choices=list(lexicon_mod.FORMATS))
+    p.add_argument("--format", default=None, choices=list(_FORMATS))
     p.add_argument("--tgt-lang", required=True)
     p.add_argument("--topk", type=int, default=None)
     p.add_argument("--out", required=True)
@@ -678,12 +721,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--lex", action="append", required=True, help="TAG=PATH lexicon file, repeatable"
     )
-    p.add_argument("--format", default=None, choices=list(lexicon_mod.FORMATS))
+    p.add_argument("--format", default=None, choices=list(_FORMATS))
     p.add_argument("--prob", type=float, default=None)
     p.add_argument("--topk", type=int, default=None)
-    p.add_argument(
-        "--mode", default=None, choices=list(augment_mod.MODES)
-    )
+    p.add_argument("--mode", default=None, choices=list(_MODES))
     p.add_argument("--out", required=True)
     _add_common(p)
     p.set_defaults(func=_cmd_augment)
@@ -718,7 +759,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("train-config", help="emit a training hyperparameter manifest")
-    p.add_argument("--phase", required=True, choices=list(trainconfig.PHASES))
+    p.add_argument("--phase", required=True, choices=list(_PHASES))
     p.add_argument("--out", default=None)
     _add_common(p)
     p.set_defaults(func=_cmd_train_config)

@@ -1,5 +1,5 @@
-"""Exception hierarchy shared by all pipeline modules, and the one reader
-that turns an unreadable input file into one of these errors."""
+"""Exception hierarchy shared by all pipeline modules, and the one line
+reader that turns an unreadable input file into one of these errors."""
 
 from __future__ import annotations
 
@@ -38,18 +38,25 @@ class ConfigError(PipelineError):
     """Invalid run configuration (CLI flags, config file, train phase)."""
 
 
-def read_text(path: str | Path, error: type[PipelineError]) -> str:
-    """The whole file decoded as UTF-8, with no newline translation.
+def read_lines(path: str | Path, error: type[PipelineError]) -> list[str]:
+    """The file's lines as UTF-8, split on ``\\n`` only, without line endings.
 
-    A missing or unreadable file raises ``error`` naming the path; invalid
-    UTF-8 raises ``error`` naming the path and the line, counted in ``\\n``.
+    Trailing ``\\r`` characters are dropped from each line; no other
+    character breaks a line, so line numbers agree with
+    :func:`corpus.iter_lines`. A missing or unreadable file raises
+    ``error`` naming the path; invalid UTF-8 raises ``error`` naming the
+    path and the line.
     """
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise error(f"cannot read {path}: {exc}") from exc
     try:
-        return data.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise error(f"{path}: invalid UTF-8 at line {lineno}: {exc}") from exc
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return [line.rstrip("\r") for line in lines]

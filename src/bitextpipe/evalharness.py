@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Collection, Mapping, Sequence
 
-from . import metrics
-from .errors import MetricError, read_text
+from . import errors, metrics
+from .errors import MetricError
 from .lang import LanguageTag, parse_pair
 from .metrics import BLEU_SIGNATURE, CHRF, CHRF_PP, ChrfStats
 
@@ -59,10 +59,7 @@ def read_lines(path: str | Path) -> list[str]:
     A lone ``\r`` stays inside its line, as in :func:`corpus.iter_lines`
     and sacreBLEU, so line counts agree across readers.
     """
-    lines = read_text(path, MetricError).split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    return [line.rstrip("\r") for line in lines]
+    return errors.read_lines(path, MetricError)
 
 
 def score_run(

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .errors import LexiconError, read_text
+from .errors import LexiconError, read_lines
 from .lang import ENGLISH, LanguageTag
 
 MUSE = "muse"
@@ -78,13 +78,13 @@ def load(path: str | Path, format: str, tgt_lang: LanguageTag) -> BilingualLexic
     """
     if format not in FORMATS:
         raise LexiconError(f"unknown lexicon format {format!r}; expected one of {FORMATS}")
-    raw = read_text(path, LexiconError)
+    lines = read_lines(path, LexiconError)
 
     order: list[str] = []
     translations: dict[str, list[str]] = {}
     phrases: set[str] = set()
     skipped: list[int] = []
-    for lineno, line in enumerate(raw.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             skipped.append(lineno)
             continue

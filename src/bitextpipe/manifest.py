@@ -34,8 +34,8 @@ class RunManifest:
     wall_time_s: float = 0.0
     version: str = VERSION
 
-    def add_input(self, path: str | Path) -> None:
-        self.inputs[str(path)] = sha256_file(path)
+    def add_input(self, path: str | Path, digest: str | None = None) -> None:
+        self.inputs[str(path)] = digest or sha256_file(path)
 
     def add_output(self, path: str | Path) -> None:
         self.outputs[str(path)] = sha256_file(path)

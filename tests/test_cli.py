@@ -122,6 +122,13 @@ class TestStatsReduceSample:
         assert plan.splitlines()[0] == "lang\tn\tp\tc"
         assert (tmp_path / "sampled.tsv.plot.tsv").exists()
 
+    def test_sample_failed_plan_write_leaves_no_output(self, tmp_path, en_hi_files):
+        corpus = _ingest(tmp_path, en_hi_files)
+        out = tmp_path / "s.tsv"
+        assert run_cli("sample", "--in", corpus, "--out", out, "--budget", 30, "--seed", 1,
+                       "--plan-out", tmp_path / "nodir" / "p.tsv") == 1
+        assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("s.tsv")) == []
+
     def test_sample_underflowing_temperature_exits_1(self, tmp_path, capsys):
         corpus = tmp_path / "two_langs.tsv"
         corpus.write_text(
@@ -181,6 +188,40 @@ class TestLexiconAugmentMixture:
             "seed": 5,
         }
         assert set(doc["inputs"]) == {str(corpus), str(aug)}
+
+    def test_mixture_failed_sidecar_write_leaves_no_output(self, tmp_path, en_hi_files):
+        corpus = _ingest(tmp_path, en_hi_files)
+        mix = tmp_path / "mix.tsv"
+        assert run_cli("mixture", "--in", corpus, "--aug", corpus, "--out", mix,
+                       "--mixture-manifest", tmp_path / "nodir" / "m.json") == 1
+        assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("mix")) == []
+
+    def test_mixture_hashes_each_input_once(self, tmp_path, en_hi_files, hin_lex,
+                                            monkeypatch):
+        from bitextpipe import cli, manifest
+
+        corpus = _ingest(tmp_path, en_hi_files)
+        aug = tmp_path / "aug.tsv"
+        assert run_cli("augment", "--in", corpus, "--lex", f"hin_Deva={hin_lex}",
+                       "--seed", 5, "--out", aug) == 0
+        hashed = []
+        sha256_file = manifest.sha256_file
+
+        def counting(path):
+            hashed.append(str(path))
+            return sha256_file(path)
+
+        monkeypatch.setattr(manifest, "sha256_file", counting)
+        monkeypatch.setattr(cli, "sha256_file", counting)
+        mix = tmp_path / "mix.tsv"
+        assert run_cli("mixture", "--in", corpus, "--aug", aug, "--out", mix) == 0
+        assert sorted(hashed) == sorted(
+            [str(corpus), str(aug), str(mix), f"{mix}.mixture.json"]
+        )
+        doc = json.loads((tmp_path / "mix.tsv.mixture.json").read_text())
+        run_doc = json.loads((tmp_path / "mix.tsv.run.json").read_text())
+        assert doc["inputs"] == run_doc["inputs"]
+        assert doc["inputs"][str(aug)] == sha256_file(aug)
 
     def test_augment_threads_do_not_change_bytes(self, tmp_path, en_hi_files, hin_lex):
         corpus = _ingest(tmp_path, en_hi_files)
@@ -312,6 +353,13 @@ class TestConfigAndManifest:
         monkeypatch.setenv("PIPELINE_CONFIG", str(cfg))
         assert run_cli("train-config", "--phase", "pretrain") == 1
         assert "unknown config key" in capsys.readouterr().err
+
+    def test_config_file_only_newline_breaks_a_line(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "defaults.cfg"
+        cfg.write_text("# defaults\u2028 note\nseed = 5\x0b\nverbosity = 3\n", encoding="utf-8")
+        monkeypatch.setenv("PIPELINE_CONFIG", str(cfg))
+        assert run_cli("train-config", "--phase", "pretrain") == 1
+        assert f"{cfg}:3: unknown config key 'verbosity'" in capsys.readouterr().err
 
     def test_recorded_random_seed_when_omitted(self, tmp_path, en_hi_files):
         corpus = _ingest(tmp_path, en_hi_files)

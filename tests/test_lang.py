@@ -100,6 +100,13 @@ def test_extra_tags_malformed_line_names_file_and_line(tmp_path):
         load_extra_tags(override)
 
 
+def test_extra_tags_only_newline_breaks_a_line(tmp_path):
+    override = tmp_path / "tags.txt"
+    override.write_text("# extension\x85 note\nsnd_Arab\x1e\nbad\n", encoding="utf-8")
+    with pytest.raises(TagError, match=r"tags\.txt:3: malformed language tag 'bad'"):
+        load_extra_tags(override)
+
+
 def test_extra_tags_unreadable_file_is_a_tag_error(tmp_path):
     with pytest.raises(TagError, match=r"cannot read .*missing\.txt"):
         load_extra_tags(tmp_path / "missing.txt")

@@ -39,6 +39,17 @@ class TestLoadMuse:
         with pytest.raises(LexiconError, match=r"lex\.txt: invalid UTF-8 at line 3"):
             load(path, MUSE, HIN)
 
+    def test_only_newline_breaks_a_line(self, tmp_path):
+        # U+0085, U+2028 and \x0c are whitespace inside a line, not line breaks,
+        # so line numbers count "\n" like every other reader.
+        path = tmp_path / "lex.txt"
+        path.write_text("dog \x85kutta\ncat\u2028billi\n\x0c\nhouse ghar\n", encoding="utf-8")
+        lex = load(path, MUSE, HIN)
+        assert lex.lookup("dog") == ("kutta",)
+        assert lex.lookup("cat") == ("billi",)
+        assert lex.lookup("house") == ("ghar",)
+        assert lex.skipped_lines == (3,)
+
     def test_malformed_lines_skipped_and_counted(self, tmp_path):
         lines = [f"word{i} शब्द{i}" for i in range(9)]
         lines.insert(4, "onlyonefield")
