@@ -24,8 +24,9 @@ from .corpus import ParallelCorpus, SentencePair, reverse_pair
 from .errors import AugmentError, CorpusError
 from .lang import ENGLISH
 from .lexicon import BilingualLexicon, truncate_topk
-from .rng import derive_rng, derive_seed, pick
+from .rng import derive_seed
 from .sampling import largest_remainder
+from .selection import Selection, SpilledPools
 
 MODE_RANDOM_LANGUAGE = "random-language"
 MODE_PAIR_TARGET = "pair-target"
@@ -79,7 +80,7 @@ class SubstitutionSet:
             tag = str(lexicon.tgt_lang)
             if tag in tables:
                 raise AugmentError(
-                    f"two lexicons for {tag}; merge them first (lexicon.merge)"
+                    f"two lexicons for {tag}; merge them first"
                 )
             truncated = truncate_topk(lexicon, top_k)
             tables[tag] = {
@@ -343,16 +344,18 @@ def mixture_origins(manifest: MixtureManifest) -> Iterator[str]:
 
 
 def select_seed(
-    subset_corpora: Mapping[str, ParallelCorpus],
+    subset_corpora: Mapping[str, ParallelCorpus] | SpilledPools,
     budget: int = DEFAULT_SEED_BUDGET,
     seed: int = 0,
-) -> ParallelCorpus:
+) -> ParallelCorpus | Selection:
     """Sample seed data proportionally to subset sizes, exactly ``budget``.
 
     Subset labels must come from :data:`SEED_SUBSETS`. Selection within a
     subset is uniform without replacement and keeps the original order;
     subsets appear in canonical order in the output, with every pair's
-    subset field set to its subset label.
+    subset field set to its subset label. Corpora give a
+    :class:`ParallelCorpus`; spilled pools keyed by subset label (rows
+    already labelled) give a lazy :class:`selection.Selection` of their rows.
     """
     unknown = sorted(set(subset_corpora) - set(SEED_SUBSETS))
     if unknown:
@@ -367,13 +370,11 @@ def select_seed(
         raise CorpusError(f"budget {budget} exceeds available pairs {available}")
 
     allocation = largest_remainder(sizes, budget)
-    out: list[SentencePair] = []
-    for label in SEED_SUBSETS:
-        if label not in subset_corpora:
-            continue
-        pool = subset_corpora[label].pairs
-        rng = derive_rng(seed, "seed-select", label)
-        for i in pick(len(pool), allocation[label], rng):
-            pair = pool[i]
-            out.append(pair if pair.subset == label else dc_replace(pair, subset=label))
-    return ParallelCorpus(tuple(out))
+    selection = Selection(subset_corpora, allocation, SEED_SUBSETS, seed, "seed-select")
+    if isinstance(subset_corpora, SpilledPools):
+        return selection
+    return ParallelCorpus(tuple(
+        pair if pair.subset == label else dc_replace(pair, subset=label)
+        for label, pairs in selection.by_key()
+        for pair in pairs
+    ))

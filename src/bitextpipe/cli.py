@@ -22,7 +22,7 @@ import random
 import sys
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 # Only what every subcommand needs is imported here, so a call never pays
 # for another command's modules: each handler imports the rest when it runs
@@ -35,6 +35,7 @@ from .manifest import RunManifest, manifest_path_for, sha256_file
 
 if TYPE_CHECKING:
     from .augment import AugmentationPolicy, SubstitutionSet
+    from .selection import SpilledPools
 
 _CONFIG_ENV = "PIPELINE_CONFIG"
 
@@ -172,6 +173,24 @@ def _count_accounting_tags(run: Run, path: str) -> dict[str, int]:
 
 
 @contextlib.contextmanager
+def _spilled_pools(
+    run: Run, key_and_row: Callable[[corpus_mod.SentencePair], tuple[Hashable, str]]
+) -> Iterator[SpilledPools]:
+    """Validated ``--in`` rows spilled by key into a directory beside ``--out``.
+
+    The directory is removed when the block exits, on success and on error.
+    """
+    import tempfile
+
+    from .selection import SpilledPools
+
+    out = Path(run.args.out)
+    with tempfile.TemporaryDirectory(prefix=f"{out.name}.spill.", dir=out.parent) as spill:
+        rows = corpus_mod.iter_tsv_rows(run.args.in_path, run.extra_tags)
+        yield SpilledPools((key_and_row(pair) for _, pair in rows), spill)
+
+
+@contextlib.contextmanager
 def _remove_on_error(*paths: str | Path) -> Iterator[None]:
     """Delete ``paths`` if the block raises, so a failed run leaves no output."""
     try:
@@ -304,13 +323,17 @@ def _cmd_sample(run: Run) -> int:
     args = run.args
     started = time.monotonic()
     temperature = run.opt("temperature", 5.0)
-    corpus = corpus_mod.read_tsv(args.in_path, run.extra_tags)
-    stats_value = corpus_mod.stats(corpus)
-    plan = sampling.distribution(stats_value, temperature, seed=run.seed)
-    budget = run.opt("budget", len(corpus))
-    plan = sampling.allocate(plan, budget)
-    sampled = sampling.materialize(plan, corpus, budget, seed=run.seed)
-    corpus_mod.write_tsv(sampled, args.out)
+
+    def key_and_row(pair: corpus_mod.SentencePair) -> tuple[LanguageTag, str]:
+        return corpus_mod.accounting_language(pair), corpus_mod.format_tsv_row(pair)
+
+    with _spilled_pools(run, key_and_row) as pools:
+        stats_value = corpus_mod.stats_from_counts(pools.counts)
+        plan = sampling.distribution(stats_value, temperature, seed=run.seed)
+        budget = run.opt("budget", stats_value.total)
+        plan = sampling.allocate(plan, budget)
+        sampled = sampling.materialize(plan, pools, budget, seed=run.seed)
+        corpus_mod.write_tsv_bytes(sampled, args.out)
     plan_path = Path(args.plan_out or f"{args.out}.plan.tsv")
     plot_path = Path(args.plot_out or f"{args.out}.plot.tsv")
     with _remove_on_error(args.out, plan_path):
@@ -575,20 +598,14 @@ def _cmd_seed_select(run: Run) -> int:
     args = run.args
     started = time.monotonic()
     budget = run.opt("budget", augment_mod.DEFAULT_SEED_BUDGET)
-    by_subset: dict[str, list[corpus_mod.SentencePair]] = {}
-    for _, pair in corpus_mod.iter_tsv_rows(args.in_path, run.extra_tags):
-        by_subset.setdefault(pair.subset, []).append(pair)
-    corpora = {
-        label: corpus_mod.ParallelCorpus(tuple(pairs))
-        for label, pairs in by_subset.items()
-    }
-    selected = augment_mod.select_seed(corpora, budget=budget, seed=run.seed)
-    corpus_mod.write_tsv(
-        selected, args.out, origins=(f"seed:{p.subset}" for p in selected)
-    )
-    per_subset = {
-        label: sum(1 for p in selected if p.subset == label) for label in sorted(corpora)
-    }
+
+    def key_and_row(pair: corpus_mod.SentencePair) -> tuple[str, str]:
+        return pair.subset, corpus_mod.format_tsv_row(pair, f"seed:{pair.subset}")
+
+    with _spilled_pools(run, key_and_row) as pools:
+        selected = augment_mod.select_seed(pools, budget=budget, seed=run.seed)
+        corpus_mod.write_tsv_bytes(selected, args.out)
+    per_subset = {label: selected.counts.get(label, 0) for label in sorted(pools)}
     print(f"seed-select: {len(selected)} pairs {per_subset} -> {args.out}")
     config = {"in": args.in_path, "budget": budget, "seed": run.seed, "threads": run.threads}
     run.finish("seed-select", config, [args.in_path], [args.out], started)

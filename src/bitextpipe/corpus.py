@@ -1,12 +1,15 @@
 """Parallel corpus ingestion, statistics, reduction, and reversal.
 
 Two representations are used. Library operations work on in-memory
-:class:`ParallelCorpus` values. The CLI additionally streams raw TSV fields
-through :func:`iter_fields` / :func:`write_tsv_rows` so that ingestion,
-reduction and augmentation run in constant memory regardless of corpus
-size. Both call the same per-row cores: :func:`split_row` (the field
-check), :func:`clean_pair` (the empty-side rule) and :func:`reduce_keep`
-(the reduction plan).
+:class:`ParallelCorpus` values. The CLI streams every command in constant
+memory regardless of corpus size: raw TSV fields go through
+:func:`iter_fields` / :func:`write_tsv_rows`, and the selection commands
+(``sample``, ``seed-select``) validate rows with :func:`iter_tsv_rows`,
+spill them to disk and copy the chosen rows' bytes out with
+:func:`write_tsv_bytes` (see :mod:`selection`). Both representations call
+the same cores: :func:`split_row` (the field check), :func:`clean_pair`
+(the empty-side rule), :func:`reduce_keep` (the reduction plan) and
+``selection.Selection`` (the draw).
 
 Wire format (one sentence pair per line)::
 
@@ -18,13 +21,14 @@ The optional sixth column tags mixture provenance (``orig``, ``rev``,
 
 from __future__ import annotations
 
+import contextlib
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Iterator, Mapping, TypeVar
+from typing import IO, Callable, Collection, Iterable, Iterator, Mapping, TypeVar
 
-from .errors import CorpusError
+from .errors import CorpusError, TagError
 from .lang import ENGLISH, LANGUAGE_NAMES, LanguageTag, parse_tag
 from .rng import derive_rng, pick
 
@@ -83,17 +87,6 @@ class ParallelCorpus:
 
     def __getitem__(self, index: int) -> SentencePair:
         return self.pairs[index]
-
-    @property
-    def direction(self) -> tuple[LanguageTag, LanguageTag] | None:
-        """The single (src, tgt) direction, or None if mixed or empty."""
-        if not self.pairs:
-            return None
-        first = (self.pairs[0].src_lang, self.pairs[0].tgt_lang)
-        for pair in self.pairs:
-            if (pair.src_lang, pair.tgt_lang) != first:
-                return None
-        return first
 
 
 @dataclass(frozen=True)
@@ -249,26 +242,29 @@ def reduce_highresource(
 
 def reduce_keep(
     counts: Mapping[K, int], threshold: int, factor: float, seed: int
-) -> dict[K, set[int]]:
-    """The reduction plan: surviving ordinals of each over-threshold key.
+) -> dict[K, bytearray]:
+    """The reduction plan: a bitmap of the surviving ordinals of each over-threshold key.
 
     Keys are accounting languages (tags or rendered tags), counted in
-    corpus order; ordinal ``i`` is the key's ``i``-th pair. Keys at or
-    below the threshold are absent from the plan and keep every pair.
+    corpus order; ordinal ``i`` is the key's ``i``-th pair and survives
+    when ``mask[i >> 3] >> (i & 7) & 1`` (see :func:`rng.sample_mask`).
+    Keys at or below the threshold are absent from the plan and keep every
+    pair. The plan holds n/8 bytes per pair of an over-threshold key.
     """
     if not 0.0 < factor <= 1.0:
         raise CorpusError(f"factor must be in (0, 1], got {factor}")
     if threshold <= 0:
         raise CorpusError(f"threshold must be positive, got {threshold}")
-    return {
-        key: set(pick(n, math.ceil(factor * n), derive_rng(seed, "reduce", str(key))))
-        for key, n in counts.items()
-        if n > threshold
-    }
+    plan = {}
+    for key, n in counts.items():
+        if n > threshold:
+            full, mask = pick(n, math.ceil(factor * n), derive_rng(seed, "reduce", str(key)))
+            plan[key] = bytearray(b"\xff" * len(mask)) if full else mask
+    return plan
 
 
 def keep_ordinals(
-    items: Iterable[T], key: Callable[[T], K], keep: Mapping[K, set[int]]
+    items: Iterable[T], key: Callable[[T], K], keep: Mapping[K, bytearray]
 ) -> Iterator[T]:
     """Stream the items a :func:`reduce_keep` plan retains, in order."""
     seen: dict[K, int] = {}
@@ -277,7 +273,7 @@ def keep_ordinals(
         ordinal = seen.get(k, 0)
         seen[k] = ordinal + 1
         chosen = keep.get(k)
-        if chosen is None or ordinal in chosen:
+        if chosen is None or chosen[ordinal >> 3] >> (ordinal & 7) & 1:
             yield item
 
 
@@ -326,14 +322,17 @@ def iter_fields(path: str | Path) -> Iterator[tuple[int, list[str]]]:
 def iter_tsv_rows(
     path: str | Path, extra_tags: Collection[LanguageTag] = ()
 ) -> Iterator[tuple[int, SentencePair]]:
-    """Stream (line number, pair) from a corpus TSV, validating tags."""
+    """Stream (line number, pair) from a corpus TSV, validating tags.
+
+    Every tag, field and text error names ``<path>:<line>``.
+    """
     for lineno, fields in iter_fields(path):
-        src_lang = parse_tag(fields[0], extra_tags)
-        tgt_lang = parse_tag(fields[1], extra_tags)
         try:
+            src_lang = parse_tag(fields[0], extra_tags)
+            tgt_lang = parse_tag(fields[1], extra_tags)
             pair = SentencePair(fields[2], fields[3], src_lang, tgt_lang, fields[4])
-        except CorpusError as exc:
-            raise CorpusError(f"{path}:{lineno}: {exc}") from exc
+        except (CorpusError, TagError) as exc:
+            raise type(exc)(f"{path}:{lineno}: {exc}") from exc
         yield lineno, pair
 
 
@@ -362,20 +361,34 @@ def write_tsv(
 
 
 def write_tsv_rows(rows: Iterable[str], path: str | Path) -> int:
+    """Write one line per row atomically; returns the number of rows."""
+    count = 0
+    with _atomic_open(path, "w", encoding="utf-8", newline="\n") as handle:
+        for row in rows:
+            handle.write(row)
+            handle.write("\n")
+            count += 1
+    return count
+
+
+def write_tsv_bytes(lines: Iterable[bytes], path: str | Path) -> None:
+    """Write already encoded lines (newline included) atomically, as bytes."""
+    with _atomic_open(path, "wb") as handle:
+        handle.writelines(lines)
+
+
+@contextlib.contextmanager
+def _atomic_open(path: str | Path, mode: str, **kwargs) -> Iterator[IO]:
+    """Open ``<path>.tmp``; rename it to ``path`` if the block succeeds, else delete it."""
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    count = 0
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
-            for row in rows:
-                handle.write(row)
-                handle.write("\n")
-                count += 1
-    except Exception:
+        with open(tmp, mode, **kwargs) as handle:
+            yield handle
+    except BaseException:
         tmp.unlink(missing_ok=True)
         raise
     tmp.replace(path)
-    return count
 
 
 def write_skip_report(report: IngestReport, path: str | Path) -> None:

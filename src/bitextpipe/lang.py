@@ -103,6 +103,9 @@ def parse_tag(text: str, extra: Collection[LanguageTag] = ()) -> LanguageTag:
     ``extra`` extends the compiled registry (see :func:`load_extra_tags`).
     Raises :class:`TagError` on malformed syntax or unknown tags.
     """
+    tag = _BY_RENDERED.get(text)
+    if tag is not None:  # every registry tag is well-formed
+        return tag
     if not text:
         raise TagError("empty language tag")
     match = _TAG_RE.match(text)
@@ -110,9 +113,6 @@ def parse_tag(text: str, extra: Collection[LanguageTag] = ()) -> LanguageTag:
         raise TagError(
             f"malformed language tag {text!r}: expected <lll>_<Ssss>, e.g. hin_Deva"
         )
-    tag = _BY_RENDERED.get(text)
-    if tag is not None:
-        return tag
     for candidate in extra:
         if str(candidate) == text:
             return candidate

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import LexiconError, read_lines
 from .lang import ENGLISH, LanguageTag
@@ -121,34 +121,6 @@ def truncate_topk(lexicon: BilingualLexicon, k: int = DEFAULT_TOP_K) -> Bilingua
     if len(lexicon.entries) <= k and lexicon.top_k == k:
         return lexicon
     return replace(lexicon, entries=lexicon.entries[:k], top_k=k)
-
-
-def merge(lexicons: Iterable[BilingualLexicon]) -> BilingualLexicon:
-    """Union lexicons for one target language, first-seen entry order."""
-    lexicons = list(lexicons)
-    if not lexicons:
-        raise LexiconError("nothing to merge")
-    tgt = lexicons[0].tgt_lang
-    if any(lex.tgt_lang != tgt for lex in lexicons):
-        raise LexiconError("cannot merge lexicons with different target languages")
-    order: list[str] = []
-    translations: dict[str, list[str]] = {}
-    phrases: set[str] = set()
-    for lex in lexicons:
-        for entry in lex.entries:
-            if entry.source not in translations:
-                order.append(entry.source)
-                translations[entry.source] = []
-            for t in entry.translations:
-                if t not in translations[entry.source]:
-                    translations[entry.source].append(t)
-            if entry.is_phrase:
-                phrases.add(entry.source)
-    entries = tuple(
-        LexiconEntry(source, tuple(translations[source]), is_phrase=source in phrases)
-        for source in order
-    )
-    return BilingualLexicon(tgt, entries)
 
 
 def write_tsv(lexicon: BilingualLexicon, path: str | Path) -> int:

@@ -9,6 +9,12 @@ so T=1 reproduces the raw proportions and large T approaches uniform.
 Target counts for a fixed budget are allocated by largest-remainder
 rounding over exact rational quotas, which preserves the budget exactly
 and is independent of input order.
+
+:func:`materialize` draws from an in-memory corpus or from spilled
+pools (:class:`selection.SpilledPools`, one bucket file per language);
+both go through the same draw (:class:`selection.Selection`), so the CLI
+holds one bitmap bit per pair instead of the corpus and writes the same
+bytes.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from typing import Mapping, TypeVar
 from .corpus import CorpusStats, ParallelCorpus, SentencePair, accounting_language
 from .errors import PlanError
 from .lang import LanguageTag
-from .rng import derive_rng, pick
+from .selection import Selection, SpilledPools
 
 K = TypeVar("K")
 
@@ -96,29 +102,33 @@ def allocate(plan: SamplingPlan, budget: int) -> SamplingPlan:
 
 def materialize(
     plan: SamplingPlan,
-    corpus: ParallelCorpus,
+    corpus: ParallelCorpus | SpilledPools,
     budget: int | None = None,
     seed: int | None = None,
-) -> ParallelCorpus:
+) -> ParallelCorpus | Selection:
     """Draw the planned number of pairs per language from ``corpus``.
 
     Languages whose target count is at most their supply are downsampled
     without replacement (survivors keep corpus order); languages needing
     more are repeated whole plus a seeded remainder sample (see
     :func:`rng.pick`). Output is grouped by rendered tag, so it depends
-    only on (plan, corpus, seed).
+    only on (plan, corpus, seed). A :class:`ParallelCorpus` gives a
+    ``ParallelCorpus``; spilled pools keyed by accounting language give a
+    lazy :class:`selection.Selection` of their encoded rows.
     """
+    if isinstance(corpus, ParallelCorpus):
+        groups: dict[LanguageTag, list[SentencePair]] = {}
+        for pair in corpus:
+            groups.setdefault(accounting_language(pair), []).append(pair)
+    else:
+        groups = corpus
     if budget is None:
-        budget = plan.budget if plan.budget is not None else len(corpus)
+        budget = plan.budget if plan.budget is not None else sum(map(len, groups.values()))
     if seed is None:
         seed = plan.seed if plan.seed is not None else 0
     if plan.counts is None or plan.budget != budget:
         plan = allocate(plan, budget)
     assert plan.counts is not None
-
-    groups: dict[LanguageTag, list[SentencePair]] = {}
-    for pair in corpus:
-        groups.setdefault(accounting_language(pair), []).append(pair)
 
     missing_in_plan = sorted(str(t) for t in groups if t not in plan.probabilities)
     if missing_in_plan:
@@ -129,15 +139,10 @@ def materialize(
     if unsupplied:
         raise PlanError(f"plan wants pairs for languages absent from corpus: {', '.join(unsupplied)}")
 
-    out: list[SentencePair] = []
-    for tag in plan.languages():
-        want = plan.counts.get(tag, 0)
-        if want == 0:
-            continue
-        pool = groups[tag]
-        rng = derive_rng(seed, "materialize", str(tag))
-        out.extend(pool[i] for i in pick(len(pool), want, rng))
-    return ParallelCorpus(tuple(out))
+    selection = Selection(groups, plan.counts, plan.languages(), seed, "materialize")
+    if isinstance(corpus, ParallelCorpus):
+        return ParallelCorpus(tuple(selection))
+    return selection
 
 
 def write_plan_tsv(plan: SamplingPlan, path: str | Path) -> None:

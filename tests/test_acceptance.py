@@ -18,6 +18,8 @@ from pathlib import Path
 import pytest
 
 from bitextpipe.augment import (
+    DEFAULT_SEED_BUDGET,
+    SEED_SUBSETS,
     AugmentationPolicy,
     MODE_PAIR_TARGET,
     build_pretraining_mixture,
@@ -39,7 +41,7 @@ from bitextpipe.metrics import CHRF, CHRF_PP, bleu, chrf
 from bitextpipe.sampling import allocate, distribution, materialize
 from bitextpipe.trainconfig import emit
 
-from conftest import FIXTURES, REFERENCE_COUNTS
+from conftest import BRX, FIXTURES, HIN, REFERENCE_COUNTS
 
 LIMITED_RUN = Path(__file__).parent / "_limited_run.py"
 MEMORY_CEILING = 600 * 1024 * 1024  # bytes of address space per process
@@ -420,6 +422,50 @@ def test_streaming_ingest_memory_bounded_at_10m_lines(tmp_path):
     count = sum(1 for _ in open(out, encoding="utf-8"))
     assert count == n
     _passline("streaming ingest memory", f"10M lines under {MEMORY_CEILING >> 20} MiB")
+
+
+@pytest.mark.slow
+def test_selection_memory_bounded_at_10m_lines(tmp_path):
+    # reduce, sample (upsampling one language) and seed-select keep a working
+    # set that does not grow with the corpus: 10M lines under the same ceiling
+    n = 10_000_000
+    corpus = tmp_path / "big.tsv"
+    subsets = [f"\t{label}\n" for label in SEED_SUBSETS]
+    with open(corpus, "w", encoding="utf-8") as handle:
+        for i in range(n):
+            tag = "brx_Deva" if i % 100 == 0 else "hin_Deva"
+            handle.write(f"eng_Latn\t{tag}\tsource {i}\ttarget {i}{subsets[i % 5]}")
+    n_brx = n // 100
+    n_hin = n - n_brx
+
+    def limited(*argv: str) -> int:
+        out = tmp_path / "out.tsv"
+        proc = subprocess.run(
+            [sys.executable, str(LIMITED_RUN), str(MEMORY_CEILING), *argv,
+             "--in", str(corpus), "--out", str(out), "--seed", "3", "--no-manifest"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        with open(out, "rb") as handle:
+            count = sum(1 for _ in handle)
+        out.unlink()
+        return count
+
+    assert limited("reduce", "--threshold", str(n_brx)) == math.ceil(n_hin / 2) + n_brx
+    # at T=5 brx_Deva's share is about 28%: its 100k pairs are copied 27 times
+    plan = allocate(distribution(stats_from_counts({BRX: n_brx, HIN: n_hin}), 5.0), n)
+    assert plan.counts[BRX] > 20 * n_brx
+    assert limited("sample", "--temperature", "5", "--budget", str(n)) == n
+    assert (tmp_path / "out.tsv.plan.tsv").read_text(encoding="utf-8").splitlines()[1:] == [
+        f"{tag}\t{plan.raw_counts[tag]}\t{plan.probabilities[tag]:.10f}\t{plan.counts[tag]}"
+        for tag in plan.languages()
+    ]
+    assert limited("seed-select", "--budget", str(DEFAULT_SEED_BUDGET)) == DEFAULT_SEED_BUDGET
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "big.tsv", "out.tsv.plan.tsv", "out.tsv.plot.tsv"
+    ]
+    _passline("selection memory", f"reduce, sample, seed-select on 10M lines under "
+                                  f"{MEMORY_CEILING >> 20} MiB")
 
 
 def test_throughput_smoke(tmp_path):

@@ -144,6 +144,54 @@ class TestStatsReduceSample:
         assert err.startswith("error: ") and "temperature 0.0001" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command, extra", [
+        ("sample", ["--budget", 2]),
+        ("seed-select", ["--budget", 1]),
+        ("reduce", []),
+    ])
+    def test_unknown_tag_error_names_file_and_line(self, tmp_path, capsys, command, extra):
+        corpus = tmp_path / "bad.tsv"
+        corpus.write_text(
+            "eng_Latn\thin_Deva\ta\tक\tWiki\n"
+            "eng_Latn\txyz_Deva\tb\tख\tWiki\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out" / "o.tsv"
+        out.parent.mkdir()
+        assert run_cli(command, "--in", corpus, "--out", out, "--seed", 1, *extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {corpus}:2: unknown language tag 'xyz_Deva'")
+        assert list(out.parent.iterdir()) == []
+
+    @pytest.mark.parametrize("case", [
+        "seed budget over the pool",
+        "unknown seed subset",
+        "underflowing temperature",
+        "plan into a missing directory",
+        "plot into a missing directory",
+    ])
+    def test_failed_selection_leaves_nothing_beside_out(self, tmp_path, capsys, case):
+        corpus = tmp_path / "pool.tsv"
+        rows = [f"eng_Latn\thin_Deva\ts{i}\tt{i}\tWiki" for i in range(6)]
+        rows += [f"eng_Latn\tbrx_Deva\ts{i}\tt{i}\tILCI" for i in range(3)]
+        if case == "unknown seed subset":
+            rows.append("eng_Latn\thin_Deva\tx\ty\tgeneral")
+        corpus.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "out" / "o.tsv"
+        out.parent.mkdir()
+        missing = tmp_path / "nodir" / "f.tsv"
+        argv = {
+            "seed budget over the pool": ["seed-select", "--budget", 10],
+            "unknown seed subset": ["seed-select", "--budget", 2],
+            "underflowing temperature": ["sample", "--temperature", 0.0001],
+            "plan into a missing directory": ["sample", "--plan-out", missing],
+            "plot into a missing directory": ["sample", "--plot-out", missing],
+        }[case]
+        assert run_cli(*argv, "--in", corpus, "--out", out, "--seed", 1) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(out.parent.iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "pool.tsv"]
+
 
 class TestLexiconAugmentMixture:
     def test_lexicon_normalize(self, tmp_path, hin_lex, capsys):

@@ -232,10 +232,3 @@ class TestTsv:
         path.write_text("eng_Latn\txxx_Yyyy\ta\tb\tgeneral\n", encoding="utf-8")
         with pytest.raises(Exception, match="unknown"):
             list(iter_tsv_rows(path))
-
-    def test_direction(self):
-        corpus = mk_corpus(3)
-        assert corpus.direction == (ENG, HIN)
-        mixed = ParallelCorpus(corpus.pairs + (mk_pair("x", "y", tgt="asm_Beng"),))
-        assert mixed.direction is None
-        assert ParallelCorpus(()).direction is None

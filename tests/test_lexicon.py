@@ -5,7 +5,6 @@ from bitextpipe.lexicon import (
     GATITOS,
     MUSE,
     load,
-    merge,
     truncate_topk,
     write_tsv,
 )
@@ -143,21 +142,6 @@ class TestTruncate:
 
 
 class TestMergeAndWrite:
-    def test_merge_unions_in_order(self, tmp_path):
-        a = load(_muse(tmp_path, ["dog कुत्ता", "cat बिल्ली"], "a.txt"), MUSE, HIN)
-        b = load(_muse(tmp_path, ["dog श्वान", "fish मछली"], "b.txt"), MUSE, HIN)
-        merged = merge([a, b])
-        assert [e.source for e in merged.entries] == ["dog", "cat", "fish"]
-        assert merged.lookup("dog") == ("कुत्ता", "श्वान")
-
-    def test_merge_rejects_mixed_targets(self, tmp_path):
-        from conftest import ASM
-
-        a = load(_muse(tmp_path, ["dog कुत्ता"], "a.txt"), MUSE, HIN)
-        b = load(_muse(tmp_path, ["dog কুকুৰ"], "b.txt"), MUSE, ASM)
-        with pytest.raises(LexiconError):
-            merge([a, b])
-
     def test_write_tsv(self, tmp_path):
         lex = load(_muse(tmp_path, ["dog कुत्ता", "dog श्वान"]), MUSE, HIN)
         out = tmp_path / "out.tsv"
