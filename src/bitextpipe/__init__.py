@@ -40,6 +40,7 @@ _EXPORTS = {
     "ScoreReport": "evalharness",
     "ScoreRow": "evalharness",
     "SentencePair": "corpus",
+    "SubstitutionSet": "augment",
     "TagError": "errors",
     "TrainConfig": "trainconfig",
     "augment_corpus": "augment",

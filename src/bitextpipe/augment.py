@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import random
 import string
-from dataclasses import dataclass, replace as dc_replace
-from typing import Iterable, Iterator, Mapping, Union
+from dataclasses import asdict, dataclass, replace as dc_replace
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
-from .corpus import ParallelCorpus, SentencePair, reverse_pair
+from .corpus import ParallelCorpus, SentencePair, check_tags, reverse_pair
 from .errors import AugmentError, CorpusError
 from .lang import ENGLISH
 from .lexicon import BilingualLexicon, truncate_topk
@@ -39,6 +39,7 @@ SEED_SUBSETS = ("ILCI", "NLLB Seed", "Massive", "Daily", "Wiki")
 DEFAULT_SEED_BUDGET = 2_260_000
 
 _PUNCTS = set(string.punctuation)
+_ENG_TEXT = str(ENGLISH)
 
 
 @dataclass(frozen=True)
@@ -91,15 +92,6 @@ class SubstitutionSet:
         return cls(tables)
 
 
-Lexicons = Union[SubstitutionSet, Iterable[BilingualLexicon]]
-
-
-def _as_substitution_set(lexicons: Lexicons, policy: AugmentationPolicy) -> SubstitutionSet:
-    if isinstance(lexicons, SubstitutionSet):
-        return lexicons
-    return SubstitutionSet.prepare(lexicons, policy.top_k)
-
-
 def split_token_affixes(token: str) -> tuple[str, str, str]:
     """(leading punctuation, core, trailing punctuation) of one token."""
     if token[0] not in _PUNCTS and token[-1] not in _PUNCTS:
@@ -149,7 +141,7 @@ def substitute_tokens(
 
 def augment_sentence(
     pair: SentencePair,
-    lexicons: Lexicons,
+    subs: SubstitutionSet,
     policy: AugmentationPolicy,
     rng: random.Random,
 ) -> SentencePair | None:
@@ -159,7 +151,6 @@ def augment_sentence(
     """
     if pair.src_lang != ENGLISH:
         raise AugmentError(f"source language must be {ENGLISH}, got {pair.src_lang}")
-    subs = _as_substitution_set(lexicons, policy)
     result = augment_record(pair.source, str(pair.tgt_lang), subs, policy, rng)
     if result is None or result[0] is None:  # no table, or nothing replaced
         return None
@@ -205,9 +196,48 @@ class AugmentStats:
         return self.tokens_replaced / self.tokens_matched if self.tokens_matched else 0.0
 
 
+def augment_rows(
+    rows: Iterable[Sequence[str]],
+    start: int,
+    subs: SubstitutionSet,
+    policy: AugmentationPolicy,
+    label: str,
+    totals: list[int],
+) -> Iterator[tuple[int, Sequence[str], str]]:
+    """(index, row, new source) for each row :func:`augment_record` changed.
+
+    Rows start ``src_lang, tgt_lang, source`` (rendered, English source);
+    the first has corpus index ``start``, and row ``index`` draws from the
+    stream seeded by ``(policy.seed, "augment", index)``, so chunking never
+    changes bytes. Errors name ``<label>:<index + 1>``. When the rows run
+    out, adds rows seen, without lexicon, tokens matched and replaced to ``totals``.
+    """
+    eng = _ENG_TEXT
+    rng = random.Random()
+    index = start - 1
+    without_lexicon = matched_total = replaced_total = 0
+    for index, row in enumerate(rows, start):
+        if row[0] != eng:
+            raise AugmentError(
+                f"{label}:{index + 1}: source language must be {eng}, got {row[0]!r}"
+            )
+        rng.seed(derive_seed(policy.seed, "augment", index))
+        result = augment_record(row[2], row[1], subs, policy, rng)
+        if result is None:
+            without_lexicon += 1
+            continue
+        new_source, matched, replaced = result
+        matched_total += matched
+        replaced_total += replaced
+        if new_source is not None:
+            yield index, row, new_source
+    for i, n in enumerate((index + 1 - start, without_lexicon, matched_total, replaced_total)):
+        totals[i] += n
+
+
 def augment_corpus(
     corpus: ParallelCorpus,
-    lexicons: Lexicons,
+    subs: SubstitutionSet,
     policy: AugmentationPolicy,
 ) -> tuple[ParallelCorpus, AugmentStats]:
     """Augment every pair of an English-to-Indic corpus.
@@ -216,36 +246,16 @@ def augment_corpus(
     token was replaced, produce no output. ``origin_indices`` in the stats
     maps each augmented pair back to its source pair's corpus index.
     """
-    subs = _as_substitution_set(lexicons, policy)
+    totals = [0, 0, 0, 0]
+    rows = ((str(pair.src_lang), str(pair.tgt_lang), pair.source) for pair in corpus)
     augmented: list[SentencePair] = []
     origins: list[int] = []
-    without_lexicon = 0
-    matched_total = 0
-    replaced_total = 0
-    rng = random.Random()
-    for index, pair in enumerate(corpus):
-        if pair.src_lang != ENGLISH:
-            raise AugmentError(
-                f"pair {index}: source language must be {ENGLISH}, got {pair.src_lang}"
-            )
-        rng.seed(derive_seed(policy.seed, "augment", index))
-        result = augment_record(pair.source, str(pair.tgt_lang), subs, policy, rng)
-        if result is None:
-            without_lexicon += 1
-            continue
-        new_source, matched, replaced = result
-        matched_total += matched
-        replaced_total += replaced
-        if new_source is not None:
-            augmented.append(dc_replace(pair, source=new_source))
-            origins.append(index)
+    for index, _, new_source in augment_rows(rows, 0, subs, policy, "corpus", totals):
+        augmented.append(dc_replace(corpus[index], source=new_source))
+        origins.append(index)
+    seen, without_lexicon, matched, replaced = totals
     stats = AugmentStats(
-        pairs_seen=len(corpus),
-        pairs_augmented=len(augmented),
-        pairs_without_lexicon=without_lexicon,
-        tokens_matched=matched_total,
-        tokens_replaced=replaced_total,
-        origin_indices=tuple(origins),
+        seen, len(augmented), without_lexicon, matched, replaced, tuple(origins)
     )
     return ParallelCorpus(tuple(augmented)), stats
 
@@ -282,16 +292,52 @@ class MixtureManifest:
             "total_pairs": self.n_total,
             "seed": self.seed,
         }
-        if self.policy is not None:
-            out["policy"] = {
-                "probability": self.policy.probability,
-                "top_k": self.policy.top_k,
-                "mode": self.policy.mode,
-                "seed": self.policy.seed,
-            }
-        else:
-            out["policy"] = None
+        out["policy"] = None if self.policy is None else asdict(self.policy)
         return out
+
+
+def mixture_rows(
+    original: Callable[[], Iterable[tuple[int, Sequence[str]]]],
+    augmented: Iterable[tuple[int, Sequence[str]]],
+    names: tuple[str, str],
+    valid_tags: Collection[str] | None,
+    counts: list[int],
+) -> Iterator[tuple[str, Sequence[str]]]:
+    """The mixture as (origin, row): ``orig`` rows, ``rev`` rows, then ``aug`` rows.
+
+    Rows start with their rendered ``src_lang, tgt_lang``; ``original()``
+    streams (line number, row) and is called twice, the second time for the
+    ``rev`` rows, which the caller reverses. Sources must be English and
+    augmented targets must occur in the original; new original targets are
+    checked against ``valid_tags`` (:func:`corpus.check_tags`) unless it is
+    None. Errors name ``<name>:<line>``. When the rows run out, ``counts``
+    holds the original, reversed and augmented row counts.
+    """
+    eng = _ENG_TEXT
+    targets: set[str] = set()
+    n_original = n_reversed = n_augmented = 0
+    for lineno, row in original():
+        if row[0] != eng:
+            raise AugmentError(f"{names[0]}:{lineno}: original corpus must be {eng} source")
+        if row[1] not in targets:
+            if valid_tags is not None:
+                check_tags(row, valid_tags, names[0], lineno)
+            targets.add(row[1])
+        n_original += 1
+        yield "orig", row
+    for _, row in original():
+        n_reversed += 1
+        yield "rev", row
+    for lineno, row in augmented:
+        if row[0] != eng:
+            raise AugmentError(f"{names[1]}:{lineno}: augmented corpus must be {eng} source")
+        if row[1] not in targets:
+            raise AugmentError(
+                f"{names[1]}:{lineno}: language {row[1]} absent from original corpus"
+            )
+        n_augmented += 1
+        yield "aug", row
+    counts[:] = n_original, n_reversed, n_augmented
 
 
 def build_pretraining_mixture(
@@ -301,42 +347,19 @@ def build_pretraining_mixture(
     policy: AugmentationPolicy | None = None,
 ) -> tuple[ParallelCorpus, MixtureManifest]:
     """Original pairs, their reversals, and augmented pairs, in that order."""
-    for name, part in (("original", en_indic), ("augmented", augmented)):
-        for index, pair in enumerate(part):
-            if pair.src_lang != ENGLISH:
-                raise AugmentError(
-                    f"{name} corpus pair {index}: source must be {ENGLISH}, "
-                    f"got {pair.src_lang}"
-                )
-    original_targets = {pair.tgt_lang for pair in en_indic}
-    stray = {pair.tgt_lang for pair in augmented} - original_targets
-    if stray:
-        raise AugmentError(
-            "augmented corpus covers languages absent from the original: "
-            + ", ".join(sorted(str(t) for t in stray))
+
+    def rows(corpus: ParallelCorpus) -> list[tuple[int, tuple[str, str, SentencePair]]]:
+        return [(i, (str(p.src_lang), str(p.tgt_lang), p)) for i, p in enumerate(corpus, 1)]
+
+    original = rows(en_indic)
+    counts: list[int] = []
+    pairs = tuple(
+        reverse_pair(row[2]) if origin == "rev" else row[2]
+        for origin, row in mixture_rows(
+            lambda: original, rows(augmented), ("original", "augmented"), None, counts
         )
-    pairs = list(en_indic)
-    pairs.extend(reverse_pair(pair) for pair in en_indic)
-    pairs.extend(augmented)
-    manifest = MixtureManifest(
-        n_original=len(en_indic),
-        n_reversed=len(en_indic),
-        n_augmented=len(augmented),
-        n_total=len(pairs),
-        seed=seed,
-        policy=policy,
     )
-    return ParallelCorpus(tuple(pairs)), manifest
-
-
-def mixture_origins(manifest: MixtureManifest) -> Iterator[str]:
-    """Origin labels aligned with a mixture corpus built by this module."""
-    for _ in range(manifest.n_original):
-        yield "orig"
-    for _ in range(manifest.n_reversed):
-        yield "rev"
-    for _ in range(manifest.n_augmented):
-        yield "aug"
+    return ParallelCorpus(pairs), MixtureManifest(*counts, len(pairs), seed, policy)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ import contextlib
 import itertools
 import json
 import os
-import random
 import sys
 import time
 from pathlib import Path
@@ -45,7 +44,6 @@ _STR_KEYS = {"format", "mode"}
 _CONFIG_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
 
 _AUGMENT_CHUNK = 4096
-_ENG_TEXT = str(ENGLISH)
 
 # Parser choices, equal to lexicon.FORMATS, augment.MODES and
 # trainconfig.PHASES (a test ties them) without importing those modules.
@@ -120,10 +118,6 @@ class Run:
     def parse_tag(self, text: str) -> LanguageTag:
         return parse_tag(text, self.extra_tags)
 
-    def check_tag(self, rendered: str, path: str | Path, lineno: int) -> None:
-        if rendered not in self.valid_tags:
-            raise CorpusError(f"{path}:{lineno}: unknown language tag {rendered!r}")
-
     def finish(
         self,
         command: str,
@@ -152,22 +146,12 @@ class Run:
 # Row streaming helpers (raw TSV fields, no object construction)
 
 
-def _accounting_tag(fields: list[str]) -> str:
-    src, tgt = fields[0], fields[1]
-    if src == _ENG_TEXT:
-        return tgt
-    if tgt == _ENG_TEXT:
-        return src
-    return tgt
-
-
 def _count_accounting_tags(run: Run, path: str) -> dict[str, int]:
     """Rows per rendered accounting language; validates both tags of each row."""
     counts: dict[str, int] = {}
     for lineno, fields in corpus_mod.iter_fields(path):
-        run.check_tag(fields[0], path, lineno)
-        run.check_tag(fields[1], path, lineno)
-        tag = _accounting_tag(fields)
+        corpus_mod.check_tags(fields, run.valid_tags, path, lineno)
+        tag = corpus_mod.accounting_language(fields[0], fields[1])
         counts[tag] = counts.get(tag, 0) + 1
     return counts
 
@@ -215,47 +199,30 @@ def _cmd_ingest(run: Run) -> int:
     if args.in_path:
         inputs = [args.in_path]
 
-        def rows() -> Iterator[str]:
+        def tsv_rows() -> Iterator[tuple[int, list[str]]]:
             for lineno, fields in corpus_mod.iter_fields(args.in_path):
-                run.check_tag(fields[0], args.in_path, lineno)
-                run.check_tag(fields[1], args.in_path, lineno)
+                corpus_mod.check_tags(fields, run.valid_tags, args.in_path, lineno)
                 if fields[0] == fields[1]:
                     raise CorpusError(
                         f"{args.in_path}:{lineno}: source and target language are equal"
                     )
-                source, target, reason = corpus_mod.clean_pair(fields[2], fields[3])
-                subset = fields[4]
-                if subset in excluded:
-                    reason = f"excluded subset:{subset}"
-                if reason:
-                    skipped.append((lineno, reason))
-                else:
-                    yield "\t".join((fields[0], fields[1], source, target, subset))
+                yield lineno, fields
 
+        rows: Iterable[tuple[int, Sequence[str]]] = tsv_rows()
     else:
         if not (args.src and args.tgt and args.src_lang and args.tgt_lang):
             raise ConfigError(
                 "ingest needs either --in (TSV) or all of --src/--tgt/--src-lang/--tgt-lang"
             )
-        src_tag = run.parse_tag(args.src_lang)
-        tgt_tag = run.parse_tag(args.tgt_lang)
-        if src_tag == tgt_tag:
-            raise CorpusError("source and target language are equal")
+        tags = (str(run.parse_tag(args.src_lang)), str(run.parse_tag(args.tgt_lang)))
         subset = args.subset
         if subset in excluded:
             raise ConfigError(f"subset {subset!r} is excluded by --exclude-subset")
         inputs = [args.src, args.tgt]
-        row_prefix = f"{src_tag}\t{tgt_tag}\t"
+        rows = corpus_mod.iter_paired_rows(args.src, args.tgt, *tags, subset)
 
-        def rows() -> Iterator[str]:
-            for lineno, src_line, tgt_line in corpus_mod.iter_paired_lines(args.src, args.tgt):
-                source, target, reason = corpus_mod.clean_pair(src_line, tgt_line)
-                if reason:
-                    skipped.append((lineno, reason))
-                else:
-                    yield f"{row_prefix}{source}\t{target}\t{subset}"
-
-    kept = corpus_mod.write_tsv_rows(rows(), out)
+    cleaned = corpus_mod.clean_rows(rows, skipped, excluded)
+    kept = corpus_mod.write_tsv_rows(map("\t".join, cleaned), out)
     skip_path = Path(str(out) + ".skipped.txt")
     corpus_mod.write_skip_report(
         corpus_mod.IngestReport(kept, tuple(skipped)), skip_path
@@ -300,7 +267,9 @@ def _cmd_reduce(run: Run) -> int:
     counts = _count_accounting_tags(run, args.in_path)
     keep = corpus_mod.reduce_keep(counts, threshold, factor, run.seed)
     rows = (fields for _, fields in corpus_mod.iter_fields(args.in_path))
-    kept_rows = corpus_mod.keep_ordinals(rows, _accounting_tag, keep)
+    kept_rows = corpus_mod.keep_ordinals(
+        rows, lambda f: corpus_mod.accounting_language(f[0], f[1]), keep
+    )
     kept = corpus_mod.write_tsv_rows(("\t".join(f[:5]) for f in kept_rows), args.out)
     print(
         f"reduce: kept {kept} of {sum(counts.values())} pairs "
@@ -325,7 +294,8 @@ def _cmd_sample(run: Run) -> int:
     temperature = run.opt("temperature", 5.0)
 
     def key_and_row(pair: corpus_mod.SentencePair) -> tuple[LanguageTag, str]:
-        return corpus_mod.accounting_language(pair), corpus_mod.format_tsv_row(pair)
+        key = corpus_mod.accounting_language(pair.src_lang, pair.tgt_lang)
+        return key, corpus_mod.format_tsv_row(pair)
 
     with _spilled_pools(run, key_and_row) as pools:
         stats_value = corpus_mod.stats_from_counts(pools.counts)
@@ -387,43 +357,35 @@ def _parse_lex_specs(specs: Sequence[str]) -> list[tuple[str, str]]:
 _WORKER: dict = {}
 
 
-def _augment_worker_init(subs: SubstitutionSet, policy: AugmentationPolicy) -> None:
-    _WORKER[0] = (subs, policy)
+def _augment_worker_init(subs: SubstitutionSet, policy: AugmentationPolicy, tags: set) -> None:
+    _WORKER[0] = (subs, policy, tags)
 
 
-def _augment_chunk(task: tuple[int, list[str], str]) -> tuple[list[str], int, int, int, int]:
+def _augment_chunk(task: tuple[int, list[str], str]) -> tuple[list[str], list[int]]:
     """Augment one chunk of raw TSV lines; pure given the worker state.
 
-    ``start`` is the corpus index of the chunk's first line, so every record
-    draws from the same stream as in :func:`augment.augment_corpus`.
+    ``start`` is the corpus index of the chunk's first line. Returns the
+    output rows and the chunk's four :func:`augment.augment_rows` totals.
     """
     from . import augment as augment_mod
-    from .rng import derive_seed
 
-    subs, policy = _WORKER[0]
+    subs, policy, valid_tags = _WORKER[0]
     start, lines, label = task
-    out: list[str] = []
-    without_lexicon = 0
-    matched_total = 0
-    replaced_total = 0
-    rng = random.Random()
-    for index, line in enumerate(lines, start=start):
-        fields = corpus_mod.split_row(line, label, index + 1)
-        if fields[0] != _ENG_TEXT:
-            raise AugmentError(
-                f"{label}:{index + 1}: source language must be {_ENG_TEXT}, got {fields[0]!r}"
-            )
-        rng.seed(derive_seed(policy.seed, "augment", index))
-        result = augment_mod.augment_record(fields[2], fields[1], subs, policy, rng)
-        if result is None:
-            without_lexicon += 1
-            continue
-        new_source, matched, replaced = result
-        matched_total += matched
-        replaced_total += replaced
-        if new_source is not None:
-            out.append("\t".join((fields[0], fields[1], new_source, fields[3], fields[4])))
-    return out, len(lines), without_lexicon, matched_total, replaced_total
+
+    def rows() -> Iterator[list[str]]:
+        for lineno, line in enumerate(lines, start=start + 1):
+            fields = corpus_mod.split_row(line, label, lineno)
+            corpus_mod.check_tags(fields, valid_tags, label, lineno)
+            yield fields
+
+    totals = [0, 0, 0, 0]
+    out = [
+        "\t".join((f[0], f[1], new_source, f[3], f[4]))
+        for _, f, new_source in augment_mod.augment_rows(
+            rows(), start, subs, policy, label, totals
+        )
+    ]
+    return out, totals
 
 
 def _read_chunks(path: str | Path, size: int) -> Iterator[tuple[int, list[str], str]]:
@@ -457,29 +419,26 @@ def _cmd_augment(run: Run) -> int:
     subs = augment_mod.SubstitutionSet.prepare(lexicons, policy.top_k)
     totals = [0, 0, 0, 0]  # seen, without lexicon, matched, replaced
 
-    def consume(results: Iterable[tuple[list[str], int, int, int, int]]) -> Iterator[str]:
-        for out_lines, *counts in results:
+    def consume(results: Iterable[tuple[list[str], list[int]]]) -> Iterator[str]:
+        for out_lines, counts in results:
             for i, n in enumerate(counts):
                 totals[i] += n
             yield from out_lines
 
     chunks = _read_chunks(args.in_path, _AUGMENT_CHUNK)
+    state = (subs, policy, run.valid_tags)
     if run.threads > 1:
         import multiprocessing
 
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-        with ctx.Pool(
-            run.threads, initializer=_augment_worker_init, initargs=(subs, policy)
-        ) as pool:
+        with ctx.Pool(run.threads, initializer=_augment_worker_init, initargs=state) as pool:
             augmented = corpus_mod.write_tsv_rows(
                 consume(pool.imap(_augment_chunk, chunks)), args.out
             )
     else:
-        _augment_worker_init(subs, policy)
-        augmented = corpus_mod.write_tsv_rows(
-            consume(_augment_chunk(chunk) for chunk in chunks), args.out
-        )
+        _augment_worker_init(*state)
+        augmented = corpus_mod.write_tsv_rows(consume(map(_augment_chunk, chunks)), args.out)
 
     seen, without_lexicon, matched, replaced = totals
     rate = replaced / matched if matched else 0.0
@@ -511,24 +470,16 @@ def _cmd_augment(run: Run) -> int:
     return 0
 
 
-def _augment_policy_snapshot(aug_path: str) -> dict | None:
-    """Recover the augmentation policy from the augmented file's run manifest."""
-    manifest = manifest_path_for(aug_path)
-    if not manifest.exists():
-        return None
+def _augment_policy(aug_path: str) -> AugmentationPolicy | None:
+    """The policy in the augmented file's run manifest; None if absent or invalid."""
+    from .augment import AugmentationPolicy
+
     try:
-        config = json.loads(manifest.read_text(encoding="utf-8")).get("config", {})
-    except (OSError, ValueError):
+        doc = json.loads(manifest_path_for(aug_path).read_text(encoding="utf-8"))
+        config = doc["config"]
+        return AugmentationPolicy(config["prob"], config["topk"], config["mode"], config["seed"])
+    except (OSError, ValueError, LookupError, TypeError, AugmentError):
         return None
-    keys = ("prob", "topk", "mode", "seed")
-    if not all(k in config for k in keys):
-        return None
-    return {
-        "probability": config["prob"],
-        "top_k": config["topk"],
-        "mode": config["mode"],
-        "seed": config["seed"],
-    }
 
 
 def _cmd_mixture(run: Run) -> int:
@@ -536,54 +487,35 @@ def _cmd_mixture(run: Run) -> int:
 
     args = run.args
     started = time.monotonic()
-    eng = _ENG_TEXT
-    n_original = 0
-    n_augmented = 0
-    original_targets: set[str] = set()
+    counts: list[int] = []
+    mixed = augment_mod.mixture_rows(
+        lambda: corpus_mod.iter_fields(args.in_path),
+        corpus_mod.iter_fields(args.aug),
+        (args.in_path, args.aug),
+        run.valid_tags,
+        counts,
+    )
 
     def rows() -> Iterator[str]:
-        nonlocal n_original, n_augmented
-        for lineno, fields in corpus_mod.iter_fields(args.in_path):
-            if fields[0] != eng:
-                raise AugmentError(
-                    f"{args.in_path}:{lineno}: original corpus must be {eng} source"
-                )
-            run.check_tag(fields[1], args.in_path, lineno)
-            original_targets.add(fields[1])
-            n_original += 1
-            yield "\t".join(fields[:5]) + "\torig"
-        for _, fields in corpus_mod.iter_fields(args.in_path):
-            yield "\t".join((fields[1], fields[0], fields[3], fields[2], fields[4], "rev"))
-        for lineno, fields in corpus_mod.iter_fields(args.aug):
-            if fields[0] != eng:
-                raise AugmentError(
-                    f"{args.aug}:{lineno}: augmented corpus must be {eng} source"
-                )
-            if fields[1] not in original_targets:
-                raise AugmentError(
-                    f"{args.aug}:{lineno}: language {fields[1]} absent from original corpus"
-                )
-            n_augmented += 1
-            yield "\t".join(fields[:5]) + "\taug"
+        for origin, f in mixed:
+            if origin == "rev":
+                yield "\t".join((f[1], f[0], f[3], f[2], f[4], origin))
+            else:
+                yield "\t".join(f[:5]) + "\t" + origin
 
     corpus_mod.write_tsv_rows(rows(), args.out)
-    manifest = augment_mod.MixtureManifest(
-        n_original=n_original,
-        n_reversed=n_original,
-        n_augmented=n_augmented,
-        n_total=2 * n_original + n_augmented,
-        seed=run.seed if run.seed_given else None,
-    )
     mix_path = Path(args.mixture_manifest or f"{args.out}.mixture.json")
-    doc = manifest.to_dict()
-    doc["policy"] = _augment_policy_snapshot(args.aug)
     digests = {str(path): sha256_file(path) for path in (args.in_path, args.aug)}
-    doc["inputs"] = digests
     with _remove_on_error(args.out):
+        seed = run.seed if run.seed_given else None
+        manifest = augment_mod.MixtureManifest(
+            *counts, sum(counts), seed, _augment_policy(args.aug)
+        )
+        doc = dict(manifest.to_dict(), inputs=digests)
         mix_path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     print(
         f"mixture: {manifest.n_total} pairs "
-        f"(2*{n_original} + {n_augmented}) -> {args.out}"
+        f"(2*{manifest.n_original} + {manifest.n_augmented}) -> {args.out}"
     )
     config = {"in": args.in_path, "aug": args.aug, "threads": run.threads}
     run.finish(

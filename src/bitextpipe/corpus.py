@@ -7,9 +7,11 @@ memory regardless of corpus size: raw TSV fields go through
 (``sample``, ``seed-select``) validate rows with :func:`iter_tsv_rows`,
 spill them to disk and copy the chosen rows' bytes out with
 :func:`write_tsv_bytes` (see :mod:`selection`). Both representations call
-the same cores: :func:`split_row` (the field check), :func:`clean_pair`
-(the empty-side rule), :func:`reduce_keep` (the reduction plan) and
-``selection.Selection`` (the draw).
+the same cores: :func:`split_row` (the field check), :func:`check_tags`
+(the tag check, with :func:`lang.parse_tag`'s messages), :func:`clean_rows`
+(the cleaning loop around :func:`clean_pair`, the empty-side rule),
+:func:`accounting_language` (the accounting rule), :func:`reduce_keep`
+(the reduction plan) and ``selection.Selection`` (the draw).
 
 Wire format (one sentence pair per line)::
 
@@ -22,17 +24,19 @@ The optional sixth column tags mixture provenance (``orig``, ``rev``,
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import IO, Callable, Collection, Iterable, Iterator, Mapping, TypeVar
+from typing import IO, Callable, Collection, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import CorpusError, TagError
 from .lang import ENGLISH, LANGUAGE_NAMES, LanguageTag, parse_tag
 from .rng import derive_rng, pick
 
 K = TypeVar("K")
+L = TypeVar("L")
 T = TypeVar("T")
 
 DEFAULT_SUBSET = "general"
@@ -116,17 +120,18 @@ class IngestReport:
         return len(self.skipped)
 
 
-def accounting_language(pair: SentencePair) -> LanguageTag:
+# English as a tag and rendered, so the rule serves pairs and raw fields alike.
+_ENGLISH_FORMS = frozenset((ENGLISH, str(ENGLISH)))
+
+
+def accounting_language(src_lang: L, tgt_lang: L) -> L:
     """The language a pair is counted and grouped under.
 
     For English-centric pairs this is the non-English side; for pairs
-    without an English side the target side is used.
+    without an English side the target side is used. Takes the pair's two
+    tags, both :class:`LanguageTag` values or both rendered.
     """
-    if pair.src_lang == ENGLISH:
-        return pair.tgt_lang
-    if pair.tgt_lang == ENGLISH:
-        return pair.src_lang
-    return pair.tgt_lang
+    return src_lang if tgt_lang in _ENGLISH_FORMS else tgt_lang
 
 
 def iter_lines(path: str | Path) -> Iterator[str]:
@@ -161,15 +166,34 @@ def ingest(
     Lines that are empty after trimming on either side drop the pair; the
     drops are recorded in the returned report. Unequal line counts raise.
     """
-    pairs: list[SentencePair] = []
     skipped: list[tuple[int, str]] = []
-    for lineno, src, tgt in iter_paired_lines(source_path, target_path):
-        src, tgt, reason = clean_pair(src, tgt)
+    rows = iter_paired_rows(source_path, target_path, src_lang, tgt_lang, subset)
+    pairs = tuple(
+        SentencePair(src, tgt, src_tag, tgt_tag, label)
+        for src_tag, tgt_tag, src, tgt, label in clean_rows(rows, skipped)
+    )
+    return ParallelCorpus(pairs), IngestReport(len(pairs), tuple(skipped))
+
+
+def clean_rows(
+    rows: Iterable[tuple[int, Sequence]],
+    skipped: list[tuple[int, str]],
+    excluded: Collection[str] = (),
+) -> Iterator[tuple]:
+    """The first five fields of each kept (line number, fields) row, texts cleaned.
+
+    A row dropped by :func:`clean_pair`, or whose subset is in ``excluded``,
+    appends (line number, reason) to ``skipped`` instead.
+    """
+    for lineno, fields in rows:
+        source, target, reason = clean_pair(fields[2], fields[3])
+        subset = fields[4]
+        if subset in excluded:
+            reason = f"excluded subset:{subset}"
         if reason:
             skipped.append((lineno, reason))
         else:
-            pairs.append(SentencePair(src, tgt, src_lang, tgt_lang, subset))
-    return ParallelCorpus(tuple(pairs)), IngestReport(len(pairs), tuple(skipped))
+            yield fields[0], fields[1], source, target, subset
 
 
 def clean_pair(source: str, target: str) -> tuple[str, str, str | None]:
@@ -186,31 +210,29 @@ def clean_pair(source: str, target: str) -> tuple[str, str, str | None]:
     return source, target, "empty source" if not source else "empty target"
 
 
-def iter_paired_lines(
-    source_path: str | Path, target_path: str | Path
-) -> Iterator[tuple[int, str, str]]:
-    """Yield (line number, source line, target line); raise on misalignment."""
-    src_iter = iter_lines(source_path)
-    tgt_iter = iter_lines(target_path)
-    lineno = 0
-    while True:
-        src = next(src_iter, None)
-        tgt = next(tgt_iter, None)
-        if src is None and tgt is None:
-            return
-        lineno += 1
+def iter_paired_rows(
+    source_path: str | Path, target_path: str | Path, src_lang: L, tgt_lang: L, subset: str
+) -> Iterator[tuple[int, tuple]]:
+    """Yield (line number, fields) of two line-aligned files; raise on misalignment.
+
+    The fields are ``src_lang, tgt_lang, source line, target line, subset``.
+    """
+    if src_lang == tgt_lang:
+        raise CorpusError("source and target language are equal")
+    lines = itertools.zip_longest(iter_lines(source_path), iter_lines(target_path))
+    for lineno, (src, tgt) in enumerate(lines, start=1):
         if src is None or tgt is None:
             longer = target_path if src is None else source_path
             raise CorpusError(
                 f"line-count mismatch: {longer} has more than {lineno - 1} lines "
                 f"but the other file ended"
             )
-        yield lineno, src, tgt
+        yield lineno, (src_lang, tgt_lang, src, tgt, subset)
 
 
 def stats(corpus: ParallelCorpus) -> CorpusStats:
     """Count pairs per accounting language."""
-    return CorpusStats(dict(Counter(map(accounting_language, corpus))))
+    return CorpusStats(dict(Counter(accounting_language(p.src_lang, p.tgt_lang) for p in corpus)))
 
 
 def stats_from_counts(counts: Mapping[LanguageTag, int]) -> CorpusStats:
@@ -237,7 +259,8 @@ def reduce_highresource(
     keep = reduce_keep(stats(corpus).counts, threshold, factor, seed)
     if not keep:
         return corpus
-    return ParallelCorpus(tuple(keep_ordinals(corpus, accounting_language, keep)))
+    kept = keep_ordinals(corpus, lambda p: accounting_language(p.src_lang, p.tgt_lang), keep)
+    return ParallelCorpus(tuple(kept))
 
 
 def reduce_keep(
@@ -311,6 +334,23 @@ def split_row(line: str, path: str | Path, lineno: int) -> list[str]:
             f"{path}:{lineno}: expected 5 or 6 tab-separated fields, got {len(fields)}"
         )
     return fields
+
+
+def check_tags(
+    fields: Sequence[str], valid_tags: Collection[str], path: str | Path, lineno: int
+) -> None:
+    """Reject the row if a tag is outside ``valid_tags`` (a superset of the registry).
+
+    The error is :func:`lang.parse_tag`'s, located at ``<path>:<line>``.
+    """
+    if fields[0] in valid_tags and fields[1] in valid_tags:
+        return
+    for tag in fields[0], fields[1]:
+        if tag not in valid_tags:
+            try:
+                parse_tag(tag)
+            except TagError as exc:
+                raise TagError(f"{path}:{lineno}: {exc}") from None
 
 
 def iter_fields(path: str | Path) -> Iterator[tuple[int, list[str]]]:

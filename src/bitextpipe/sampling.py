@@ -119,7 +119,7 @@ def materialize(
     if isinstance(corpus, ParallelCorpus):
         groups: dict[LanguageTag, list[SentencePair]] = {}
         for pair in corpus:
-            groups.setdefault(accounting_language(pair), []).append(pair)
+            groups.setdefault(accounting_language(pair.src_lang, pair.tgt_lang), []).append(pair)
     else:
         groups = corpus
     if budget is None:

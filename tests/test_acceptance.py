@@ -162,9 +162,10 @@ def test_augmentation_statistics():
         )
     )
     policy = AugmentationPolicy(probability=0.3, mode=MODE_PAIR_TARGET, seed=77)
-    from bitextpipe.augment import augment_corpus
+    from bitextpipe.augment import SubstitutionSet, augment_corpus
 
-    augmented, astats = augment_corpus(corpus, [lexicon], policy)
+    subs = SubstitutionSet.prepare([lexicon], policy.top_k)
+    augmented, astats = augment_corpus(corpus, subs, policy)
 
     assert astats.tokens_matched == 4 * n_pairs >= 100_000
     rate = astats.replacement_rate

@@ -13,12 +13,11 @@ from bitextpipe.augment import (
     augment_corpus,
     augment_sentence,
     build_pretraining_mixture,
-    mixture_origins,
     select_seed,
     split_token_affixes,
     substitute_tokens,
 )
-from bitextpipe.corpus import ParallelCorpus, SentencePair
+from bitextpipe.corpus import ParallelCorpus, SentencePair, reverse_pair
 from bitextpipe.errors import AugmentError, CorpusError
 from bitextpipe.lang import parse_tag
 from bitextpipe.lexicon import BilingualLexicon, LexiconEntry
@@ -80,13 +79,15 @@ class TestAugmentSentence:
     def test_zero_probability_yields_none(self):
         pair = mk_pair("the dog barked", "कुत्ता भौंका")
         policy = AugmentationPolicy(probability=0.0, seed=1)
-        out = augment_sentence(pair, [HIN_LEX], policy, derive_rng(1, "x"))
+        subs = SubstitutionSet.prepare([HIN_LEX], policy.top_k)
+        out = augment_sentence(pair, subs, policy, derive_rng(1, "x"))
         assert out is None
 
     def test_forced_replacement(self):
         pair = mk_pair("the dog", "कुत्ता")
         policy = AugmentationPolicy(probability=1.0, mode=MODE_PAIR_TARGET, seed=1)
-        out = augment_sentence(pair, [HIN_LEX], policy, derive_rng(1, "x"))
+        subs = SubstitutionSet.prepare([HIN_LEX], policy.top_k)
+        out = augment_sentence(pair, subs, policy, derive_rng(1, "x"))
         assert out is not None
         assert out.source == "the कुत्ता"
         assert out.target == pair.target
@@ -95,13 +96,15 @@ class TestAugmentSentence:
     def test_non_english_source_rejected(self):
         pair = mk_pair("नमस्ते", "hello", src="hin_Deva", tgt="eng_Latn")
         policy = AugmentationPolicy(seed=1)
+        subs = SubstitutionSet.prepare([HIN_LEX], policy.top_k)
         with pytest.raises(AugmentError, match="source language"):
-            augment_sentence(pair, [HIN_LEX], policy, derive_rng(1, "x"))
+            augment_sentence(pair, subs, policy, derive_rng(1, "x"))
 
     def test_pair_target_mode_without_lexicon_yields_none(self):
         pair = mk_pair("the dog", "কুকুৰ", tgt="brx_Deva")
         policy = AugmentationPolicy(probability=1.0, mode=MODE_PAIR_TARGET, seed=1)
-        assert augment_sentence(pair, [HIN_LEX], policy, derive_rng(1, "x")) is None
+        subs = SubstitutionSet.prepare([HIN_LEX], policy.top_k)
+        assert augment_sentence(pair, subs, policy, derive_rng(1, "x")) is None
 
     def test_multiword_entries_are_skipped(self):
         lex = BilingualLexicon(
@@ -113,7 +116,8 @@ class TestAugmentSentence:
         )
         pair = mk_pair("good morning dog", "x")
         policy = AugmentationPolicy(probability=1.0, mode=MODE_PAIR_TARGET, seed=1)
-        out = augment_sentence(pair, [lex], policy, derive_rng(1, "x"))
+        subs = SubstitutionSet.prepare([lex], policy.top_k)
+        out = augment_sentence(pair, subs, policy, derive_rng(1, "x"))
         assert out.source == "good morning कुत्ता"
 
     def test_duplicate_lexicons_for_language_rejected(self):
@@ -125,7 +129,8 @@ class TestAugmentSentence:
         lex = _lexicon(HIN, {"alpha": ["अ"], "beta": ["ब"]})
         pair = mk_pair("alpha beta", "x")
         policy = AugmentationPolicy(probability=1.0, top_k=1, mode=MODE_PAIR_TARGET, seed=1)
-        out = augment_sentence(pair, [lex], policy, derive_rng(1, "x"))
+        subs = SubstitutionSet.prepare([lex], policy.top_k)
+        out = augment_sentence(pair, subs, policy, derive_rng(1, "x"))
         assert out.source == "अ beta"
 
 
@@ -140,7 +145,7 @@ class TestAugmentCorpus:
     def test_no_lexicons_yields_nothing(self):
         corpus = self._corpus(10)
         policy = AugmentationPolicy(probability=1.0, seed=4)
-        out, stats = augment_corpus(corpus, [], policy)
+        out, stats = augment_corpus(corpus, SubstitutionSet.prepare([], policy.top_k), policy)
         assert len(out) == 0
         assert stats.pairs_seen == 10
         assert stats.pairs_without_lexicon == 10
@@ -148,7 +153,8 @@ class TestAugmentCorpus:
     def test_every_pair_augmented_at_p1(self):
         corpus = self._corpus(1000)
         policy = AugmentationPolicy(probability=1.0, mode=MODE_PAIR_TARGET, seed=4)
-        out, stats = augment_corpus(corpus, [HIN_LEX], policy)
+        subs = SubstitutionSet.prepare([HIN_LEX], policy.top_k)
+        out, stats = augment_corpus(corpus, subs, policy)
         assert len(out) == 1000
         assert stats.pairs_augmented == 1000
         assert stats.tokens_matched == 2000
@@ -157,9 +163,10 @@ class TestAugmentCorpus:
     def test_deterministic_given_seed(self):
         corpus = self._corpus(200)
         policy = AugmentationPolicy(probability=0.5, seed=7)
-        a, _ = augment_corpus(corpus, [HIN_LEX], policy)
-        b, _ = augment_corpus(corpus, [HIN_LEX], policy)
-        c, _ = augment_corpus(corpus, [HIN_LEX], AugmentationPolicy(probability=0.5, seed=8))
+        a, _ = augment_corpus(corpus, SubstitutionSet.prepare([HIN_LEX], policy.top_k), policy)
+        b, _ = augment_corpus(corpus, SubstitutionSet.prepare([HIN_LEX], policy.top_k), policy)
+        other = AugmentationPolicy(probability=0.5, seed=8)
+        c, _ = augment_corpus(corpus, SubstitutionSet.prepare([HIN_LEX], other.top_k), other)
         assert a.pairs == b.pairs
         assert a.pairs != c.pairs
 
@@ -178,7 +185,8 @@ class TestAugmentCorpus:
     def test_targets_byte_identical_and_sourced_replacements(self):
         corpus = self._corpus(300)
         policy = AugmentationPolicy(probability=0.4, mode=MODE_PAIR_TARGET, seed=13)
-        out, stats = augment_corpus(corpus, [HIN_LEX], policy)
+        subs = SubstitutionSet.prepare([HIN_LEX], policy.top_k)
+        out, stats = augment_corpus(corpus, subs, policy)
         assert len(stats.origin_indices) == len(out)
         translations = {t for e in HIN_LEX.entries for t in e.translations}
         for augmented, origin in zip(out, stats.origin_indices):
@@ -198,7 +206,7 @@ class TestAugmentCorpus:
     def test_replacement_rate_converges(self):
         corpus = self._corpus(5000)  # 2 matched tokens per pair -> 10k draws
         policy = AugmentationPolicy(probability=0.3, mode=MODE_PAIR_TARGET, seed=17)
-        _, stats = augment_corpus(corpus, [HIN_LEX], policy)
+        _, stats = augment_corpus(corpus, SubstitutionSet.prepare([HIN_LEX], policy.top_k), policy)
         assert stats.tokens_matched == 10_000
         assert stats.replacement_rate == pytest.approx(0.3, abs=0.02)
 
@@ -210,7 +218,8 @@ class TestAugmentCorpus:
             )
         )
         policy = AugmentationPolicy(probability=1.0, mode=MODE_RANDOM_LANGUAGE, seed=23)
-        out, _ = augment_corpus(corpus, [HIN_LEX, ASM_LEX], policy)
+        subs = SubstitutionSet.prepare([HIN_LEX, ASM_LEX], policy.top_k)
+        out, _ = augment_corpus(corpus, subs, policy)
         scripts = Counter()
         for pair in out:
             if "कुत्ता" in pair.source:
@@ -222,8 +231,10 @@ class TestAugmentCorpus:
 
     def test_non_english_corpus_rejected(self):
         bad = ParallelCorpus((mk_pair("नमस्ते", "hi", src="hin_Deva", tgt="eng_Latn"),))
-        with pytest.raises(AugmentError):
-            augment_corpus(bad, [HIN_LEX], AugmentationPolicy(seed=1))
+        policy = AugmentationPolicy(seed=1)
+        subs = SubstitutionSet.prepare([HIN_LEX], policy.top_k)
+        with pytest.raises(AugmentError, match="source language"):
+            augment_corpus(bad, subs, policy)
 
     def test_policy_validation(self):
         with pytest.raises(AugmentError):
@@ -251,10 +262,11 @@ class TestMixture:
         mixture, manifest = build_pretraining_mixture(corpus, augmented, policy=policy)
         assert manifest.n_total == 2300
         assert len(mixture.pairs) == 2300
-        origins = list(mixture_origins(manifest))
-        assert origins.count("orig") == 1000
-        assert origins.count("rev") == 1000
-        assert origins.count("aug") == 300
+        assert (manifest.n_original, manifest.n_reversed, manifest.n_augmented) == (
+            1000, 1000, 300
+        )
+        reversed_block = tuple(map(reverse_pair, corpus))
+        assert mixture.pairs == corpus.pairs + reversed_block + augmented.pairs
         # reversed block really is the reversal of the original block
         assert mixture[1000].source == mixture[0].target
         assert mixture[1000].src_lang == mixture[0].tgt_lang

@@ -148,20 +148,28 @@ class TestStatsReduceSample:
         ("sample", ["--budget", 2]),
         ("seed-select", ["--budget", 1]),
         ("reduce", []),
+        ("ingest", []),
+        ("stats", []),
+        ("mixture", ["--aug", None]),  # None: the corpus itself
     ])
     def test_unknown_tag_error_names_file_and_line(self, tmp_path, capsys, command, extra):
         corpus = tmp_path / "bad.tsv"
-        corpus.write_text(
-            "eng_Latn\thin_Deva\ta\tक\tWiki\n"
-            "eng_Latn\txyz_Deva\tb\tख\tWiki\n",
-            encoding="utf-8",
-        )
         out = tmp_path / "out" / "o.tsv"
         out.parent.mkdir()
-        assert run_cli(command, "--in", corpus, "--out", out, "--seed", 1, *extra) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {corpus}:2: unknown language tag 'xyz_Deva'")
-        assert list(out.parent.iterdir()) == []
+        extra = [corpus if arg is None else arg for arg in extra]
+        for tag, message in (
+            ("xyz_Deva", "unknown language tag 'xyz_Deva'"),
+            ("hin-Deva", "malformed language tag 'hin-Deva': expected <lll>_<Ssss>, e.g. hin_Deva"),
+        ):
+            corpus.write_text(
+                "eng_Latn\thin_Deva\ta\tक\tWiki\n"
+                f"eng_Latn\t{tag}\tb\tख\tWiki\n",
+                encoding="utf-8",
+            )
+            assert run_cli(command, "--in", corpus, "--out", out, "--seed", 1, *extra) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {corpus}:2: {message}")
+            assert list(out.parent.iterdir()) == []
 
     @pytest.mark.parametrize("case", [
         "seed budget over the pool",
@@ -280,6 +288,47 @@ class TestLexiconAugmentMixture:
                            "--prob", 0.4, "--seed", 9, "--threads", threads,
                            "--out", out) == 0
         assert one.read_bytes() == eight.read_bytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_augment_rejects_a_bad_target_tag(self, tmp_path, capsys, hin_lex, threads):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(
+            "eng_Latn\thin_Deva\tthe dog\tnamaste\tgeneral\n"
+            "eng_Latn\thin-Deva\tthe dog\tnamaste\tgeneral\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "aug.tsv"
+        assert run_cli("augment", "--in", bad, "--lex", f"hin_Deva={hin_lex}", "--prob", 1,
+                       "--seed", 1, "--threads", threads, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:2: malformed language tag 'hin-Deva'")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.tsv", "muse_hin.txt"]
+
+    @pytest.mark.parametrize("change", [
+        {"prob": 1.5},
+        {"topk": 0},
+        {"mode": "nonsense"},
+        {"prob": "high"},
+        {"prob": None},  # None: the key is missing
+        None,  # the manifest is not JSON
+    ])
+    def test_mixture_policy_is_null_for_an_invalid_augment_manifest(
+        self, tmp_path, en_hi_files, hin_lex, change
+    ):
+        corpus = _ingest(tmp_path, en_hi_files)
+        aug = tmp_path / "aug.tsv"
+        assert run_cli("augment", "--in", corpus, "--lex", f"hin_Deva={hin_lex}",
+                       "--seed", 5, "--out", aug) == 0
+        aug_manifest = tmp_path / "aug.tsv.run.json"
+        doc = json.loads(aug_manifest.read_text())
+        for key, value in (change or {}).items():
+            doc["config"][key] = value
+            if value is None:
+                del doc["config"][key]
+        aug_manifest.write_text(json.dumps(doc) if change else "{not json", encoding="utf-8")
+        mix = tmp_path / "mix.tsv"
+        assert run_cli("mixture", "--in", corpus, "--aug", aug, "--out", mix) == 0
+        assert json.loads((tmp_path / "mix.tsv.mixture.json").read_text())["policy"] is None
 
     def test_augment_rejects_non_english_source(self, tmp_path, hin_lex):
         bad = tmp_path / "bad.tsv"

@@ -21,9 +21,9 @@ from bitextpipe.augment import (
     MODES,
     SEED_SUBSETS,
     AugmentationPolicy,
+    SubstitutionSet,
     augment_corpus,
     build_pretraining_mixture,
-    mixture_origins,
     select_seed,
 )
 from bitextpipe.cli import main
@@ -125,6 +125,48 @@ def test_ingest_paired_files(lines, direction, subset):
 
 @SETTINGS
 @given(
+    lines=st.lists(
+        st.tuples(
+            noisy_text(min_words=0),
+            noisy_text(min_words=0),
+            st.sampled_from(["general", "comparable"]),
+        ),
+        max_size=30,
+    ),
+    direction=directions(),
+)
+def test_ingest_tsv_matches_paired_files(lines, direction):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        src, tgt, tsv = root / "src.txt", root / "tgt.txt", root / "in.tsv"
+        src.write_text("".join(f"{s}\n" for s, _, _ in lines), encoding="utf-8")
+        tgt.write_text("".join(f"{t}\n" for _, t, _ in lines), encoding="utf-8")
+        tsv.write_text("".join(f"{direction[0]}\t{direction[1]}\t{s}\t{t}\t{label}\n"
+                               for s, t, label in lines), encoding="utf-8")
+        paired, out = root / "paired.tsv", root / "cli.tsv"
+        _cli("ingest", "--src", src, "--tgt", tgt, "--src-lang", direction[0],
+             "--tgt-lang", direction[1], "--out", paired)
+        _cli("ingest", "--in", tsv, "--exclude-subset", "comparable", "--out", out)
+
+        def skip_report(path):
+            text = Path(f"{path}.skipped.txt").read_text(encoding="utf-8")
+            return dict(line.split("\t") for line in text.splitlines())
+
+        paired_skips = skip_report(paired)
+        kept = [n for n in range(1, len(lines) + 1) if str(n) not in paired_skips]
+        paired_rows = dict(zip(kept, paired.read_text(encoding="utf-8").splitlines()))
+        excluded = {n for n, (_, _, label) in enumerate(lines, 1) if label == "comparable"}
+        assert out.read_text(encoding="utf-8").splitlines() == [
+            row for n, row in paired_rows.items() if n not in excluded
+        ]
+        assert skip_report(out) == {
+            str(n): "excluded subset:comparable" if n in excluded else paired_skips[str(n)]
+            for n in excluded | {int(n) for n in paired_skips}
+        }
+
+
+@SETTINGS
+@given(
     corpus=corpora(),
     threshold=st.integers(min_value=1, max_value=20),
     factor=st.sampled_from([0.1, 0.25, 0.5, 0.7, 1.0]),
@@ -185,7 +227,8 @@ def test_augment_both_modes(corpus, lex_tags, mode, probability, top_k, seed):
         lexicons = [lexicon.load(path, lexicon.MUSE, parse_tag(tag))
                     for tag, path in paths.items()]
         policy = AugmentationPolicy(probability, top_k, mode, seed)
-        augmented, _ = augment_corpus(read_tsv(root / "in.tsv"), lexicons, policy)
+        subs = SubstitutionSet.prepare(lexicons, policy.top_k)
+        augmented, _ = augment_corpus(read_tsv(root / "in.tsv"), subs, policy)
         _same_bytes(out, augmented, root)
 
 
@@ -208,10 +251,41 @@ def test_mixture(original, augmented, seed):
         mixture, manifest = build_pretraining_mixture(
             read_tsv(root / "in.tsv"), read_tsv(root / "aug.tsv"), seed=seed
         )
-        _same_bytes(out, mixture, root, origins=mixture_origins(manifest))
+        origins = (["orig"] * manifest.n_original + ["rev"] * manifest.n_reversed
+                   + ["aug"] * manifest.n_augmented)
+        _same_bytes(out, mixture, root, origins=origins)
         recorded = json.loads(Path(f"{out}.mixture.json").read_text(encoding="utf-8"))
         expected = manifest.to_dict()
         assert {key: recorded[key] for key in expected} == expected
+
+
+@SETTINGS
+@given(
+    original=corpora(english_source=True),
+    mode=st.sampled_from(MODES),
+    probability=st.sampled_from([0.0, 0.3, 1.0]),
+    top_k=st.integers(min_value=1, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_mixture_policy_block(original, mode, probability, top_k, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        write_tsv(original, root / "in.tsv")
+        lex = root / "hin_Deva.txt"
+        lex.write_text(LEXICONS["hin_Deva"], encoding="utf-8")
+        aug, out = root / "aug.tsv", root / "cli.tsv"
+        assert main([str(a) for a in (
+            "augment", "--in", root / "in.tsv", "--lex", f"hin_Deva={lex}", "--mode", mode,
+            "--prob", probability, "--topk", top_k, "--seed", seed, "--out", aug,
+        )]) == 0
+        _cli("mixture", "--in", root / "in.tsv", "--aug", aug, "--out", out)
+        policy = AugmentationPolicy(probability, top_k, mode, seed)
+        _, manifest = build_pretraining_mixture(
+            read_tsv(root / "in.tsv"), read_tsv(aug), policy=policy
+        )
+        recorded = json.loads(Path(f"{out}.mixture.json").read_text(encoding="utf-8"))
+        assert recorded["policy"] == manifest.to_dict()["policy"]
+        assert recorded["policy"] is not None
 
 
 @SETTINGS

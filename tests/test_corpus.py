@@ -6,6 +6,7 @@ from bitextpipe.corpus import (
     CorpusStats,
     ParallelCorpus,
     SentencePair,
+    accounting_language,
     clean_text,
     ingest,
     iter_tsv_rows,
@@ -87,6 +88,12 @@ class TestIngest:
         with pytest.raises(CorpusError, match="cannot read"):
             ingest(tmp_path / "src.txt", tmp_path / "nope.txt", ENG, HIN)
 
+    def test_equal_languages_rejected_even_when_every_line_is_skipped(self, tmp_path):
+        _write(tmp_path / "src.txt", ["one", " "])
+        _write(tmp_path / "tgt.txt", ["", "दो"])
+        with pytest.raises(CorpusError, match="language are equal"):
+            ingest(tmp_path / "src.txt", tmp_path / "tgt.txt", HIN, HIN)
+
 
 class TestStats:
     def test_empty_corpus(self):
@@ -108,6 +115,13 @@ class TestStats:
         )
         value = stats(ParallelCorpus(pairs))
         assert value.counts == {HIN: 2}
+
+    @pytest.mark.parametrize("src, tgt, expected", [
+        (ENG, HIN, HIN), (HIN, ENG, HIN), (HIN, ASM, ASM), (ENG, ENG, ENG),
+    ])
+    def test_accounting_rule_same_for_tags_and_rendered_tags(self, src, tgt, expected):
+        assert accounting_language(src, tgt) == expected
+        assert accounting_language(str(src), str(tgt)) == str(expected)
 
     def test_counted_manifest_echoes_back(self):
         counts = {parse_tag(t): n for t, n in REFERENCE_COUNTS.items()}

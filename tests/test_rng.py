@@ -141,7 +141,7 @@ def test_reduce_keeps_the_old_rows(seed):
     seen: dict = {}
     expected = []
     for pair in corpus:
-        tag = accounting_language(pair)
+        tag = accounting_language(pair.src_lang, pair.tgt_lang)
         ordinal = seen[tag] = seen.get(tag, -1) + 1
         if tag not in chosen or ordinal in chosen[tag]:
             expected.append(pair)
@@ -155,7 +155,7 @@ def test_materialize_keeps_the_old_rows(temperature, budget):
     plan = allocate(distribution(stats(corpus), temperature), budget)
     groups: dict = {}
     for pair in corpus:
-        groups.setdefault(accounting_language(pair), []).append(pair)
+        groups.setdefault(accounting_language(pair.src_lang, pair.tgt_lang), []).append(pair)
     expected = []
     for tag in plan.languages():
         pool = groups[tag]

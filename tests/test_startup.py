@@ -1,5 +1,6 @@
 """Start-up cost: the package and each CLI call import only what they use."""
 
+import ast
 import importlib
 import json
 import os
@@ -66,6 +67,22 @@ def test_public_names_are_their_defining_module_attributes():
             wrong.append(name)
     assert wrong == []
     assert set(bitextpipe.__all__) <= set(dir(bitextpipe))
+
+
+def test_readme_library_example_imports_public_names():
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    names = [
+        alias.name
+        for node in ast.walk(ast.parse(code))
+        if isinstance(node, ast.ImportFrom) and node.module == "bitextpipe"
+        for alias in node.names
+    ]
+    assert "SubstitutionSet" in names
+    assert [name for name in names if name not in bitextpipe.__all__] == []
+    for name in names:
+        getattr(bitextpipe, name)
 
 
 def test_unknown_name_is_an_attribute_error_and_submodules_still_import():
