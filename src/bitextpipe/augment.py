@@ -18,9 +18,9 @@ from __future__ import annotations
 import random
 import string
 from dataclasses import asdict, dataclass, replace as dc_replace
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .corpus import ParallelCorpus, SentencePair, check_tags, reverse_pair
+from .corpus import ParallelCorpus, SentencePair, reverse_pair
 from .errors import AugmentError, CorpusError
 from .lang import ENGLISH
 from .lexicon import BilingualLexicon, truncate_topk
@@ -76,6 +76,12 @@ class SubstitutionSet:
     def prepare(
         cls, lexicons: Iterable[BilingualLexicon], top_k: int
     ) -> "SubstitutionSet":
+        """Tables from ``lexicons``, consumed one at a time.
+
+        Only the top-K table of each lexicon is kept, and no reference to
+        the lexicon outlives its turn: given a generator that loads them,
+        one whole lexicon is in memory at a time.
+        """
         tables: dict[str, dict[str, tuple[str, ...]]] = {}
         for lexicon in lexicons:
             tag = str(lexicon.tgt_lang)
@@ -83,11 +89,10 @@ class SubstitutionSet:
                 raise AugmentError(
                     f"two lexicons for {tag}; merge them first"
                 )
-            truncated = truncate_topk(lexicon, top_k)
+            entries = truncate_topk(lexicon, top_k).entries
+            del lexicon  # before the loop asks the generator for the next one
             tables[tag] = {
-                entry.source: entry.translations
-                for entry in truncated.entries
-                if not entry.is_phrase
+                entry.source: entry.translations for entry in entries if not entry.is_phrase
             }
         return cls(tables)
 
@@ -300,18 +305,17 @@ def mixture_rows(
     original: Callable[[], Iterable[tuple[int, Sequence[str]]]],
     augmented: Iterable[tuple[int, Sequence[str]]],
     names: tuple[str, str],
-    valid_tags: Collection[str] | None,
     counts: list[int],
 ) -> Iterator[tuple[str, Sequence[str]]]:
     """The mixture as (origin, row): ``orig`` rows, ``rev`` rows, then ``aug`` rows.
 
-    Rows start with their rendered ``src_lang, tgt_lang``; ``original()``
-    streams (line number, row) and is called twice, the second time for the
-    ``rev`` rows, which the caller reverses. Sources must be English and
-    augmented targets must occur in the original; new original targets are
-    checked against ``valid_tags`` (:func:`corpus.check_tags`) unless it is
-    None. Errors name ``<name>:<line>``. When the rows run out, ``counts``
-    holds the original, reversed and augmented row counts.
+    Rows are valid pairs (checked by the caller) that start with their
+    rendered ``src_lang, tgt_lang``; ``original()`` streams (line number,
+    row) and is called twice, the second time for the ``rev`` rows, which
+    the caller reverses. Sources must be English and augmented targets
+    must occur in the original. Errors name ``<name>:<line>``. When the
+    rows run out, ``counts`` holds the original, reversed and augmented
+    row counts.
     """
     eng = _ENG_TEXT
     targets: set[str] = set()
@@ -319,10 +323,7 @@ def mixture_rows(
     for lineno, row in original():
         if row[0] != eng:
             raise AugmentError(f"{names[0]}:{lineno}: original corpus must be {eng} source")
-        if row[1] not in targets:
-            if valid_tags is not None:
-                check_tags(row, valid_tags, names[0], lineno)
-            targets.add(row[1])
+        targets.add(row[1])
         n_original += 1
         yield "orig", row
     for _, row in original():
@@ -356,7 +357,7 @@ def build_pretraining_mixture(
     pairs = tuple(
         reverse_pair(row[2]) if origin == "rev" else row[2]
         for origin, row in mixture_rows(
-            lambda: original, rows(augmented), ("original", "augmented"), None, counts
+            lambda: original, rows(augmented), ("original", "augmented"), counts
         )
     )
     return ParallelCorpus(pairs), MixtureManifest(*counts, len(pairs), seed, policy)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import os
 import sys
@@ -43,7 +42,12 @@ _FLOAT_KEYS = {"temperature", "prob", "factor"}
 _STR_KEYS = {"format", "mode"}
 _CONFIG_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
 
-_AUGMENT_CHUNK = 4096
+# Bytes of whole lines in one augment work unit: the unit, its decoded
+# lines and its output are what a worker holds besides the top-K tables.
+# On the pretrain-zipf benchmark input (2 vCPUs), 64 KiB units peaked
+# 1.6 MiB lower but ran 25-40% slower at two workers; 1 MiB units peaked
+# 8 MiB higher.
+_AUGMENT_BLOCK = 1 << 18
 
 # Parser choices, equal to lexicon.FORMATS, augment.MODES and
 # trainconfig.PHASES (a test ties them) without importing those modules.
@@ -150,7 +154,7 @@ def _count_accounting_tags(run: Run, path: str) -> dict[str, int]:
     """Rows per rendered accounting language; validates both tags of each row."""
     counts: dict[str, int] = {}
     for lineno, fields in corpus_mod.iter_fields(path):
-        corpus_mod.check_tags(fields, run.valid_tags, path, lineno)
+        corpus_mod.check_row(fields, run.valid_tags, path, lineno)
         tag = corpus_mod.accounting_language(fields[0], fields[1])
         counts[tag] = counts.get(tag, 0) + 1
     return counts
@@ -194,7 +198,6 @@ def _cmd_ingest(run: Run) -> int:
     started = time.monotonic()
     out = Path(args.out)
     excluded = set(args.exclude_subset or ())
-    skipped: list[tuple[int, str]] = []
 
     if args.in_path:
         inputs = [args.in_path]
@@ -221,13 +224,11 @@ def _cmd_ingest(run: Run) -> int:
         inputs = [args.src, args.tgt]
         rows = corpus_mod.iter_paired_rows(args.src, args.tgt, *tags, subset)
 
-    cleaned = corpus_mod.clean_rows(rows, skipped, excluded)
-    kept = corpus_mod.write_tsv_rows(map("\t".join, cleaned), out)
     skip_path = Path(str(out) + ".skipped.txt")
-    corpus_mod.write_skip_report(
-        corpus_mod.IngestReport(kept, tuple(skipped)), skip_path
-    )
-    print(f"ingest: kept {kept} pairs, skipped {len(skipped)} -> {out}")
+    with corpus_mod.open_skip_report(skip_path) as skipped:
+        cleaned = corpus_mod.clean_rows(rows, skipped.append, excluded)
+        kept = corpus_mod.write_tsv_rows(map("\t".join, cleaned), out)
+    print(f"ingest: kept {kept} pairs, skipped {skipped.count} -> {out}")
     config = {
         "in": args.in_path,
         "src": args.src,
@@ -361,39 +362,33 @@ def _augment_worker_init(subs: SubstitutionSet, policy: AugmentationPolicy, tags
     _WORKER[0] = (subs, policy, tags)
 
 
-def _augment_chunk(task: tuple[int, list[str], str]) -> tuple[list[str], list[int]]:
-    """Augment one chunk of raw TSV lines; pure given the worker state.
+def _augment_chunk(task: tuple[int, bytes, str]) -> tuple[bytes, int, list[int]]:
+    """Augment one :func:`corpus.iter_blocks` block of TSV lines; pure given the worker state.
 
-    ``start`` is the corpus index of the chunk's first line. Returns the
-    output rows and the chunk's four :func:`augment.augment_rows` totals.
+    ``start`` is the corpus index of the block's first line. Returns the
+    encoded output rows, their number and the block's four
+    :func:`augment.augment_rows` totals.
     """
     from . import augment as augment_mod
 
     subs, policy, valid_tags = _WORKER[0]
-    start, lines, label = task
+    start, block, label = task
 
     def rows() -> Iterator[list[str]]:
+        lines = corpus_mod.decode_block(block, label, start)
         for lineno, line in enumerate(lines, start=start + 1):
             fields = corpus_mod.split_row(line, label, lineno)
-            corpus_mod.check_tags(fields, valid_tags, label, lineno)
+            corpus_mod.check_row(fields, valid_tags, label, lineno)
             yield fields
 
     totals = [0, 0, 0, 0]
     out = [
-        "\t".join((f[0], f[1], new_source, f[3], f[4]))
+        f"{f[0]}\t{f[1]}\t{new_source}\t{f[3]}\t{f[4]}\n"
         for _, f, new_source in augment_mod.augment_rows(
             rows(), start, subs, policy, label, totals
         )
     ]
-    return out, totals
-
-
-def _read_chunks(path: str | Path, size: int) -> Iterator[tuple[int, list[str], str]]:
-    lines = corpus_mod.iter_lines(path)
-    start = 0
-    while chunk := list(itertools.islice(lines, size)):
-        yield start, chunk, str(path)
-        start += len(chunk)
+    return "".join(out).encode("utf-8"), len(out), totals
 
 
 def _cmd_augment(run: Run) -> int:
@@ -410,22 +405,29 @@ def _cmd_augment(run: Run) -> int:
         seed=run.seed,
     )
     specs = _parse_lex_specs(args.lex)
-    lexicons = []
-    for tag_text, path in specs:
-        tgt = run.parse_tag(tag_text)
-        if tgt == ENGLISH:
-            raise ConfigError("lexicon target language cannot be eng_Latn")
-        lexicons.append(lexicon_mod.load(path, fmt, tgt))
-    subs = augment_mod.SubstitutionSet.prepare(lexicons, policy.top_k)
-    totals = [0, 0, 0, 0]  # seen, without lexicon, matched, replaced
 
-    def consume(results: Iterable[tuple[list[str], list[int]]]) -> Iterator[str]:
-        for out_lines, counts in results:
-            for i, n in enumerate(counts):
+    def lexicons() -> Iterator[lexicon_mod.BilingualLexicon]:
+        for tag_text, path in specs:
+            tgt = run.parse_tag(tag_text)
+            if tgt == ENGLISH:
+                raise ConfigError("lexicon target language cannot be eng_Latn")
+            yield lexicon_mod.load(path, fmt, tgt)
+
+    # A generator: each lexicon is cut to its top-K table and dropped
+    # before the next one is read.
+    subs = augment_mod.SubstitutionSet.prepare(lexicons(), policy.top_k)
+    totals = [0, 0, 0, 0, 0]  # augmented, seen, without lexicon, matched, replaced
+
+    def consume(results: Iterable[tuple[bytes, int, list[int]]]) -> Iterator[bytes]:
+        for data, rows, counts in results:
+            for i, n in enumerate((rows, *counts)):
                 totals[i] += n
-            yield from out_lines
+            yield data
 
-    chunks = _read_chunks(args.in_path, _AUGMENT_CHUNK)
+    blocks = (
+        (start, block, args.in_path)
+        for start, block in corpus_mod.iter_blocks(args.in_path, _AUGMENT_BLOCK)
+    )
     state = (subs, policy, run.valid_tags)
     if run.threads > 1:
         import multiprocessing
@@ -433,14 +435,12 @@ def _cmd_augment(run: Run) -> int:
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
         with ctx.Pool(run.threads, initializer=_augment_worker_init, initargs=state) as pool:
-            augmented = corpus_mod.write_tsv_rows(
-                consume(pool.imap(_augment_chunk, chunks)), args.out
-            )
+            corpus_mod.write_tsv_bytes(consume(pool.imap(_augment_chunk, blocks)), args.out)
     else:
         _augment_worker_init(*state)
-        augmented = corpus_mod.write_tsv_rows(consume(map(_augment_chunk, chunks)), args.out)
+        corpus_mod.write_tsv_bytes(consume(map(_augment_chunk, blocks)), args.out)
 
-    seen, without_lexicon, matched, replaced = totals
+    augmented, seen, without_lexicon, matched, replaced = totals
     rate = replaced / matched if matched else 0.0
     print(
         f"augment: {augmented} of {seen} pairs augmented "
@@ -488,12 +488,14 @@ def _cmd_mixture(run: Run) -> int:
     args = run.args
     started = time.monotonic()
     counts: list[int] = []
+
+    def checked(path: str) -> Iterator[tuple[int, list[str]]]:
+        for lineno, fields in corpus_mod.iter_fields(path):
+            corpus_mod.check_row(fields, run.valid_tags, path, lineno)
+            yield lineno, fields
+
     mixed = augment_mod.mixture_rows(
-        lambda: corpus_mod.iter_fields(args.in_path),
-        corpus_mod.iter_fields(args.aug),
-        (args.in_path, args.aug),
-        run.valid_tags,
-        counts,
+        lambda: checked(args.in_path), checked(args.aug), (args.in_path, args.aug), counts
     )
 
     def rows() -> Iterator[str]:

@@ -3,15 +3,18 @@
 Two representations are used. Library operations work on in-memory
 :class:`ParallelCorpus` values. The CLI streams every command in constant
 memory regardless of corpus size: raw TSV fields go through
-:func:`iter_fields` / :func:`write_tsv_rows`, and the selection commands
-(``sample``, ``seed-select``) validate rows with :func:`iter_tsv_rows`,
-spill them to disk and copy the chosen rows' bytes out with
-:func:`write_tsv_bytes` (see :mod:`selection`). Both representations call
-the same cores: :func:`split_row` (the field check), :func:`check_tags`
-(the tag check, with :func:`lang.parse_tag`'s messages), :func:`clean_rows`
-(the cleaning loop around :func:`clean_pair`, the empty-side rule),
-:func:`accounting_language` (the accounting rule), :func:`reduce_keep`
-(the reduction plan) and ``selection.Selection`` (the draw).
+:func:`iter_fields` / :func:`write_tsv_rows`; ``augment`` works on raw
+byte blocks from :func:`iter_blocks` and writes the encoded rows with
+:func:`write_tsv_bytes`; the selection commands (``sample``,
+``seed-select``) validate rows with :func:`iter_tsv_rows`, spill them to
+disk and copy the chosen rows' bytes out with :func:`write_tsv_bytes`
+(see :mod:`selection`). Both representations call the same cores:
+:func:`split_row` (the field check), :func:`check_row` (the tag check,
+with :func:`lang.parse_tag`'s messages, and :func:`check_pair`, the rules
+every :class:`SentencePair` obeys), :func:`clean_rows` (the cleaning loop
+around :func:`clean_pair`, the empty-side rule), :func:`accounting_language`
+(the accounting rule), :func:`reduce_keep` (the reduction plan) and
+``selection.Selection`` (the draw).
 
 Wire format (one sentence pair per line)::
 
@@ -66,15 +69,26 @@ class SentencePair:
     subset: str = DEFAULT_SUBSET
 
     def __post_init__(self) -> None:
-        if self.src_lang == self.tgt_lang:
-            raise CorpusError(f"source and target language are both {self.src_lang}")
+        check_pair(self.src_lang, self.tgt_lang, self.source, self.target)
         for name, value in (("source", self.source), ("target", self.target)):
-            if not value.strip():
-                raise CorpusError(f"{name} text is empty")
             if "\t" in value or "\n" in value:
                 raise CorpusError(f"{name} text contains a tab or newline")
         if "\t" in self.subset or "\n" in self.subset:
             raise CorpusError("subset label contains a tab or newline")
+
+
+def check_pair(src_lang: L, tgt_lang: L, source: str, target: str) -> None:
+    """The pair rules on tags and texts: the languages differ, neither text is blank.
+
+    Tags are both :class:`LanguageTag` values or both rendered. A blank
+    text is tested with ``isspace``, which copies nothing.
+    """
+    if src_lang == tgt_lang:
+        raise CorpusError(f"source and target language are both {src_lang}")
+    if not source or source.isspace():
+        raise CorpusError("source text is empty")
+    if not target or target.isspace():
+        raise CorpusError("target text is empty")
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,15 +157,64 @@ def iter_lines(path: str | Path) -> Iterator[str]:
     try:
         with open(path, "rb") as handle:
             for lineno, raw in enumerate(handle, start=1):
-                try:
-                    line = raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise CorpusError(
-                        f"{path}: invalid UTF-8 at line {lineno}: {exc}"
-                    ) from exc
-                yield line.rstrip("\r\n")
+                yield _decode_line(raw, path, lineno).rstrip("\r\n")
     except OSError as exc:
         raise CorpusError(f"cannot read {path}: {exc}") from exc
+
+
+def _decode_line(raw: bytes, path: str | Path, lineno: int) -> str:
+    """One raw line (newline included) as text; bad UTF-8 names the path and line."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path}: invalid UTF-8 at line {lineno}: {exc}") from exc
+
+
+def iter_blocks(path: str | Path, size: int) -> Iterator[tuple[int, bytes]]:
+    """Yield (index of the first line, raw bytes) blocks of whole lines.
+
+    Each block ends at a newline, except a last line that has none, and
+    holds at most ``size`` bytes unless one line is longer: that line
+    makes a block of its own. The index counts lines from 0, so blocks
+    can be processed apart and still know their line numbers.
+    """
+    try:
+        with open(path, "rb") as handle:
+            start, pending = 0, b""
+            # ``pending`` holds at most a partial line between reads; a read
+            # fills a unit or, past half a unit, doubles the partial line, so
+            # a very long line costs linear time.
+            while data := handle.read(max(size - len(pending), len(pending))):
+                pending += data
+                # Whole lines within ``size`` bytes, or else the one longer line.
+                while cut := pending.rfind(b"\n", 0, size) + 1 or pending.find(b"\n") + 1:
+                    block, pending = pending[:cut], pending[cut:]
+                    yield start, block
+                    start += block.count(b"\n")
+            if pending:
+                yield start, pending
+    except OSError as exc:
+        raise CorpusError(f"cannot read {path}: {exc}") from exc
+
+
+def decode_block(block: bytes, path: str | Path, start: int) -> list[str]:
+    """The lines of an :func:`iter_blocks` block, as :func:`iter_lines` yields them.
+
+    ``start`` is the index of the block's first line; invalid UTF-8 raises
+    :func:`iter_lines`' error for the same line.
+    """
+    try:
+        lines = block.decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        # Decoding is reset at every newline, so the line holding the
+        # first bad byte fails alone too, with the error iter_lines gives.
+        first = block.rfind(b"\n", 0, exc.start) + 1
+        end = block.find(b"\n", exc.start) + 1 or len(block)
+        _decode_line(block[first:end], path, start + block.count(b"\n", 0, first) + 1)
+        raise
+    if lines[-1] == "":
+        lines.pop()
+    return [line.rstrip("\r") for line in lines]
 
 
 def ingest(
@@ -170,20 +233,21 @@ def ingest(
     rows = iter_paired_rows(source_path, target_path, src_lang, tgt_lang, subset)
     pairs = tuple(
         SentencePair(src, tgt, src_tag, tgt_tag, label)
-        for src_tag, tgt_tag, src, tgt, label in clean_rows(rows, skipped)
+        for src_tag, tgt_tag, src, tgt, label in clean_rows(rows, skipped.append)
     )
     return ParallelCorpus(pairs), IngestReport(len(pairs), tuple(skipped))
 
 
 def clean_rows(
     rows: Iterable[tuple[int, Sequence]],
-    skipped: list[tuple[int, str]],
+    skip: Callable[[tuple[int, str]], object],
     excluded: Collection[str] = (),
 ) -> Iterator[tuple]:
     """The first five fields of each kept (line number, fields) row, texts cleaned.
 
     A row dropped by :func:`clean_pair`, or whose subset is in ``excluded``,
-    appends (line number, reason) to ``skipped`` instead.
+    is passed to ``skip`` as (line number, reason) instead: a list's
+    ``append``, or a :class:`SkipLog`'s, which writes it out at once.
     """
     for lineno, fields in rows:
         source, target, reason = clean_pair(fields[2], fields[3])
@@ -191,7 +255,7 @@ def clean_rows(
         if subset in excluded:
             reason = f"excluded subset:{subset}"
         if reason:
-            skipped.append((lineno, reason))
+            skip((lineno, reason))
         else:
             yield fields[0], fields[1], source, target, subset
 
@@ -353,6 +417,21 @@ def check_tags(
                 raise TagError(f"{path}:{lineno}: {exc}") from None
 
 
+def check_row(
+    fields: Sequence[str], valid_tags: Collection[str], path: str | Path, lineno: int
+) -> None:
+    """Reject a row that :func:`read_tsv` would reject, without building a pair.
+
+    Checks the tags (:func:`check_tags`), then :func:`check_pair`'s rules
+    on the raw fields; the error is the one :func:`iter_tsv_rows` gives.
+    """
+    check_tags(fields, valid_tags, path, lineno)
+    try:
+        check_pair(fields[0], fields[1], fields[2], fields[3])
+    except CorpusError as exc:
+        raise CorpusError(f"{path}:{lineno}: {exc}") from None
+
+
 def iter_fields(path: str | Path) -> Iterator[tuple[int, list[str]]]:
     """Stream (line number, raw fields) from a corpus TSV."""
     for lineno, line in enumerate(iter_lines(path), start=1):
@@ -431,10 +510,30 @@ def _atomic_open(path: str | Path, mode: str, **kwargs) -> Iterator[IO]:
     tmp.replace(path)
 
 
+class SkipLog:
+    """An open skip report: :meth:`append` writes one (line number, reason) row."""
+
+    def __init__(self, handle: IO[str]):
+        self._write = handle.write
+        self.count = 0
+
+    def append(self, skip: tuple[int, str]) -> None:
+        self._write(f"{skip[0]}\t{skip[1]}\n")
+        self.count += 1
+
+
+@contextlib.contextmanager
+def open_skip_report(path: str | Path) -> Iterator[SkipLog]:
+    """A skip report written as it grows, renamed into place if the block succeeds."""
+    with _atomic_open(path, "w", encoding="utf-8", newline="\n") as handle:
+        yield SkipLog(handle)
+
+
 def write_skip_report(report: IngestReport, path: str | Path) -> None:
     """Plain-text sidecar: one ``<line>\\t<reason>`` row per dropped pair."""
-    lines = [f"{lineno}\t{reason}" for lineno, reason in report.skipped]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    with open_skip_report(path) as log:
+        for skip in report.skipped:
+            log.append(skip)
 
 
 def format_stats_table(stats_value: CorpusStats) -> str:

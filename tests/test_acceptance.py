@@ -426,6 +426,36 @@ def test_streaming_ingest_memory_bounded_at_10m_lines(tmp_path):
 
 
 @pytest.mark.slow
+def test_streaming_skip_report_memory_bounded_at_10m_lines(tmp_path):
+    # the skip report is written as lines are dropped, never held: 5M of
+    # 10M pairs skipped under the same ceiling
+    src = tmp_path / "big_src.txt"
+    tgt = tmp_path / "big_tgt.txt"
+    n = 10_000_000
+    with open(src, "w", encoding="utf-8") as fs, open(tgt, "w", encoding="utf-8") as ft:
+        for i in range(n):
+            fs.write(" \n" if i % 2 else f"england source line {i}\n")
+            ft.write(f"हिंदी लक्ष्य पंक्ति {i}\n")
+    out = tmp_path / "big.tsv"
+    proc = subprocess.run(
+        [sys.executable, str(LIMITED_RUN), str(MEMORY_CEILING), "ingest",
+         "--src", str(src), "--tgt", str(tgt), "--src-lang", "eng_Latn",
+         "--tgt-lang", "hin_Deva", "--out", str(out), "--no-manifest"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert f"kept {n // 2} pairs, skipped {n // 2}" in proc.stdout
+    with open(out, "rb") as handle:
+        assert sum(1 for _ in handle) == n // 2
+    with open(f"{out}.skipped.txt", encoding="utf-8") as handle:
+        for count, line in enumerate(handle, start=1):
+            assert line == f"{2 * count}\tempty source\n"
+    assert count == n // 2
+    _passline("streaming skip report", f"5M of 10M lines skipped under "
+                                       f"{MEMORY_CEILING >> 20} MiB")
+
+
+@pytest.mark.slow
 def test_selection_memory_bounded_at_10m_lines(tmp_path):
     # reduce, sample (upsampling one language) and seed-select keep a working
     # set that does not grow with the corpus: 10M lines under the same ceiling

@@ -1,4 +1,5 @@
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -23,7 +24,7 @@ from bitextpipe.lang import parse_tag
 from bitextpipe.lexicon import BilingualLexicon, LexiconEntry
 from bitextpipe.rng import derive_rng
 
-from conftest import ASM, ENG, HIN, mk_pair
+from conftest import ASM, BRX, ENG, HIN, mk_pair
 
 
 def _lexicon(tgt, words):
@@ -124,6 +125,28 @@ class TestAugmentSentence:
         policy = AugmentationPolicy(seed=1)
         with pytest.raises(AugmentError, match="merge"):
             SubstitutionSet.prepare([HIN_LEX, HIN_LEX], policy.top_k)
+
+    def test_lexicons_are_consumed_one_at_a_time(self):
+        consumed: list[weakref.ref] = []
+
+        def loaded(tgt, words):
+            assert [ref() for ref in consumed] == [None] * len(consumed)
+            lexicon = _lexicon(tgt, words)
+            consumed.append(weakref.ref(lexicon))
+            return lexicon
+
+        def lexicons():
+            yield loaded(HIN, {"dog": ["कुत्ता"], "cat": ["बिल्ली"]})
+            yield loaded(ASM, {"dog": ["কুকুৰ"]})
+            yield loaded(BRX, {"cat": ["मेंजी"]})
+
+        subs = SubstitutionSet.prepare(lexicons(), top_k=1)
+        assert [ref() for ref in consumed] == [None] * 3
+        assert subs.tables == {
+            "hin_Deva": {"dog": ("कुत्ता",)},
+            "asm_Beng": {"dog": ("কুকুৰ",)},
+            "brx_Deva": {"cat": ("मेंजी",)},
+        }
 
     def test_top_k_limits_matchable_entries(self):
         lex = _lexicon(HIN, {"alpha": ["अ"], "beta": ["ब"]})

@@ -338,6 +338,103 @@ class TestLexiconAugmentMixture:
         assert code == 1
 
 
+class TestAugmentBlocks:
+    """Augment's work unit is a byte block; its size changes no byte or count."""
+
+    ROWS = [f"eng_Latn\thin_Deva\tthe dog {i}\tक {i}\tgeneral" for i in range(40)]
+    ROWS[7] = "eng_Latn\thin_Deva\t" + "near the house a cat " * 12 + "\tघर\tWiki"  # > 1 unit
+    ROWS[23] = "eng_Latn\thin_Deva\tcat\tबिल्ली\tgeneral\torig"
+
+    def _augment(self, corpus, lex, out, threads) -> tuple[bytes, dict]:
+        assert run_cli("augment", "--in", corpus, "--lex", f"hin_Deva={lex}", "--prob", 0.5,
+                       "--seed", 3, "--threads", threads, "--out", out) == 0
+        doc = json.loads(Path(f"{out}.run.json").read_text(encoding="utf-8"))
+        return out.read_bytes(), doc["config"]["stats"]
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("ending, last", [("\n", "\n"), ("\r\n", "\r\n"), ("\n", "")])
+    def test_small_units_give_the_same_bytes_and_counts(
+        self, tmp_path, hin_lex, monkeypatch, threads, ending, last
+    ):
+        from bitextpipe import cli
+
+        corpus = tmp_path / "in.tsv"
+        corpus.write_text("\n".join(self.ROWS) + "\n", encoding="utf-8")
+        expected, expected_stats = self._augment(corpus, hin_lex, tmp_path / "ref.tsv", 1)
+        assert expected_stats["pairs_augmented"] > 10
+
+        corpus.write_bytes((ending.join(self.ROWS) + last).encode("utf-8"))
+        monkeypatch.setattr(cli, "_AUGMENT_BLOCK", 48)
+        got, stats = self._augment(corpus, hin_lex, tmp_path / "aug.tsv", threads)
+        assert got == expected
+        assert stats == expected_stats
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_invalid_utf8_in_a_later_unit_names_its_line(
+        self, tmp_path, hin_lex, monkeypatch, capsys, threads
+    ):
+        from bitextpipe import cli
+        from bitextpipe.corpus import iter_lines
+        from bitextpipe.errors import CorpusError
+
+        corpus = tmp_path / "in.tsv"
+        rows = [row.encode("utf-8") + b"\n" for row in self.ROWS]
+        rows[31] = rows[31].replace(b"\tgeneral", b"\xe0\xa4\tgeneral")
+        corpus.write_bytes(b"".join(rows))
+        with pytest.raises(CorpusError) as expected:
+            list(iter_lines(corpus))
+        assert "line 32" in str(expected.value)
+
+        monkeypatch.setattr(cli, "_AUGMENT_BLOCK", 48)
+        out = tmp_path / "out" / "aug.tsv"
+        out.parent.mkdir()
+        assert run_cli("augment", "--in", corpus, "--lex", f"hin_Deva={hin_lex}",
+                       "--seed", 3, "--threads", threads, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {expected.value}\n"
+        assert list(out.parent.iterdir()) == []
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_missing_input(self, tmp_path, hin_lex, capsys, threads):
+        missing = tmp_path / "nope.tsv"
+        assert run_cli("augment", "--in", missing, "--lex", f"hin_Deva={hin_lex}",
+                       "--threads", threads, "--out", tmp_path / "aug.tsv") == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read {missing}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["muse_hin.txt"]
+
+
+class TestRowRules:
+    @pytest.mark.parametrize("command", [
+        "stats", "reduce", "sample", "seed-select", "augment", "mixture",
+    ])
+    @pytest.mark.parametrize("row", [
+        "hin_Deva\thin_Deva\tक\tख\tWiki",
+        "eng_Latn\thin_Deva\t \tख\tWiki",
+        "eng_Latn\thin_Deva\ta\t\tWiki",
+        "eng_Latn\thin_Deva\ta\t\u3000\u2028\tWiki",
+    ])
+    def test_rows_the_library_rejects_fail_with_its_message(
+        self, tmp_path, capsys, hin_lex, command, row
+    ):
+        from bitextpipe.corpus import read_tsv
+        from bitextpipe.errors import CorpusError
+
+        corpus = tmp_path / "bad.tsv"
+        corpus.write_text(f"eng_Latn\thin_Deva\ta\tक\tWiki\n{row}\n", encoding="utf-8")
+        with pytest.raises(CorpusError) as expected:
+            read_tsv(corpus)
+        assert str(expected.value).startswith(f"{corpus}:2: ")
+        out = tmp_path / "out" / "o.tsv"
+        out.parent.mkdir()
+        extra = {
+            "seed-select": ["--budget", 1],
+            "augment": ["--lex", f"hin_Deva={hin_lex}"],
+            "mixture": ["--aug", corpus],
+        }.get(command, [])
+        assert run_cli(command, "--in", corpus, "--out", out, "--seed", 1, *extra) == 1
+        assert capsys.readouterr().err == f"error: {expected.value}\n"
+        assert list(out.parent.iterdir()) == []
+
+
 class TestSeedSelect:
     def test_proportional_selection(self, tmp_path):
         rows = []

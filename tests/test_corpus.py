@@ -8,7 +8,10 @@ from bitextpipe.corpus import (
     SentencePair,
     accounting_language,
     clean_text,
+    decode_block,
     ingest,
+    iter_blocks,
+    iter_lines,
     iter_tsv_rows,
     read_tsv,
     reduce_highresource,
@@ -246,3 +249,40 @@ class TestTsv:
         path.write_text("eng_Latn\txxx_Yyyy\ta\tb\tgeneral\n", encoding="utf-8")
         with pytest.raises(Exception, match="unknown"):
             list(iter_tsv_rows(path))
+
+
+class TestBlocks:
+    LINES = [b"short\n", b"x" * 90 + b"\n", b"ab\r\n", b"\n", "क्ष\n".encode(), b"y" * 40,
+             b"z\n"]
+
+    @pytest.mark.parametrize("size", [1, 5, 16, 41, 64, 1000])
+    @pytest.mark.parametrize("order", [slice(None), slice(None, None, -1)])
+    def test_blocks_hold_whole_lines_within_the_unit(self, tmp_path, size, order):
+        lines = self.LINES[order]
+        path = tmp_path / "c.tsv"
+        path.write_bytes(b"".join(lines))
+        blocks = list(iter_blocks(path, size))
+        assert b"".join(block for _, block in blocks) == path.read_bytes()
+        longest = max(len(line) for line in lines)
+        decoded = []
+        for start, block in blocks:
+            assert len(block) <= max(size, longest)
+            assert start == len(decoded)
+            assert block.endswith(b"\n") or block is blocks[-1][1]
+            decoded += decode_block(block, path, start)
+        assert decoded == list(iter_lines(path))
+
+    def test_invalid_utf8_names_the_line_as_iter_lines_does(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        path.write_bytes(b"ok\n" * 7 + b"fine \xe0\xa4 cut\r\n" + b"ok\n" * 3)
+        with pytest.raises(CorpusError) as expected:
+            list(iter_lines(path))
+        assert "line 8" in str(expected.value)
+        with pytest.raises(CorpusError) as got:
+            for start, block in iter_blocks(path, 10):
+                decode_block(block, path, start)
+        assert str(got.value) == str(expected.value)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(CorpusError, match="cannot read"):
+            list(iter_blocks(tmp_path / "nope.tsv", 64))
