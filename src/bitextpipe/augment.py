@@ -63,12 +63,14 @@ class AugmentationPolicy:
 class SubstitutionSet:
     """Per-language substitution tables derived from lexicons and a policy.
 
-    Tables are keyed by rendered target tag (``hin_Deva``). Applies the
-    policy's top-K truncation and drops multi-word entries, which
-    whitespace tokenization cannot match.
+    Tables are keyed by rendered target tag (``hin_Deva``) and map each
+    case-folded source word to its translations joined by tabs, one string
+    per word (no translation contains a tab). Applies the policy's top-K
+    truncation and drops multi-word entries, which whitespace tokenization
+    cannot match.
     """
 
-    def __init__(self, tables: Mapping[str, Mapping[str, tuple[str, ...]]]):
+    def __init__(self, tables: Mapping[str, Mapping[str, str]]):
         self.tables = dict(tables)
         self.languages = sorted(self.tables)
 
@@ -80,20 +82,22 @@ class SubstitutionSet:
 
         Only the top-K table of each lexicon is kept, and no reference to
         the lexicon outlives its turn: given a generator that loads them,
-        one whole lexicon is in memory at a time.
+        one lexicon is in memory at a time.
         """
-        tables: dict[str, dict[str, tuple[str, ...]]] = {}
+        tables: dict[str, dict[str, str]] = {}
         for lexicon in lexicons:
             tag = str(lexicon.tgt_lang)
             if tag in tables:
                 raise AugmentError(
                     f"two lexicons for {tag}; merge them first"
                 )
-            entries = truncate_topk(lexicon, top_k).entries
-            del lexicon  # before the loop asks the generator for the next one
+            lexicon = truncate_topk(lexicon, top_k)
             tables[tag] = {
-                entry.source: entry.translations for entry in entries if not entry.is_phrase
+                source: joined
+                for source, joined in lexicon.table.items()
+                if source not in lexicon.phrases
             }
+            del lexicon  # before the loop asks the generator for the next one
         return cls(tables)
 
 
@@ -111,14 +115,17 @@ def split_token_affixes(token: str) -> tuple[str, str, str]:
 
 def substitute_tokens(
     text: str,
-    table: Mapping[str, tuple[str, ...]],
+    table: Mapping[str, str],
     probability: float,
     rng: random.Random,
 ) -> tuple[str | None, int, int]:
     """Replace dictionary-matched tokens with probability ``probability``.
 
-    Returns (augmented text or None when nothing was replaced, number of
-    dictionary-matched tokens, number of replacements).
+    ``table`` maps a case-folded word to its tab-joined translations (see
+    :class:`SubstitutionSet`); each replacement draws ``randrange(n)`` over
+    the word's ``n`` translations, ``n = 1`` included. Returns (augmented
+    text or None when nothing was replaced, number of dictionary-matched
+    tokens, number of replacements).
     """
     tokens = text.split()
     out: list[str] | None = None
@@ -133,7 +140,8 @@ def substitute_tokens(
             continue
         matched += 1
         if rng.random() < probability:
-            choice = options[rng.randrange(len(options))]
+            choices = options.split("\t")
+            choice = choices[rng.randrange(len(choices))]
             if out is None:
                 out = list(tokens)
             out[idx] = prefix + choice + suffix

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, Mappin
 # and looks functions up on their module then, so a rebound module
 # attribute (a test double, a tracer) takes effect.
 from . import corpus as corpus_mod
-from .errors import AugmentError, ConfigError, CorpusError, PipelineError, read_lines
+from .errors import AugmentError, ConfigError, CorpusError, PipelineError, iter_lines
 from .lang import ENGLISH, LanguageTag, load_extra_tags, parse_pair, parse_tag, registry
 from .manifest import RunManifest, manifest_path_for, sha256_file
 
@@ -64,7 +64,7 @@ def _load_config_file(path: str | None) -> dict[str, str]:
     if not path:
         return {}
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(read_lines(path, ConfigError), start=1):
+    for lineno, raw in enumerate(iter_lines(path, ConfigError), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -333,8 +333,7 @@ def _cmd_lexicon(run: Run) -> int:
     fmt = run.opt("format", lexicon_mod.MUSE)
     topk = run.opt("topk", lexicon_mod.DEFAULT_TOP_K)
     tgt = run.parse_tag(args.tgt_lang)
-    lex = lexicon_mod.load(args.in_path, fmt, tgt)
-    lex = lexicon_mod.truncate_topk(lex, topk)
+    lex = lexicon_mod.load(args.in_path, fmt, tgt, top_k=topk)
     rows = lexicon_mod.write_tsv(lex, args.out)
     print(
         f"lexicon: {len(lex)} entries ({rows} translations), "
@@ -411,10 +410,10 @@ def _cmd_augment(run: Run) -> int:
             tgt = run.parse_tag(tag_text)
             if tgt == ENGLISH:
                 raise ConfigError("lexicon target language cannot be eng_Latn")
-            yield lexicon_mod.load(path, fmt, tgt)
+            yield lexicon_mod.load(path, fmt, tgt, top_k=policy.top_k)
 
-    # A generator: each lexicon is cut to its top-K table and dropped
-    # before the next one is read.
+    # A generator: each lexicon is read into its top-K entries only, and
+    # dropped once its table is built, before the next one is read.
     subs = augment_mod.SubstitutionSet.prepare(lexicons(), policy.top_k)
     totals = [0, 0, 0, 0, 0]  # augmented, seen, without lexicon, matched, replaced
 

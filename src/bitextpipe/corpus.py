@@ -29,11 +29,13 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import IO, Callable, Collection, Iterable, Iterator, Mapping, Sequence, TypeVar
 
+from . import errors
 from .errors import CorpusError, TagError
 from .lang import ENGLISH, LANGUAGE_NAMES, LanguageTag, parse_tag
 from .rng import derive_rng, pick
@@ -149,25 +151,12 @@ def accounting_language(src_lang: L, tgt_lang: L) -> L:
 
 
 def iter_lines(path: str | Path) -> Iterator[str]:
-    """Yield lines without trailing newlines, reporting bad UTF-8 by line.
+    """Yield lines without line endings; errors are :class:`CorpusError`.
 
     Lines are split in binary so a decoding error is attributed to the
-    exact line it occurs on.
+    exact line it occurs on (see :func:`errors.iter_lines`).
     """
-    try:
-        with open(path, "rb") as handle:
-            for lineno, raw in enumerate(handle, start=1):
-                yield _decode_line(raw, path, lineno).rstrip("\r\n")
-    except OSError as exc:
-        raise CorpusError(f"cannot read {path}: {exc}") from exc
-
-
-def _decode_line(raw: bytes, path: str | Path, lineno: int) -> str:
-    """One raw line (newline included) as text; bad UTF-8 names the path and line."""
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CorpusError(f"{path}: invalid UTF-8 at line {lineno}: {exc}") from exc
+    return errors.iter_lines(path, CorpusError)
 
 
 def iter_blocks(path: str | Path, size: int) -> Iterator[tuple[int, bytes]]:
@@ -210,7 +199,8 @@ def decode_block(block: bytes, path: str | Path, start: int) -> list[str]:
         # first bad byte fails alone too, with the error iter_lines gives.
         first = block.rfind(b"\n", 0, exc.start) + 1
         end = block.find(b"\n", exc.start) + 1 or len(block)
-        _decode_line(block[first:end], path, start + block.count(b"\n", 0, first) + 1)
+        lineno = start + block.count(b"\n", 0, first) + 1
+        errors.decode_line(block[first:end], path, lineno, CorpusError)
         raise
     if lines[-1] == "":
         lines.pop()
@@ -498,16 +488,28 @@ def write_tsv_bytes(lines: Iterable[bytes], path: str | Path) -> None:
 
 @contextlib.contextmanager
 def _atomic_open(path: str | Path, mode: str, **kwargs) -> Iterator[IO]:
-    """Open ``<path>.tmp``; rename it to ``path`` if the block succeeds, else delete it."""
+    """Open a new temp file beside ``path``; rename it over ``path`` if the
+    block succeeds, else delete it.
+
+    Each call gets its own ``<path>.<random>.tmp``, so concurrent writers to
+    one path never share a temp file: the last to finish wins, whole. The
+    file is created with mode 0666 less the umask, as ``open`` would.
+    """
     path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
+    while True:
+        tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
-        with open(tmp, mode, **kwargs) as handle:
+        with open(fd, mode, **kwargs) as handle:
             yield handle
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    tmp.replace(path)
+    os.replace(tmp, path)
 
 
 class SkipLog:

@@ -4,6 +4,7 @@ reader that turns an unreadable input file into one of these errors."""
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Iterator
 
 
 class PipelineError(Exception):
@@ -38,25 +39,27 @@ class ConfigError(PipelineError):
     """Invalid run configuration (CLI flags, config file, train phase)."""
 
 
-def read_lines(path: str | Path, error: type[PipelineError]) -> list[str]:
-    """The file's lines as UTF-8, split on ``\\n`` only, without line endings.
+def iter_lines(path: str | Path, error: type[PipelineError]) -> Iterator[str]:
+    """The file's lines as UTF-8, one at a time, without line endings.
 
-    Trailing ``\\r`` characters are dropped from each line; no other
-    character breaks a line, so line numbers agree with
-    :func:`corpus.iter_lines`. A missing or unreadable file raises
-    ``error`` naming the path; invalid UTF-8 raises ``error`` naming the
-    path and the line.
+    Lines are split on ``\\n`` only and trailing ``\\r`` characters are
+    dropped; no other character breaks a line, so every reader numbers
+    lines alike. A missing or unreadable file raises ``error`` naming the
+    path; invalid UTF-8 raises ``error`` naming the path and the line.
     """
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as handle:
+            for lineno, raw in enumerate(handle, start=1):
+                yield decode_line(raw, path, lineno, error).rstrip("\r\n")
     except OSError as exc:
         raise error(f"cannot read {path}: {exc}") from exc
+
+
+def decode_line(
+    raw: bytes, path: str | Path, lineno: int, error: type[PipelineError]
+) -> str:
+    """One raw line as text; invalid UTF-8 raises ``error`` naming the path and line."""
     try:
-        text = data.decode("utf-8")
+        return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
         raise error(f"{path}: invalid UTF-8 at line {lineno}: {exc}") from exc
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    return [line.rstrip("\r") for line in lines]

@@ -59,7 +59,7 @@ def read_lines(path: str | Path) -> list[str]:
     A lone ``\r`` stays inside its line, as in :func:`corpus.iter_lines`
     and sacreBLEU, so line counts agree across readers.
     """
-    return errors.read_lines(path, MetricError)
+    return list(errors.iter_lines(path, MetricError))
 
 
 def score_run(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Collection
 
-from .errors import TagError, read_lines
+from .errors import TagError, iter_lines
 
 _TAG_RE = re.compile(r"^([a-z]{3})_([A-Z][a-z]{3})$")
 
@@ -135,7 +135,7 @@ def load_extra_tags(path: str | Path) -> tuple[LanguageTag, ...]:
     """
     tags: list[LanguageTag] = []
     seen: set[str] = set(_BY_RENDERED)
-    for lineno, raw in enumerate(read_lines(path, TagError), start=1):
+    for lineno, raw in enumerate(iter_lines(path, TagError), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

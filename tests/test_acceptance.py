@@ -499,6 +499,50 @@ def test_selection_memory_bounded_at_10m_lines(tmp_path):
                                   f"{MEMORY_CEILING >> 20} MiB")
 
 
+@pytest.mark.slow
+def test_lexicon_memory_bounded_at_1_5m_lines(tmp_path):
+    # a lexicon is read one line at a time into its top-K entries, so augment
+    # (1 and 2 workers) and lexicon stay under the ceiling on a 1.5M-line file
+    n = 1_500_000
+    lex = tmp_path / "muse_hin.txt"
+    with open(lex, "w", encoding="utf-8") as handle:
+        for i in range(n):
+            handle.write(f"word{i // 2} शब्द{i}\n")
+    corpus = tmp_path / "corpus.tsv"
+    with open(corpus, "w", encoding="utf-8") as handle:
+        for i in range(2_000):
+            handle.write(f"eng_Latn\thin_Deva\tthe word{i} word{i + 3999}\tt {i}\tgeneral\n")
+
+    def limited(*argv: str) -> bytes:
+        out = tmp_path / "out.tsv"
+        proc = subprocess.run(
+            [sys.executable, str(LIMITED_RUN), str(MEMORY_CEILING), *argv, "--topk", "4000",
+             "--out", str(out), "--no-manifest"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        data = out.read_bytes()
+        out.unlink()
+        return data
+
+    augmented = [
+        limited("augment", "--in", str(corpus), "--lex", f"hin_Deva={lex}", "--prob", "1",
+                "--seed", "1", "--threads", str(threads))
+        for threads in (1, 2)
+    ]
+    assert augmented[0] == augmented[1]
+    # word0..word3999 are the top 4000: the first word of every row is in the
+    # table, the second only while i + 3999 < 4000
+    assert augmented[0].count(b"\n") == 2_000
+    assert augmented[0].count("शब्द".encode()) == 2_000 + 1
+    table = limited("lexicon", "--in", str(lex), "--tgt-lang", "hin_Deva").decode()
+    assert table.splitlines() == [
+        f"word{i // 2}\tशब्द{i}" for i in range(8_000)
+    ]
+    _passline("lexicon memory", f"augment at 1 and 2 workers and lexicon on {n:,} lexicon "
+                                f"lines under {MEMORY_CEILING >> 20} MiB")
+
+
 def test_throughput_smoke(tmp_path):
     n = 1_000_000
     src = tmp_path / "src.txt"

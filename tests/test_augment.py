@@ -1,8 +1,11 @@
+import hashlib
 import random
 import weakref
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitextpipe.augment import (
     MODE_PAIR_TARGET,
@@ -58,22 +61,89 @@ class TestSubstituteTokens:
     def test_no_replacement_returns_none(self):
         rng = random.Random(1)
         text, matched, replaced = substitute_tokens(
-            "nothing matches here", {"dog": ("कुत्ता",)}, 1.0, rng
+            "nothing matches here", {"dog": "कुत्ता"}, 1.0, rng
         )
         assert text is None and matched == 0 and replaced == 0
 
     def test_punctuation_preserved_around_replacement(self):
         rng = random.Random(1)
         text, matched, replaced = substitute_tokens(
-            'the "dog!" barked', {"dog": ("कुत्ता",)}, 1.0, rng
+            'the "dog!" barked', {"dog": "कुत्ता"}, 1.0, rng
         )
         assert text == 'the "कुत्ता!" barked'
         assert matched == 1 and replaced == 1
 
     def test_case_folded_match_keeps_original_elsewhere(self):
         rng = random.Random(1)
-        text, _, _ = substitute_tokens("Dog days", {"dog": ("कुत्ता",)}, 1.0, rng)
+        text, _, _ = substitute_tokens("Dog days", {"dog": "कुत्ता"}, 1.0, rng)
         assert text == "कुत्ता days"
+
+
+def _substitute_with_tuples(text, table, probability, rng):
+    """:func:`substitute_tokens` over tuple-valued tables, as tables used to be
+    stored: the reference the tab-joined tables must match draw for draw."""
+    tokens = text.split()
+    out = list(tokens)
+    matched = replaced = 0
+    for idx, token in enumerate(tokens):
+        prefix, core, suffix = split_token_affixes(token)
+        options = table.get(core.casefold()) if core else None
+        if options is None:
+            continue
+        matched += 1
+        if rng.random() < probability:
+            out[idx] = prefix + options[rng.randrange(len(options))] + suffix
+            replaced += 1
+    return (" ".join(out) if replaced else None), matched, replaced
+
+
+class TestTabJoinedTables:
+    WORDS = ("dog", "Dog,", "(cat)", "house", "the", "water.", "...", "tree")
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        words=st.lists(st.sampled_from(WORDS), max_size=12),
+        counts=st.fixed_dictionaries(
+            {w: st.integers(1, 3) for w in ("dog", "cat", "house", "water")}
+        ),
+        probability=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_same_draws_as_tuple_tables(self, words, counts, probability, seed):
+        tuples = {w: tuple(f"{w}{i}" for i in range(n)) for w, n in counts.items()}
+        joined = {w: "\t".join(options) for w, options in tuples.items()}
+        got, want = random.Random(seed), random.Random(seed)
+        text = " ".join(words)
+        assert substitute_tokens(text, joined, probability, got) == _substitute_with_tuples(
+            text, tuples, probability, want
+        )
+        assert got.getstate() == want.getstate()
+
+    def test_one_translation_still_draws(self):
+        # randrange(1) consumes random bits: skipping it would shift every
+        # later draw of the pair
+        rng, want = random.Random(5), random.Random(5)
+        assert substitute_tokens("dog dog", {"dog": "x"}, 1.0, rng)[0] == "x x"
+        for _ in range(2):
+            want.random()
+            want.randrange(1)
+        assert rng.getstate() == want.getstate()
+
+    def test_augment_bytes_are_pinned(self):
+        # one- and three-translation words; the digest is the output of
+        # tuple-valued tables
+        lex = _lexicon(HIN, {"dog": ["कुत्ता"], "cat": ["बिल्ली"], "house": ["घर", "मकान", "गृह"]})
+        words = ["the", "dog", "Cat,", "house", "near", "(dog)"]
+        corpus = ParallelCorpus(tuple(
+            SentencePair(" ".join(words[(i * j) % 6] for j in range(1, 2 + i % 7)),
+                         f"t {i}", ENG, HIN)
+            for i in range(300)
+        ))
+        policy = AugmentationPolicy(probability=0.5, seed=3)
+        out, stats = augment_corpus(corpus, SubstitutionSet.prepare([lex], policy.top_k), policy)
+        assert (len(out), stats.tokens_matched, stats.tokens_replaced) == (174, 564, 277)
+        digest = hashlib.sha256("\n".join(p.source for p in out).encode()).hexdigest()
+        assert digest == "9a5ee1d1ebdf9f0049b880fd102a7dd5da7813e12e33ef52126b1cff15c0d918"
 
 
 class TestAugmentSentence:
@@ -143,9 +213,9 @@ class TestAugmentSentence:
         subs = SubstitutionSet.prepare(lexicons(), top_k=1)
         assert [ref() for ref in consumed] == [None] * 3
         assert subs.tables == {
-            "hin_Deva": {"dog": ("कुत्ता",)},
-            "asm_Beng": {"dog": ("কুকুৰ",)},
-            "brx_Deva": {"cat": ("मेंजी",)},
+            "hin_Deva": {"dog": "कुत्ता"},
+            "asm_Beng": {"dog": "কুকুৰ"},
+            "brx_Deva": {"cat": "मेंजी"},
         }
 
     def test_top_k_limits_matchable_entries(self):

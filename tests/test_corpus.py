@@ -1,4 +1,5 @@
 import math
+import os
 
 import pytest
 
@@ -20,6 +21,7 @@ from bitextpipe.corpus import (
     stats_from_counts,
     write_skip_report,
     write_tsv,
+    write_tsv_rows,
 )
 from bitextpipe.errors import CorpusError
 from bitextpipe.lang import parse_tag
@@ -249,6 +251,30 @@ class TestTsv:
         path.write_text("eng_Latn\txxx_Yyyy\ta\tb\tgeneral\n", encoding="utf-8")
         with pytest.raises(Exception, match="unknown"):
             list(iter_tsv_rows(path))
+
+
+class TestAtomicWrites:
+    def test_overlapping_writers_each_publish_whole_bytes(self, tmp_path):
+        out = tmp_path / "out.tsv"
+
+        def first():
+            yield "A" * 10
+            # a second writer runs start to finish while the first is open
+            assert write_tsv_rows(["BBBB"], out) == 1
+            assert out.read_bytes() == b"BBBB\n"
+            yield "A" * 5
+
+        assert write_tsv_rows(first(), out) == 2
+        assert out.read_bytes() == b"AAAAAAAAAA\nAAAAA\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.tsv"]
+
+    def test_new_file_mode_follows_the_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            write_tsv_rows(["x"], tmp_path / "out.tsv")
+        finally:
+            os.umask(old)
+        assert (tmp_path / "out.tsv").stat().st_mode & 0o777 == 0o640
 
 
 class TestBlocks:

@@ -1,9 +1,16 @@
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitextpipe.errors import LexiconError
 from bitextpipe.lexicon import (
     GATITOS,
     MUSE,
+    BilingualLexicon,
+    LexiconEntry,
     load,
     truncate_topk,
     write_tsv,
@@ -141,9 +148,106 @@ class TestTruncate:
             truncate_topk(lex, 0)
 
 
+# Sources that merge under case folding ("Dog"/"DOG", "Straße"/"STRASSE"),
+# translations, and lines that are blank, malformed, or hold U+2028 (a
+# space inside a line, never a break).
+SOURCES = ("dog", "Dog", "DOG", "cat", "Straße", "STRASSE", "house", "water", "tree")
+TARGETS = ("कुत्ता", "श्वान", "x", "घर", "y")
+NOISE = ("", "   ", "\u2028", "onlyonefield", "a b c", "\tlone", "a\tb\tc")
+
+
+@st.composite
+def lexicon_lines(draw, format):
+    kinds = ["pair", "pair", "pair", "noise"] + (["phrase"] if format == GATITOS else [])
+    sep = " " if format == MUSE else "\t"
+    lines = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=30)):
+        source, target = draw(st.sampled_from(SOURCES)), draw(st.sampled_from(TARGETS))
+        if kind == "pair":
+            inner = draw(st.sampled_from([sep, " \u2028 " if format == MUSE else "\t\u2028"]))
+            lines.append(source + inner + target)
+        elif kind == "phrase":
+            lines.append(f"{source} {draw(st.sampled_from(SOURCES))}\t{target}")
+        else:
+            lines.append(draw(st.sampled_from(NOISE)))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text[: -len(ends[-1])] if lines and draw(st.booleans()) else text
+
+
+class TestStreamedTopK:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), format=st.sampled_from([MUSE, GATITOS]))
+    def test_load_top_k_equals_truncated_load(self, data, format):
+        text = data.draw(lexicon_lines(format))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "lex.txt"
+            path.write_bytes(text.encode("utf-8"))
+            try:
+                whole = load(path, format, HIN)
+            except LexiconError:
+                with pytest.raises(LexiconError, match="empty lexicon"):
+                    load(path, format, HIN, top_k=1)
+                return
+            for k in range(1, len(whole) + 2):
+                streamed = load(path, format, HIN, top_k=k)
+                assert streamed == truncate_topk(whole, k)
+                assert streamed.skipped_lines == whole.skipped_lines
+                assert truncate_topk(streamed, k) is streamed
+
+    def test_later_translations_of_a_kept_source_merge(self, tmp_path):
+        path = _muse(tmp_path, ["dog a", "cat b", "bird c", "DOG d", "bad", "cat e"])
+        lex = load(path, MUSE, HIN, top_k=2)
+        assert [(e.source, e.translations) for e in lex.entries] == [
+            ("dog", ("a", "d")), ("cat", ("b", "e"))
+        ]
+        assert lex.top_k == 2 and lex.skipped_lines == (5,)
+
+    def test_phrases_count_toward_k(self, tmp_path):
+        path = tmp_path / "lex.tsv"
+        path.write_text("good morning\tशुभ प्रभात\nwater\tपानी\n", encoding="utf-8")
+        lex = load(path, GATITOS, HIN, top_k=1)
+        assert [e.source for e in lex.entries] == ["good morning"]
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_invalid_k(self, tmp_path, k):
+        with pytest.raises(LexiconError, match="top-k bound must be positive"):
+            load(_muse(tmp_path, ["a b"]), MUSE, HIN, top_k=k)
+
+    @pytest.mark.parametrize("entries,message", [
+        ((LexiconEntry("dog", ("a\tb",)),), "translation with a tab"),
+        ((LexiconEntry("dog", ("a",)), LexiconEntry("dog", ("b",))), "two entries for 'dog'"),
+    ])
+    def test_entries_that_do_not_fit_one_string_per_word(self, entries, message):
+        with pytest.raises(LexiconError, match=message):
+            BilingualLexicon(HIN, entries)
+
+    def test_entries_view_round_trips(self):
+        entries = (LexiconEntry("good morning", ("शुभ प्रभात",), is_phrase=True),
+                   LexiconEntry("house", ("घर", "मकान")))
+        lex = BilingualLexicon(HIN, iter(entries), top_k=2, skipped_lines=(3,))
+        assert lex.entries == entries
+        assert lex == BilingualLexicon(HIN, entries, top_k=2, skipped_lines=(3,))
+        assert lex != BilingualLexicon(HIN, entries[::-1], top_k=2, skipped_lines=(3,))
+        assert lex.table == {"good morning": "शुभ प्रभात", "house": "घर\tमकान"}
+
+
 class TestMergeAndWrite:
     def test_write_tsv(self, tmp_path):
         lex = load(_muse(tmp_path, ["dog कुत्ता", "dog श्वान"]), MUSE, HIN)
         out = tmp_path / "out.tsv"
         assert write_tsv(lex, out) == 2
         assert out.read_text(encoding="utf-8") == "dog\tकुत्ता\ndog\tश्वान\n"
+
+    def test_failed_write_leaves_the_old_file(self, tmp_path):
+        # the TSV goes through a temp file, so an encoding error halfway
+        # through leaves the previous output whole and no temp file behind
+        out = tmp_path / "out.tsv"
+        out.write_text("old\n", encoding="utf-8")
+        lex = BilingualLexicon(HIN, (LexiconEntry("dog", ("कुत्ता",)),
+                                     LexiconEntry("cat", ("\ud800",))))
+        with pytest.raises(UnicodeEncodeError):
+            write_tsv(lex, out)
+        assert out.read_text(encoding="utf-8") == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.tsv"]
