@@ -1,11 +1,15 @@
 """Command-line interface: the pipeline as deterministic subcommands.
 
-Every subcommand writes its outputs to explicitly named paths, never
-mutates inputs, and records a run manifest (``<output>.run.json``) with
-the config snapshot and SHA-256 digests of inputs and outputs. ``--seed``
-is the single entropy source; omitting it picks a random seed that is
-recorded in the manifest. ``--threads`` only changes scheduling, never
-bytes: all randomness is drawn from per-record streams.
+Every subcommand writes its outputs to explicitly named paths and never
+mutates inputs. A handler declares its inputs and outputs on its
+:class:`Run` and returns its stdout text and config; :func:`_execute`
+then writes the run manifest (``<first output>.run.json``: config
+snapshot, SHA-256 digests of inputs and outputs) last and prints the
+text. A command without an output file writes no manifest. When a run
+fails, the outputs it renamed into place are removed. ``--seed`` is the
+single entropy source; omitting it picks a random seed that is recorded
+in the manifest. ``--threads`` only changes scheduling, never bytes: all
+randomness is drawn from per-record streams.
 
 A defaults file with ``key = value`` lines can be pointed to by the
 ``PIPELINE_CONFIG`` environment variable; explicit flags win over it.
@@ -17,11 +21,12 @@ import argparse
 import contextlib
 import json
 import os
+import stat
 import sys
 import time
 from collections import Counter
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 # Only what every subcommand needs is imported here, so a call never pays
 # for another command's modules: each handler imports the rest when it runs
@@ -29,7 +34,7 @@ from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, Mappin
 # attribute (a test double, a tracer) takes effect.
 from . import corpus as corpus_mod
 from .errors import AugmentError, ConfigError, CorpusError, PipelineError, iter_lines
-from .lang import ENGLISH, LanguageTag, load_extra_tags, parse_pair, parse_tag, rendered_tags
+from .lang import ENGLISH, load_extra_tags, parse_pair, parse_tag, rendered_tags
 from .manifest import RunManifest, manifest_path_for, sha256_file
 
 if TYPE_CHECKING:
@@ -37,6 +42,8 @@ if TYPE_CHECKING:
     from .selection import SpilledPools
 
 _CONFIG_ENV = "PIPELINE_CONFIG"
+
+_P = TypeVar("_P", str, Path)
 
 _INT_KEYS = {"seed", "threads", "topk", "budget", "threshold"}
 _FLOAT_KEYS = {"temperature", "prob", "factor"}
@@ -92,9 +99,10 @@ def _convert(key: str, raw: str):
 
 
 class Run:
-    """Resolved settings for one invocation."""
+    """Resolved settings and the declared files of one invocation."""
 
     def __init__(self, args: argparse.Namespace, file_cfg: dict[str, str]):
+        self.started = time.monotonic()
         self.args = args
         self.file_cfg = file_cfg
         seed = self.opt("seed", None)
@@ -107,13 +115,13 @@ class Run:
         self.threads: int = self.opt("threads", 1)
         if self.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {self.threads}")
-        tags_file = getattr(args, "tags_file", None)
-        self.extra_tags: tuple[LanguageTag, ...] = (
-            load_extra_tags(tags_file) if tags_file else ()
-        )
+        self.extra_tags = load_extra_tags(args.tags_file) if args.tags_file else ()
         # Rendered tag -> tag: the tags a corpus row may carry.
         self.valid_tags = rendered_tags(self.extra_tags)
-        self.write_manifest = not getattr(args, "no_manifest", False)
+        self.inputs: list[str | Path] = []
+        # (path as given, the file it resolves to, that file's identity before the write)
+        self.outputs: list[tuple[Path, str, tuple[int, int] | None]] = []
+        self._digests: dict[str, str] = {}
 
     def opt(self, key: str, default):
         value = getattr(self.args, key, None)
@@ -121,31 +129,67 @@ class Run:
             value = _convert(key, self.file_cfg[key])
         return default if value is None else value
 
-    def parse_tag(self, text: str) -> LanguageTag:
-        return parse_tag(text, self.extra_tags)
+    def input(self, *paths: str | Path) -> None:
+        """Declare input files; ``run.json`` records their digests."""
+        self.inputs.extend(paths)
 
-    def finish(
-        self,
-        command: str,
-        config: dict,
-        inputs: Iterable[str | Path],
-        outputs: Iterable[str | Path],
-        started: float,
-        digests: Mapping[str, str] | None = None,
-    ) -> None:
-        """Write ``run.json``; ``digests`` holds input digests already computed."""
-        if not self.write_manifest:
-            return
-        outputs = [Path(p) for p in outputs]
-        if not outputs:
-            return
-        run = RunManifest(command=command, config=config, seed=self.seed)
-        for path in inputs:
-            run.add_input(path, (digests or {}).get(str(path)))
-        for path in outputs:
-            run.add_output(path)
-        run.wall_time_s = time.monotonic() - started
-        run.write(manifest_path_for(outputs[0]))
+    def output(self, path: _P) -> _P:
+        """Declare an output file before writing it; returns ``path``.
+
+        The first output declared names ``<output>.run.json``. The path is
+        resolved as :func:`corpus._atomic_open` resolves it, and the
+        ``(st_dev, st_ino)`` found there now tells a failed run which files
+        it renamed into place.
+        """
+        real = os.path.realpath(path)
+        before: tuple[int, int] | None = None
+        with contextlib.suppress(OSError):
+            st = os.stat(real)
+            before = (st.st_dev, st.st_ino)
+        self.outputs.append((Path(path), real, before))
+        return path
+
+    def digest(self, path: str | Path) -> str:
+        """SHA-256 of ``path``, computed once per run."""
+        key = str(path)
+        if key not in self._digests:
+            self._digests[key] = sha256_file(path)
+        return self._digests[key]
+
+    def remove_written(self) -> None:
+        """Unlink each declared output that this run renamed into place.
+
+        Only a regular file whose identity changed since it was declared
+        goes: never a symlink itself, a device or pipe written in place, or
+        an earlier run's file that this run did not replace.
+        """
+        for _, real, before in self.outputs:
+            with contextlib.suppress(OSError):
+                st = os.lstat(real)
+                if stat.S_ISREG(st.st_mode) and (st.st_dev, st.st_ino) != before:
+                    os.unlink(real)
+
+
+def _execute(run: Run, handler: Callable[[Run], tuple[str, dict]]) -> int:
+    """Run ``handler``, write ``run.json`` last, then print the handler's text.
+
+    A handler declares its files on ``run`` and returns its stdout text and
+    its ``run.json`` config. On any error the outputs this run wrote are
+    removed and nothing is printed.
+    """
+    try:
+        text, config = handler(run)
+        if run.outputs and not run.args.no_manifest:
+            inputs = {str(path): run.digest(path) for path in run.inputs}
+            outputs = {str(path): run.digest(path) for path, _, _ in run.outputs}
+            manifest = RunManifest(run.args.command, config, run.seed, inputs, outputs)
+            manifest.wall_time_s = time.monotonic() - run.started
+            manifest.write(manifest_path_for(run.outputs[0][0]))
+    except BaseException:
+        run.remove_written()
+        raise
+    print(text)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -176,29 +220,17 @@ def _spilled_pools(
         yield SpilledPools((key_and_row(fields) for _, fields in rows), spill)
 
 
-@contextlib.contextmanager
-def _remove_on_error(*paths: str | Path) -> Iterator[None]:
-    """Delete ``paths`` if the block raises, so a failed run leaves no output."""
-    try:
-        yield
-    except BaseException:
-        for path in paths:
-            Path(path).unlink(missing_ok=True)
-        raise
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 
 
-def _cmd_ingest(run: Run) -> int:
+def _cmd_ingest(run: Run) -> tuple[str, dict]:
     args = run.args
-    started = time.monotonic()
-    out = Path(args.out)
+    out = run.output(Path(args.out))
     excluded = set(args.exclude_subset or ())
 
     if args.in_path:
-        inputs = [args.in_path]
+        run.input(args.in_path)
 
         def tsv_rows() -> Iterator[tuple[int, list[str]]]:
             for lineno, fields in corpus_mod.iter_fields(args.in_path):
@@ -215,18 +247,16 @@ def _cmd_ingest(run: Run) -> int:
             raise ConfigError(
                 "ingest needs either --in (TSV) or all of --src/--tgt/--src-lang/--tgt-lang"
             )
-        tags = (str(run.parse_tag(args.src_lang)), str(run.parse_tag(args.tgt_lang)))
+        tags = tuple(str(parse_tag(t, run.extra_tags)) for t in (args.src_lang, args.tgt_lang))
         subset = args.subset
         if subset in excluded:
             raise ConfigError(f"subset {subset!r} is excluded by --exclude-subset")
-        inputs = [args.src, args.tgt]
+        run.input(args.src, args.tgt)
         rows = corpus_mod.iter_paired_rows(args.src, args.tgt, *tags, subset)
 
-    skip_path = Path(str(out) + ".skipped.txt")
-    with corpus_mod.open_skip_report(skip_path) as skipped:
+    with corpus_mod.open_skip_report(run.output(Path(f"{out}.skipped.txt"))) as skipped:
         cleaned = corpus_mod.clean_rows(rows, skipped.append, excluded)
         kept = corpus_mod.write_tsv_rows(map("\t".join, cleaned), out)
-    print(f"ingest: kept {kept} pairs, skipped {skipped.count} -> {out}")
     config = {
         "in": args.in_path,
         "src": args.src,
@@ -237,29 +267,25 @@ def _cmd_ingest(run: Run) -> int:
         "exclude_subset": sorted(excluded),
         "threads": run.threads,
     }
-    run.finish("ingest", config, inputs, [out, skip_path], started)
-    return 0
+    return f"ingest: kept {kept} pairs, skipped {skipped.count} -> {out}", config
 
 
-def _cmd_stats(run: Run) -> int:
+def _cmd_stats(run: Run) -> tuple[str, dict]:
     args = run.args
-    started = time.monotonic()
+    run.input(args.in_path)
     counts = _count_accounting_tags(run, args.in_path)
     stats_value = corpus_mod.stats_from_counts(
         {run.valid_tags[tag]: n for tag, n in counts.items()}
     )
-    print(corpus_mod.format_stats_table(stats_value))
-    outputs: list[Path] = []
     if args.out:
-        corpus_mod.write_tsv_rows((f"{tag}\t{n}" for tag, n in sorted(counts.items())), args.out)
-        outputs.append(Path(args.out))
-    run.finish("stats", {"in": args.in_path}, [args.in_path], outputs, started)
-    return 0
+        rows = (f"{tag}\t{n}" for tag, n in sorted(counts.items()))
+        corpus_mod.write_tsv_rows(rows, run.output(args.out))
+    return corpus_mod.format_stats_table(stats_value), {"in": args.in_path}
 
 
-def _cmd_reduce(run: Run) -> int:
+def _cmd_reduce(run: Run) -> tuple[str, dict]:
     args = run.args
-    started = time.monotonic()
+    run.input(args.in_path)
     threshold = run.opt("threshold", corpus_mod.HIGH_RESOURCE_THRESHOLD)
     factor = run.opt("factor", corpus_mod.HIGH_RESOURCE_FACTOR)
     counts = _count_accounting_tags(run, args.in_path)
@@ -268,11 +294,7 @@ def _cmd_reduce(run: Run) -> int:
     kept_rows = corpus_mod.keep_ordinals(
         rows, lambda f: corpus_mod.accounting_language(f[0], f[1]), keep
     )
-    kept = corpus_mod.write_tsv_rows(("\t".join(f[:5]) for f in kept_rows), args.out)
-    print(
-        f"reduce: kept {kept} of {sum(counts.values())} pairs "
-        f"({len(keep)} languages over threshold {threshold}) -> {args.out}"
-    )
+    kept = corpus_mod.write_tsv_rows(("\t".join(f[:5]) for f in kept_rows), run.output(args.out))
     config = {
         "in": args.in_path,
         "threshold": threshold,
@@ -280,15 +302,17 @@ def _cmd_reduce(run: Run) -> int:
         "seed": run.seed,
         "threads": run.threads,
     }
-    run.finish("reduce", config, [args.in_path], [args.out], started)
-    return 0
+    return (
+        f"reduce: kept {kept} of {sum(counts.values())} pairs "
+        f"({len(keep)} languages over threshold {threshold}) -> {args.out}"
+    ), config
 
 
-def _cmd_sample(run: Run) -> int:
+def _cmd_sample(run: Run) -> tuple[str, dict]:
     from . import sampling
 
     args = run.args
-    started = time.monotonic()
+    run.input(args.in_path)
     temperature = run.opt("temperature", 5.0)
 
     def key_and_row(f: list[str]) -> tuple[str, str]:
@@ -300,16 +324,9 @@ def _cmd_sample(run: Run) -> int:
         budget = run.opt("budget", stats_value.total)
         plan = sampling.allocate(plan, budget)
         sampled = sampling.materialize(plan, pools, budget, seed=run.seed)
-        corpus_mod.write_tsv_bytes(sampled, args.out)
-    plan_path = Path(args.plan_out or f"{args.out}.plan.tsv")
-    plot_path = Path(args.plot_out or f"{args.out}.plot.tsv")
-    with _remove_on_error(args.out, plan_path):
-        sampling.write_plan_tsv(plan, plan_path)
-        sampling.write_plot_tsv(plan, plot_path)
-    print(
-        f"sample: T={temperature:g} budget={budget} languages={len(plan.probabilities)} "
-        f"-> {args.out}"
-    )
+        corpus_mod.write_tsv_bytes(sampled, run.output(args.out))
+    sampling.write_plan_tsv(plan, run.output(Path(args.plan_out or f"{args.out}.plan.tsv")))
+    sampling.write_plot_tsv(plan, run.output(Path(args.plot_out or f"{args.out}.plot.tsv")))
     config = {
         "in": args.in_path,
         "temperature": temperature,
@@ -317,27 +334,27 @@ def _cmd_sample(run: Run) -> int:
         "seed": run.seed,
         "threads": run.threads,
     }
-    run.finish("sample", config, [args.in_path], [args.out, plan_path, plot_path], started)
-    return 0
+    return (
+        f"sample: T={temperature:g} budget={budget} languages={len(plan.probabilities)} "
+        f"-> {args.out}"
+    ), config
 
 
-def _cmd_lexicon(run: Run) -> int:
+def _cmd_lexicon(run: Run) -> tuple[str, dict]:
     from . import lexicon as lexicon_mod
 
     args = run.args
-    started = time.monotonic()
+    run.input(args.in_path)
     fmt = run.opt("format", lexicon_mod.MUSE)
     topk = run.opt("topk", lexicon_mod.DEFAULT_TOP_K)
-    tgt = run.parse_tag(args.tgt_lang)
+    tgt = parse_tag(args.tgt_lang, run.extra_tags)
     lex = lexicon_mod.load(args.in_path, fmt, tgt, top_k=topk)
-    rows = lexicon_mod.write_tsv(lex, args.out)
-    print(
+    rows = lexicon_mod.write_tsv(lex, run.output(args.out))
+    config = {"in": args.in_path, "format": fmt, "topk": topk, "tgt_lang": str(tgt)}
+    return (
         f"lexicon: {len(lex)} entries ({rows} translations), "
         f"skipped {lex.skipped_count} lines -> {args.out}"
-    )
-    config = {"in": args.in_path, "format": fmt, "topk": topk, "tgt_lang": str(tgt)}
-    run.finish("lexicon", config, [args.in_path], [args.out], started)
-    return 0
+    ), config
 
 
 def _parse_lex_specs(specs: Sequence[str]) -> list[tuple[str, str]]:
@@ -379,12 +396,11 @@ def _augment_chunk(task: tuple[int, bytes, str]) -> tuple[bytes, int, list[int]]
     return "".join(out).encode("utf-8"), len(out), totals
 
 
-def _cmd_augment(run: Run) -> int:
+def _cmd_augment(run: Run) -> tuple[str, dict]:
     from . import augment as augment_mod
     from . import lexicon as lexicon_mod
 
     args = run.args
-    started = time.monotonic()
     fmt = run.opt("format", lexicon_mod.MUSE)
     policy = augment_mod.AugmentationPolicy(
         probability=run.opt("prob", augment_mod.DEFAULT_PROBABILITY),
@@ -393,10 +409,11 @@ def _cmd_augment(run: Run) -> int:
         seed=run.seed,
     )
     specs = _parse_lex_specs(args.lex)
+    run.input(args.in_path, *(p for _, p in specs))
 
     def lexicons() -> Iterator[lexicon_mod.BilingualLexicon]:
         for tag_text, path in specs:
-            tgt = run.parse_tag(tag_text)
+            tgt = parse_tag(tag_text, run.extra_tags)
             if tgt == ENGLISH:
                 raise ConfigError("lexicon target language cannot be eng_Latn")
             yield lexicon_mod.load(path, fmt, tgt, top_k=policy.top_k)
@@ -417,24 +434,20 @@ def _cmd_augment(run: Run) -> int:
         for start, block in corpus_mod.iter_blocks(args.in_path, _AUGMENT_BLOCK)
     )
     state = (subs, policy, run.valid_tags)
+    out = run.output(args.out)
     if run.threads > 1:
         import multiprocessing
 
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
         with ctx.Pool(run.threads, initializer=_augment_worker_init, initargs=state) as pool:
-            corpus_mod.write_tsv_bytes(consume(pool.imap(_augment_chunk, blocks)), args.out)
+            corpus_mod.write_tsv_bytes(consume(pool.imap(_augment_chunk, blocks)), out)
     else:
         _augment_worker_init(*state)
-        corpus_mod.write_tsv_bytes(consume(map(_augment_chunk, blocks)), args.out)
+        corpus_mod.write_tsv_bytes(consume(map(_augment_chunk, blocks)), out)
 
     augmented, seen, without_lexicon, matched, replaced = totals
     rate = replaced / matched if matched else 0.0
-    print(
-        f"augment: {augmented} of {seen} pairs augmented "
-        f"({without_lexicon} without lexicon), {replaced}/{matched} matched tokens "
-        f"replaced (rate {rate:.4f}) -> {args.out}"
-    )
     config = {
         "in": args.in_path,
         "lex": [f"{t}={p}" for t, p in specs],
@@ -452,10 +465,11 @@ def _cmd_augment(run: Run) -> int:
             "tokens_replaced": replaced,
         },
     }
-    run.finish(
-        "augment", config, [args.in_path] + [p for _, p in specs], [args.out], started
-    )
-    return 0
+    return (
+        f"augment: {augmented} of {seen} pairs augmented "
+        f"({without_lexicon} without lexicon), {replaced}/{matched} matched tokens "
+        f"replaced (rate {rate:.4f}) -> {args.out}"
+    ), config
 
 
 def _augment_policy(aug_path: str) -> AugmentationPolicy | None:
@@ -470,16 +484,17 @@ def _augment_policy(aug_path: str) -> AugmentationPolicy | None:
         return None
 
 
-def _cmd_mixture(run: Run) -> int:
+def _cmd_mixture(run: Run) -> tuple[str, dict]:
     from . import augment as augment_mod
 
     args = run.args
-    started = time.monotonic()
+    inputs = (args.in_path, args.aug)
+    run.input(*inputs)
     counts: list[int] = []
     mixed = augment_mod.mixture_rows(
         lambda: corpus_mod.iter_tsv_rows(args.in_path, run.valid_tags),
         corpus_mod.iter_tsv_rows(args.aug, run.valid_tags),
-        (args.in_path, args.aug),
+        inputs,
         counts,
     )
 
@@ -490,32 +505,24 @@ def _cmd_mixture(run: Run) -> int:
             else:
                 yield "\t".join(f[:5]) + "\t" + origin
 
-    corpus_mod.write_tsv_rows(rows(), args.out)
+    corpus_mod.write_tsv_rows(rows(), run.output(args.out))
     mix_path = Path(args.mixture_manifest or f"{args.out}.mixture.json")
-    digests = {str(path): sha256_file(path) for path in (args.in_path, args.aug)}
-    with _remove_on_error(args.out):
-        seed = run.seed if run.seed_given else None
-        manifest = augment_mod.MixtureManifest(
-            *counts, sum(counts), seed, _augment_policy(args.aug)
-        )
-        doc = dict(manifest.to_dict(), inputs=digests)
-        corpus_mod.write_tsv_rows([json.dumps(doc, indent=2)], mix_path)
-    print(
+    seed = run.seed if run.seed_given else None
+    manifest = augment_mod.MixtureManifest(*counts, sum(counts), seed, _augment_policy(args.aug))
+    doc = dict(manifest.to_dict(), inputs={str(path): run.digest(path) for path in inputs})
+    corpus_mod.write_tsv_rows([json.dumps(doc, indent=2)], run.output(mix_path))
+    config = {"in": args.in_path, "aug": args.aug, "threads": run.threads}
+    return (
         f"mixture: {manifest.n_total} pairs "
         f"(2*{manifest.n_original} + {manifest.n_augmented}) -> {args.out}"
-    )
-    config = {"in": args.in_path, "aug": args.aug, "threads": run.threads}
-    run.finish(
-        "mixture", config, [args.in_path, args.aug], [args.out, mix_path], started, digests
-    )
-    return 0
+    ), config
 
 
-def _cmd_seed_select(run: Run) -> int:
+def _cmd_seed_select(run: Run) -> tuple[str, dict]:
     from . import augment as augment_mod
 
     args = run.args
-    started = time.monotonic()
+    run.input(args.in_path)
     budget = run.opt("budget", augment_mod.DEFAULT_SEED_BUDGET)
 
     def key_and_row(f: list[str]) -> tuple[str, str]:
@@ -523,62 +530,48 @@ def _cmd_seed_select(run: Run) -> int:
 
     with _spilled_pools(run, key_and_row) as pools:
         selected = augment_mod.select_seed(pools, budget=budget, seed=run.seed)
-        corpus_mod.write_tsv_bytes(selected, args.out)
+        corpus_mod.write_tsv_bytes(selected, run.output(args.out))
     per_subset = {label: selected.counts.get(label, 0) for label in sorted(pools)}
-    print(f"seed-select: {len(selected)} pairs {per_subset} -> {args.out}")
     config = {"in": args.in_path, "budget": budget, "seed": run.seed, "threads": run.threads}
-    run.finish("seed-select", config, [args.in_path], [args.out], started)
-    return 0
+    return f"seed-select: {len(selected)} pairs {per_subset} -> {args.out}", config
 
 
-def _cmd_score(run: Run) -> int:
+def _cmd_score(run: Run) -> tuple[str, dict]:
     from . import evalharness
 
     args = run.args
-    started = time.monotonic()
+    run.input(args.hyp, args.ref)
     pair = parse_pair(args.pair, run.extra_tags)
     row = evalharness.score_run(args.hyp, args.ref, pair)
-    print(f"{row.pair}\t{row.bleu:.4f}\t{row.chrf:.4f}\t{row.chrf_pp:.4f}")
-    outputs: list[Path] = []
     if args.out:
-        evalharness.write_rows_tsv([row], args.out)
-        outputs.append(Path(args.out))
+        evalharness.write_rows_tsv([row], run.output(args.out))
     config = {"hyp": args.hyp, "ref": args.ref, "pair": args.pair}
-    run.finish("score", config, [args.hyp, args.ref], outputs, started)
-    return 0
+    return f"{row.pair}\t{row.bleu:.4f}\t{row.chrf:.4f}\t{row.chrf_pp:.4f}", config
 
 
-def _cmd_report(run: Run) -> int:
+def _cmd_report(run: Run) -> tuple[str, dict]:
     from . import evalharness
 
     args = run.args
-    started = time.monotonic()
+    run.input(*args.in_paths)
     rows: list[evalharness.ScoreRow] = []
     for path in args.in_paths:
         rows.extend(evalharness.read_rows_tsv(path, run.extra_tags))
     rep = evalharness.report(rows)
-    print(evalharness.render_text(rep))
-    outputs: list[Path] = []
     if args.out:
-        evalharness.write_report_tsv(rep, args.out)
-        outputs.append(Path(args.out))
-    run.finish("report", {"in": list(args.in_paths)}, list(args.in_paths), outputs, started)
-    return 0
+        evalharness.write_report_tsv(rep, run.output(args.out))
+    return evalharness.render_text(rep), {"in": list(args.in_paths)}
 
 
-def _cmd_train_config(run: Run) -> int:
+def _cmd_train_config(run: Run) -> tuple[str, dict]:
     from . import trainconfig
 
     args = run.args
-    started = time.monotonic()
     config = trainconfig.emit(args.phase)
-    if args.out:
-        trainconfig.write_json(config, args.out)
-        print(f"train-config: {args.phase} -> {args.out}")
-        run.finish("train-config", {"phase": args.phase}, [], [args.out], started)
-    else:
-        print(json.dumps(config.to_dict(), indent=2))
-    return 0
+    if not args.out:
+        return json.dumps(config.to_dict(), indent=2), {}
+    trainconfig.write_json(config, run.output(args.out))
+    return f"train-config: {args.phase} -> {args.out}", {"phase": args.phase}
 
 
 # ---------------------------------------------------------------------------
@@ -615,13 +608,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exclude-subset", action="append", default=None)
     p.add_argument("--out", required=True)
     _add_common(p)
-    p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("stats", help="per-language pair counts")
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--out", default=None, help="optional lang/count TSV")
     _add_common(p)
-    p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("reduce", help="halve languages over the high-resource threshold")
     p.add_argument("--in", dest="in_path", required=True)
@@ -629,7 +620,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=int, default=None)
     p.add_argument("--factor", type=float, default=None)
     _add_common(p)
-    p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("sample", help="temperature-sample the corpus to a budget")
     p.add_argument("--in", dest="in_path", required=True)
@@ -639,7 +629,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan-out", default=None)
     p.add_argument("--plot-out", default=None)
     _add_common(p)
-    p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("lexicon", help="normalize and truncate a bilingual lexicon")
     p.add_argument("--in", dest="in_path", required=True)
@@ -648,7 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topk", type=int, default=None)
     p.add_argument("--out", required=True)
     _add_common(p)
-    p.set_defaults(func=_cmd_lexicon)
 
     p = sub.add_parser("augment", help="dictionary code-switching augmentation")
     p.add_argument("--in", dest="in_path", required=True)
@@ -661,7 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default=None, choices=list(_MODES))
     p.add_argument("--out", required=True)
     _add_common(p)
-    p.set_defaults(func=_cmd_augment)
 
     p = sub.add_parser("mixture", help="original + reversed + augmented pre-training TSV")
     p.add_argument("--in", dest="in_path", required=True, help="original En->Indic TSV")
@@ -669,14 +656,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--mixture-manifest", default=None)
     _add_common(p)
-    p.set_defaults(func=_cmd_mixture)
 
     p = sub.add_parser("seed-select", help="proportional seed-data selection")
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--out", required=True)
     _add_common(p)
-    p.set_defaults(func=_cmd_seed_select)
 
     p = sub.add_parser("score", help="BLEU/chrF/chrF++ for one language pair")
     p.add_argument("--hyp", required=True)
@@ -684,30 +669,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair", required=True, help="e.g. asm_Beng-eng_Latn")
     p.add_argument("--out", default=None, help="optional score-row TSV")
     _add_common(p)
-    p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("report", help="aggregate score rows into a table")
     p.add_argument("--in", dest="in_paths", action="append", required=True)
     p.add_argument("--out", default=None)
     _add_common(p)
-    p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("train-config", help="emit a training hyperparameter manifest")
     p.add_argument("--phase", required=True, choices=list(_PHASES))
     p.add_argument("--out", default=None)
     _add_common(p)
-    p.set_defaults(func=_cmd_train_config)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        file_cfg = _load_config_file(os.environ.get(_CONFIG_ENV))
-        run = Run(args, file_cfg)
-        return args.func(run)
+        run = Run(args, _load_config_file(os.environ.get(_CONFIG_ENV)))
+        # Looked up per call, so a rebound handler (a tracer) takes effect.
+        return _execute(run, globals()["_cmd_" + args.command.replace("-", "_")])
     except (PipelineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -493,12 +493,12 @@ def _atomic_open(path: str | Path, mode: str, **kwargs) -> Iterator[IO]:
     target) and an existing path that is not a regular file (``/dev/null``,
     a pipe) is written in place, since a rename would replace it.
     """
-    path = Path(path)
-    if path.exists() and not path.is_file():
-        with open(path, mode, **kwargs) as handle:
+    given = Path(path)
+    if given.exists() and not given.is_file():
+        with open(given, mode, **kwargs) as handle:
             yield handle
         return
-    path = Path(os.path.realpath(path))
+    path = Path(os.path.realpath(given))
     while True:
         tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
         try:
@@ -506,6 +506,8 @@ def _atomic_open(path: str | Path, mode: str, **kwargs) -> Iterator[IO]:
             break
         except FileExistsError:
             continue
+        except OSError as exc:  # name the output, not the temp file
+            raise OSError(exc.errno, exc.strerror, str(given)) from None
     try:
         with open(fd, mode, **kwargs) as handle:
             yield handle

@@ -1,6 +1,6 @@
 """Run manifests: config snapshot plus input/output digests for every run.
 
-A manifest is written beside each subcommand's primary output as
+A run writes its manifest last, beside its first output, as
 ``<output>.run.json``. Two runs with the same config snapshot and input
 digests must produce the same output digests; wall time is recorded for
 bookkeeping and is the only field allowed to differ.
@@ -35,12 +35,6 @@ class RunManifest:
     outputs: dict[str, str] = field(default_factory=dict)
     wall_time_s: float = 0.0
     version: str = VERSION
-
-    def add_input(self, path: str | Path, digest: str | None = None) -> None:
-        self.inputs[str(path)] = digest or sha256_file(path)
-
-    def add_output(self, path: str | Path) -> None:
-        self.outputs[str(path)] = sha256_file(path)
 
     def write(self, path: str | Path) -> None:
         doc = {

@@ -84,18 +84,6 @@ def emit(phase: str) -> TrainConfig:
     raise ConfigError(f"unknown phase {phase!r}; expected one of {PHASES}")
 
 
-def validate_manifest(data: dict) -> None:
-    """Check an emitted manifest dict: exact key set, one value each."""
-    keys = list(data.keys())
-    if keys != list(_SCHEMA_KEYS):
-        missing = set(_SCHEMA_KEYS) - set(keys)
-        extra = set(keys) - set(_SCHEMA_KEYS)
-        raise ConfigError(
-            f"manifest schema mismatch: missing={sorted(missing)} extra={sorted(extra)}"
-        )
-    TrainConfig(**data)  # re-runs the invariant checks
-
-
 def write_json(config: TrainConfig, path: str | Path) -> None:
     """Serialize with stable key order."""
     write_tsv_rows([json.dumps(config.to_dict(), indent=2, sort_keys=False)], path)

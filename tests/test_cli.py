@@ -757,7 +757,7 @@ class TestConfigAndManifest:
         assert run_cli(*argv, "--out", out) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
-        assert str(out) in err
+        assert str(out) in err and ".tmp" not in err
         assert not (tmp_path / "nodir").exists()
         assert not list(tmp_path.rglob("*.tmp"))
 
@@ -765,3 +765,153 @@ class TestConfigAndManifest:
         with pytest.raises(SystemExit) as excinfo:
             run_cli("frobnicate")
         assert excinfo.value.code == 2
+
+
+# Every subcommand that writes a file: its argv given a corpus, a lexicon,
+# a score-row file and an output path, its run.json config keys in order,
+# and its outputs as file names beside --out.
+_WRITERS = {
+    "ingest": (
+        ["--in", "CORPUS"],
+        ["in", "src", "tgt", "src_lang", "tgt_lang", "subset", "exclude_subset", "threads"],
+        ["o.tsv", "o.tsv.skipped.txt"],
+    ),
+    "stats": (["--in", "CORPUS"], ["in"], ["o.tsv"]),
+    "reduce": (
+        ["--in", "CORPUS", "--threshold", 2],
+        ["in", "threshold", "factor", "seed", "threads"],
+        ["o.tsv"],
+    ),
+    "sample": (
+        ["--in", "CORPUS", "--budget", 3],
+        ["in", "temperature", "budget", "seed", "threads"],
+        ["o.tsv", "o.tsv.plan.tsv", "o.tsv.plot.tsv"],
+    ),
+    "lexicon": (
+        ["--in", "LEX", "--tgt-lang", "hin_Deva"], ["in", "format", "topk", "tgt_lang"], ["o.tsv"]
+    ),
+    "augment": (
+        ["--in", "CORPUS", "--lex", "hin_Deva=LEX"],
+        ["in", "lex", "format", "prob", "topk", "mode", "seed", "threads", "stats"],
+        ["o.tsv"],
+    ),
+    "mixture": (
+        ["--in", "CORPUS", "--aug", "CORPUS"],
+        ["in", "aug", "threads"],
+        ["o.tsv", "o.tsv.mixture.json"],
+    ),
+    "seed-select": (
+        ["--in", "CORPUS", "--budget", 2], ["in", "budget", "seed", "threads"], ["o.tsv"]
+    ),
+    "score": (
+        ["--hyp", "HYP", "--ref", "HYP", "--pair", "hin_Deva-eng_Latn"],
+        ["hyp", "ref", "pair"],
+        ["o.tsv"],
+    ),
+    "report": (["--in", "ROWS"], ["in"], ["o.tsv"]),
+    "train-config": (["--phase", "pretrain"], ["phase"], ["o.tsv"]),
+}
+
+# The commands that read a corpus TSV given as --in.
+_CORPUS_READERS = [c for c, (argv, _, _) in _WRITERS.items() if argv[:2] == ["--in", "CORPUS"]]
+
+
+@pytest.fixture
+def writer_inputs(tmp_path, hin_lex):
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text(
+        "".join(f"eng_Latn\thin_Deva\tthe dog saw a cat {i}\tकुत्ता {i}\tWiki\n"
+                for i in range(6)),
+        encoding="utf-8",
+    )
+    hyp = tmp_path / "hyp.txt"
+    hyp.write_text("a fairly long reference sentence here\n", encoding="utf-8")
+    rows = tmp_path / "rows.tsv"
+    rows.write_text("hin_Deva-eng_Latn\t10.0000\t20.0000\t30.0000\n", encoding="utf-8")
+    names = {"CORPUS": corpus, "LEX": hin_lex, "hin_Deva=LEX": f"hin_Deva={hin_lex}",
+             "HYP": hyp, "ROWS": rows}
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+
+    def argv(command: str) -> list:
+        args = [names.get(a, a) for a in _WRITERS[command][0]]
+        return [command, *args, "--out", out_dir / "o.tsv", "--seed", 1]
+
+    return argv, out_dir
+
+
+def _snapshot(directory: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir()) if p.is_file()}
+
+
+class TestRunner:
+    @pytest.mark.parametrize("command", list(_WRITERS))
+    def test_run_json_keys_per_command(self, writer_inputs, command):
+        argv, out_dir = writer_inputs
+        assert run_cli(*argv(command)) == 0
+        doc = json.loads((out_dir / "o.tsv.run.json").read_text(encoding="utf-8"))
+        assert list(doc) == [
+            "command", "config", "seed", "inputs", "outputs", "wall_time_s", "version"
+        ]
+        assert doc["command"] == command
+        assert list(doc["config"]) == _WRITERS[command][1]
+        assert [Path(p).name for p in doc["outputs"]] == _WRITERS[command][2]
+        if command == "augment":
+            assert list(doc["config"]["stats"]) == [
+                "pairs_seen", "pairs_augmented", "pairs_without_lexicon",
+                "tokens_matched", "tokens_replaced",
+            ]
+
+    @pytest.mark.parametrize("command", list(_WRITERS))
+    def test_failed_run_json_write_leaves_no_output(self, writer_inputs, capsys, command):
+        argv, out_dir = writer_inputs
+        blocker = out_dir / "o.tsv.run.json"
+        blocker.mkdir()
+        assert run_cli(*argv(command)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(blocker) in captured.err
+        assert [p.name for p in out_dir.iterdir()] == [blocker.name]
+
+    def test_symlinked_out_keeps_its_link(self, writer_inputs, tmp_path):
+        argv, out_dir = writer_inputs
+        target = tmp_path / "target.tsv"
+        (out_dir / "o.tsv").symlink_to(target)
+        assert run_cli(*argv("sample"), "--plot-out", tmp_path / "nodir" / "p.tsv") == 1
+        assert (out_dir / "o.tsv").is_symlink()
+        assert not target.exists()
+        assert [p.name for p in out_dir.iterdir()] == ["o.tsv"]
+
+    def test_fifo_out_is_not_unlinked(self, writer_inputs, tmp_path):
+        import threading
+
+        argv, out_dir = writer_inputs
+        fifo = out_dir / "o.tsv"
+        os.mkfifo(fifo)
+        received = []
+
+        def drain():
+            with open(fifo, "rb") as handle:
+                received.append(handle.read())
+
+        reader = threading.Thread(target=drain, daemon=True)
+        reader.start()
+        try:
+            assert run_cli(*argv("mixture"),
+                           "--mixture-manifest", tmp_path / "nodir" / "m.json") == 1
+        finally:
+            reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert len(received[0].splitlines()) == 18  # 6 orig + 6 rev + 6 aug
+        assert fifo.exists() and not fifo.is_file()
+
+    @pytest.mark.parametrize("command", _CORPUS_READERS)
+    def test_bad_input_leaves_an_earlier_output(self, writer_inputs, tmp_path, command):
+        argv, out_dir = writer_inputs
+        assert run_cli(*argv(command)) == 0
+        before = _snapshot(out_dir)
+        with open(tmp_path / "corpus.tsv", "a", encoding="utf-8") as handle:
+            handle.write("eng_Latn\txyz_Deva\tb\tख\tWiki\n")
+        assert run_cli(*argv(command)) == 1
+        assert _snapshot(out_dir) == before

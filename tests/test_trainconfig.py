@@ -8,7 +8,6 @@ from bitextpipe.trainconfig import (
     PRETRAIN,
     TrainConfig,
     emit,
-    validate_manifest,
     write_json,
 )
 
@@ -63,19 +62,6 @@ def test_phase_invariants_enforced():
         TrainConfig(phase=PRETRAIN, dropout=0.2)
     with pytest.raises(ConfigError):
         TrainConfig(phase=FINETUNE, learning_rate=5e-4, dropout=0.2)
-
-
-def test_validate_manifest_schema():
-    good = emit(PRETRAIN).to_dict()
-    validate_manifest(good)
-    missing = dict(good)
-    del missing["dropout"]
-    with pytest.raises(ConfigError, match="schema"):
-        validate_manifest(missing)
-    extra = dict(good)
-    extra["optimizer"] = "adam"
-    with pytest.raises(ConfigError, match="schema"):
-        validate_manifest(extra)
 
 
 def test_json_stable_key_order_and_nulls(tmp_path):
