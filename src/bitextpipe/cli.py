@@ -8,8 +8,8 @@ snapshot, SHA-256 digests of inputs and outputs) last and prints the
 text. A command without an output file writes no manifest. When a run
 fails, the outputs it renamed into place are removed. ``--seed`` is the
 single entropy source; omitting it picks a random seed that is recorded
-in the manifest. ``--threads`` only changes scheduling, never bytes: all
-randomness is drawn from per-record streams.
+in the manifest. ``--threads`` (default: the usable CPUs) only changes
+scheduling, never bytes: all randomness is drawn from per-record streams.
 
 A defaults file with ``key = value`` lines can be pointed to by the
 ``PIPELINE_CONFIG`` environment variable; explicit flags win over it.
@@ -112,7 +112,7 @@ class Run:
 
             seed = secrets.randbits(32)
         self.seed: int = seed
-        self.threads: int = self.opt("threads", 1)
+        self.threads: int = self.opt("threads", corpus_mod.usable_cpus())
         if self.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {self.threads}")
         self.extra_tags = load_extra_tags(args.tags_file) if args.tags_file else ()
@@ -149,11 +149,11 @@ class Run:
         self.outputs.append((Path(path), real, before))
         return path
 
-    def digest(self, path: str | Path) -> str:
-        """SHA-256 of ``path``, computed once per run."""
+    def digest(self, path: str | Path) -> str | None:
+        """SHA-256 of ``path``, once per run; ``None`` for a pipe or device, read only once."""
         key = str(path)
         if key not in self._digests:
-            self._digests[key] = sha256_file(path)
+            self._digests[key] = sha256_file(path) if os.path.isfile(path) else None
         return self._digests[key]
 
     def remove_written(self) -> None:
@@ -215,7 +215,11 @@ def _spilled_pools(
     from .selection import SpilledPools
 
     out = Path(run.args.out)
-    with tempfile.TemporaryDirectory(prefix=f"{out.name}.spill.", dir=out.parent) as spill:
+    try:
+        spill_dir = tempfile.TemporaryDirectory(prefix=f"{out.name}.spill.", dir=out.parent)
+    except OSError as exc:  # name the output, not the spill directory
+        raise OSError(exc.errno, exc.strerror, str(out)) from None
+    with spill_dir as spill:
         rows = corpus_mod.iter_tsv_rows(run.args.in_path, run.valid_tags)
         yield SpilledPools((key_and_row(fields) for _, fields in rows), spill)
 
@@ -434,17 +438,10 @@ def _cmd_augment(run: Run) -> tuple[str, dict]:
         for start, block in corpus_mod.iter_blocks(args.in_path, _AUGMENT_BLOCK)
     )
     state = (subs, policy, run.valid_tags)
-    out = run.output(args.out)
-    if run.threads > 1:
-        import multiprocessing
-
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-        with ctx.Pool(run.threads, initializer=_augment_worker_init, initargs=state) as pool:
-            corpus_mod.write_tsv_bytes(consume(pool.imap(_augment_chunk, blocks)), out)
-    else:
-        _augment_worker_init(*state)
-        corpus_mod.write_tsv_bytes(consume(map(_augment_chunk, blocks)), out)
+    results = corpus_mod.imap_ordered(_augment_chunk, blocks, run.threads,
+                                      _augment_worker_init, state)
+    with contextlib.closing(results):  # a failed write stops the workers at once
+        corpus_mod.write_tsv_bytes(consume(results), run.output(args.out))
 
     augmented, seen, without_lexicon, matched, replaced = totals
     rate = replaced / matched if matched else 0.0
@@ -542,10 +539,11 @@ def _cmd_score(run: Run) -> tuple[str, dict]:
     args = run.args
     run.input(args.hyp, args.ref)
     pair = parse_pair(args.pair, run.extra_tags)
-    row = evalharness.score_run(args.hyp, args.ref, pair)
+    row = evalharness.score_run(args.hyp, args.ref, pair, run.threads)
     if args.out:
         evalharness.write_rows_tsv([row], run.output(args.out))
-    config = {"hyp": args.hyp, "ref": args.ref, "pair": args.pair}
+    config = {"hyp": args.hyp, "ref": args.ref, "pair": args.pair,
+              "signatures": evalharness.SIGNATURES}
     return f"{row.pair}\t{row.bleu:.4f}\t{row.chrf:.4f}\t{row.chrf_pp:.4f}", config
 
 
@@ -560,7 +558,8 @@ def _cmd_report(run: Run) -> tuple[str, dict]:
     rep = evalharness.report(rows)
     if args.out:
         evalharness.write_report_tsv(rep, run.output(args.out))
-    return evalharness.render_text(rep), {"in": list(args.in_paths)}
+    config = {"in": list(args.in_paths), "signatures": evalharness.SIGNATURES}
+    return evalharness.render_text(rep), config
 
 
 def _cmd_train_config(run: Run) -> tuple[str, dict]:
@@ -580,9 +579,8 @@ def _cmd_train_config(run: Run) -> tuple[str, dict]:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="global random seed")
-    parser.add_argument(
-        "--threads", type=int, default=None, help="worker count (never changes output bytes)"
-    )
+    parser.add_argument("--threads", type=int, default=None, help="worker processes for augment "
+                        "and score, default: the usable CPUs (never changes output bytes)")
     parser.add_argument(
         "--tags-file", default=None, help="file of extra language tags, one per line"
     )

@@ -14,7 +14,9 @@ the same rows. Both representations call the same cores: :func:`check_rows`
 :class:`SentencePair` obeys), :func:`clean_rows` (the cleaning loop around
 :func:`clean_pair`, the empty-side rule), :func:`accounting_language` (the
 accounting rule), :func:`reduce_keep` (the reduction plan) and
-``selection.Selection`` (the draw).
+``selection.Selection`` (the draw). :func:`imap_ordered` is the one
+worker map: ``augment`` maps its blocks and ``score`` its chunks of
+segments through it.
 
 Wire format (one sentence pair per line)::
 
@@ -42,6 +44,7 @@ from .rng import derive_rng, pick
 
 K = TypeVar("K")
 L = TypeVar("L")
+R = TypeVar("R")
 T = TypeVar("T")
 
 DEFAULT_SUBSET = "general"
@@ -208,6 +211,54 @@ def decode_block(block: bytes, path: str | Path, start: int) -> list[str]:
     if lines[-1] == "":
         lines.pop()
     return [line.rstrip("\r") for line in lines]
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: the default worker count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def imap_ordered(
+    fn: Callable[[T], R],
+    tasks: Iterable[T],
+    threads: int,
+    initializer: Callable[..., object] | None = None,
+    initargs: tuple = (),
+) -> Iterator[R]:
+    """``fn`` over ``tasks``, results in task order, on up to ``threads`` worker processes.
+
+    The one worker map of the package. Up to ``threads`` tasks are read
+    ahead: with fewer than two (one thread reads one), ``fn`` runs in this
+    process (after ``initializer(*initargs)``) and no pool is opened;
+    otherwise a pool of ``min(threads, tasks read ahead)`` workers (forked
+    where the platform can) maps them with ``Pool.imap``. ``tasks`` is
+    iterated in this process, and an error it raises is re-raised here at
+    its position; leaving the generator, by an error or by closing it,
+    terminates the workers.
+    """
+    tasks = iter(tasks)
+    ahead = list(itertools.islice(tasks, threads))
+    ahead.reverse()
+
+    def all_tasks() -> Iterator[T]:
+        while ahead:  # hand each read-ahead task on without keeping it
+            yield ahead.pop()
+        yield from tasks
+
+    if len(ahead) < 2:
+        if initializer is not None:
+            initializer(*initargs)
+        yield from map(fn, all_tasks())
+        return
+    import multiprocessing
+
+    methods = multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+    with ctx.Pool(min(threads, len(ahead)), initializer, initargs) as pool:
+        yield from pool.imap(fn, all_tasks())
 
 
 def ingest(

@@ -10,15 +10,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Collection, Mapping, Sequence
+from typing import Collection, Iterator, Mapping, Sequence
 
 from . import errors, metrics
-from .corpus import write_tsv_rows
+from .corpus import imap_ordered, write_tsv_rows
 from .errors import MetricError
 from .lang import LanguageTag, parse_pair
-from .metrics import BLEU_SIGNATURE, CHRF, CHRF_PP, ChrfStats
+from .metrics import BLEU_SIGNATURE, CHRF, CHRF_PP, BleuStats, ChrfStats
 
 _TSV_HEADER = "pair\tbleu\tchrf\tchrfpp"
+
+# Segment pairs per unit of scoring work: enough to outweigh sending the
+# chunk to a worker, few enough that a 1,000-segment test set makes four.
+CHUNK_SEGMENTS = 256
+
+# The configuration behind each score column, recorded in run.json.
+SIGNATURES = {"bleu": BLEU_SIGNATURE, "chrf": CHRF.signature, "chrfpp": CHRF_PP.signature}
 
 
 @dataclass(frozen=True)
@@ -64,35 +71,85 @@ def read_lines(path: str | Path) -> list[str]:
 
 
 def score_run(
-    hyp_path: str | Path, ref_path: str | Path, pair: tuple[LanguageTag, LanguageTag]
+    hyp_path: str | Path,
+    ref_path: str | Path,
+    pair: tuple[LanguageTag, LanguageTag],
+    threads: int = 1,
 ) -> ScoreRow:
-    """Score one system output file against its reference file."""
-    hyps = read_lines(hyp_path)
-    refs = read_lines(ref_path)
-    if len(hyps) != len(refs):
-        raise MetricError(
-            f"{hyp_path} has {len(hyps)} lines but {ref_path} has {len(refs)}"
-        )
-    if not hyps:
-        raise MetricError(f"{hyp_path} is empty")
+    """Score one system output file against its reference file.
+
+    Both files are read once, in step, and their segments are scored in
+    chunks of :data:`CHUNK_SEGMENTS` on up to ``threads`` worker processes
+    (:func:`corpus.imap_ordered`). The statistics of every chunk are summed
+    in order, so no file is held whole and the scores equal a one-process
+    run over the whole lists.
+    """
+    bleu_stats, pp_stats = BleuStats(), ChrfStats()
+    for chunk_bleu, chunk_pp in imap_ordered(
+        _chunk_stats, _chunks(hyp_path, ref_path), threads
+    ):
+        bleu_stats += chunk_bleu
+        pp_stats += chunk_pp
     src_lang, tgt_lang = pair
     # One n-gram pass: chrF's statistics are the character-order prefix of chrF++'s.
-    pp_stats = metrics.sum_stats(metrics.chrf_segment_stats, hyps, refs, CHRF_PP)
     chrf_stats = ChrfStats(pp_stats.counts[: 3 * CHRF.order])
     return ScoreRow(
         src_lang=src_lang,
         tgt_lang=tgt_lang,
-        bleu=metrics.bleu(hyps, refs).value,
+        bleu=metrics.bleu_from_stats(bleu_stats).value,
         chrf=metrics.chrf_from_stats(chrf_stats, CHRF).value,
         chrf_pp=metrics.chrf_from_stats(pp_stats, CHRF_PP).value,
     )
 
 
+def _chunks(hyp_path: str | Path, ref_path: str | Path) -> Iterator[list[tuple[str, str]]]:
+    """Aligned (hypothesis, reference) segments in chunks, both files read in step.
+
+    The errors are those of reading each file whole, hypotheses first:
+    the hypothesis file's read error, then the reference file's, then a
+    line-count mismatch (both files counted to the end) or an empty input.
+    """
+    hyps = errors.iter_lines(hyp_path, MetricError)
+    refs = errors.iter_lines(ref_path, MetricError)
+    n_hyp = n_ref = 0
+    chunk: list[tuple[str, str]] = []
+    for hyp in hyps:
+        n_hyp += 1
+        try:
+            ref = next(refs, None)
+        except MetricError:
+            for _ in hyps:  # an error further on in the hypotheses comes first
+                pass
+            raise
+        if ref is None:  # the references ended: only count the hypotheses
+            continue
+        n_ref += 1
+        chunk.append((hyp, ref))
+        if len(chunk) == CHUNK_SEGMENTS:
+            yield chunk
+            chunk = []
+    n_ref += sum(1 for _ in refs)
+    if n_hyp != n_ref:
+        raise MetricError(f"{hyp_path} has {n_hyp} lines but {ref_path} has {n_ref}")
+    if not n_hyp:
+        raise MetricError(f"{hyp_path} is empty")
+    if chunk:
+        yield chunk
+
+
+def _chunk_stats(chunk: list[tuple[str, str]]) -> tuple[BleuStats, ChrfStats]:
+    """Summed BLEU and chrF++ statistics of one chunk of segments."""
+    hyps, refs = zip(*chunk)
+    return (
+        metrics.sum_stats(metrics.bleu_segment_stats, hyps, refs),
+        metrics.sum_stats(metrics.chrf_segment_stats, hyps, refs, CHRF_PP),
+    )
+
+
 def report(rows: Sequence[ScoreRow], metadata: Mapping[str, str] | None = None) -> ScoreReport:
     meta = dict(metadata) if metadata else {}
-    meta.setdefault("bleu_signature", BLEU_SIGNATURE)
-    meta.setdefault("chrf_signature", CHRF.signature)
-    meta.setdefault("chrfpp_signature", CHRF_PP.signature)
+    for column, signature in SIGNATURES.items():
+        meta.setdefault(f"{column}_signature", signature)
     return ScoreReport(tuple(rows), meta)
 
 

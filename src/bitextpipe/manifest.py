@@ -31,8 +31,9 @@ class RunManifest:
     command: str
     config: dict
     seed: int | None
-    inputs: dict[str, str] = field(default_factory=dict)
-    outputs: dict[str, str] = field(default_factory=dict)
+    # SHA-256 per path; None for a path that is not a regular file (a pipe)
+    inputs: dict[str, str | None] = field(default_factory=dict)
+    outputs: dict[str, str | None] = field(default_factory=dict)
     wall_time_s: float = 0.0
     version: str = VERSION
 

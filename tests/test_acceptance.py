@@ -543,6 +543,54 @@ def test_lexicon_memory_bounded_at_1_5m_lines(tmp_path):
                                 f"lines under {MEMORY_CEILING >> 20} MiB")
 
 
+# Runs the CLI on its arguments, then prints its peak RSS in KiB on the last
+# line of stderr: the larger of its own high-water mark and its workers'.
+# ru_maxrss of the child itself would not do: it starts from the memory of
+# the process that forked it.
+_PEAK_RUN = (
+    "import resource, sys\n"
+    "from bitextpipe.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "with open('/proc/self/status', encoding='ascii') as status:\n"
+    "    own = next(int(line.split()[1]) for line in status if line.startswith('VmHWM:'))\n"
+    "workers = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+    "print(max(own, workers), file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_score_memory_flat_from_1_2k_to_200k_segments(tmp_path):
+    # score reads both files in step and keeps only chunks in flight, so its
+    # peak does not grow with the number of segments, at 1 or 2 workers
+    def files(n: int) -> tuple[Path, Path]:
+        hyp, ref = tmp_path / f"h{n}.txt", tmp_path / f"r{n}.txt"
+        with open(hyp, "w", encoding="utf-8") as h, open(ref, "w", encoding="utf-8") as r:
+            for i in range(n):
+                line = f"seg {i} the dog saw कुत्ता {i * 7919 % 10007}."
+                r.write(line + "\n")
+                h.write((line.replace("saw", "met") if i % 3 else line) + "\n")
+        return hyp, ref
+
+    def peak_kib(hyp: Path, ref: Path, threads: int) -> int:
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_RUN, "score", "--hyp", str(hyp), "--ref", str(ref),
+             "--pair", "eng_Latn-hin_Deva", "--threads", str(threads), "--no-manifest"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stderr.splitlines()[-1])
+
+    small, large = files(1_200), files(200_000)
+    growth = {}
+    for threads in (1, 2):
+        growth[threads] = peak_kib(*large, threads) - peak_kib(*small, threads)
+        assert growth[threads] < 1.5 * 1024, growth
+    _passline("score memory", "peak at 200k segments within 1.5 MiB of 1.2k, 1 and 2 workers: "
+                              + ", ".join(f"{g / 1024:+.2f} MiB" for g in growth.values()))
+
+
 def test_throughput_smoke(tmp_path):
     n = 1_000_000
     src = tmp_path / "src.txt"

@@ -5,6 +5,9 @@ from pathlib import Path
 import pytest
 
 from bitextpipe.cli import main
+from bitextpipe.errors import MetricError, iter_lines
+from bitextpipe.evalharness import CHUNK_SEGMENTS, score_run
+from bitextpipe.lang import parse_pair
 
 from conftest import FIXTURES
 
@@ -654,6 +657,111 @@ class TestScoreReport:
         assert run_doc["inputs"] == {str(row): sha256_file(row) for row in rows}
 
 
+def _score_files(tmp_path, n: int) -> tuple[Path, Path, list[str], list[str]]:
+    """n mixed-script segment pairs; hypotheses are edited references."""
+    refs = [f"the dog {i % 7} saw कुत्ता {i % 11} near the house, {i % 5}." for i in range(n)]
+    hyps = [ref.replace("saw", "found") if i % 3 else ref[::-1] for i, ref in enumerate(refs)]
+    hyp, ref = tmp_path / "h.txt", tmp_path / "r.txt"
+    hyp.write_text("".join(f"{line}\n" for line in hyps), encoding="utf-8")
+    ref.write_text("".join(f"{line}\n" for line in refs), encoding="utf-8")
+    return hyp, ref, hyps, refs
+
+
+class TestChunkedScore:
+    """score reads both files in step and scores chunks of segments on the worker map."""
+
+    THREE_CHUNKS = 2 * CHUNK_SEGMENTS + 40
+
+    def test_rows_are_identical_at_every_thread_count(self, tmp_path):
+        from bitextpipe import metrics
+
+        hyp, ref, hyps, refs = _score_files(tmp_path, self.THREE_CHUNKS)
+        rows = []
+        for threads in (1, 2, 3):
+            out = tmp_path / f"row{threads}.tsv"
+            assert run_cli("score", "--hyp", hyp, "--ref", ref, "--pair", "eng_Latn-hin_Deva",
+                           "--threads", threads, "--out", out) == 0
+            rows.append(out.read_bytes())
+        assert rows[0] == rows[1] == rows[2]
+        expected = (
+            metrics.bleu(hyps, refs).value,
+            metrics.chrf(hyps, refs, metrics.CHRF).value,
+            metrics.chrf(hyps, refs, metrics.CHRF_PP).value,
+        )
+        assert rows[0].decode().splitlines()[1] == "eng_Latn-hin_Deva\t" + "\t".join(
+            f"{value:.4f}" for value in expected
+        )
+        for threads in (1, 2):
+            row = score_run(hyp, ref, parse_pair("eng_Latn-hin_Deva"), threads)
+            assert (row.bleu, row.chrf, row.chrf_pp) == expected
+
+    @staticmethod
+    def _break(tmp_path, kind: str) -> str:
+        """Make the kind of bad input given; return the error it must give."""
+        hyp, ref, hyps, refs = _score_files(tmp_path, TestChunkedScore.THREE_CHUNKS)
+        late = 2 * CHUNK_SEGMENTS + 5  # a line in the third chunk
+        if kind == "mismatch":
+            ref.write_text("".join(f"{line}\n" for line in refs[:late]), encoding="utf-8")
+            return f"{hyp} has {len(hyps)} lines but {ref} has {late}"
+        if kind == "empty":
+            hyp.write_bytes(b"")
+            ref.write_bytes(b"")
+            return f"{hyp} is empty"
+        broken = {
+            "bad hyp": [(hyp, late)],
+            "bad ref": [(ref, late)],
+            "bad ref and a later bad hyp": [(ref, late), (hyp, late + 10)],
+        }[kind]
+        for path, lineno in broken:
+            lines = path.read_bytes().split(b"\n")
+            lines[lineno - 1] += b" \xff"
+            path.write_bytes(b"\n".join(lines))
+        path, lineno = broken[-1]  # an error in the hypotheses comes first
+        with pytest.raises(MetricError, match=f"at line {lineno}:") as excinfo:
+            list(iter_lines(path, MetricError))
+        return str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "kind", ["mismatch", "empty", "bad hyp", "bad ref", "bad ref and a later bad hyp"]
+    )
+    def test_errors_are_the_same_at_every_thread_count(self, tmp_path, capsys, kind):
+        message = self._break(tmp_path, kind)
+        out = tmp_path / "out" / "row.tsv"
+        out.parent.mkdir()
+        for threads in (1, 2):
+            capsys.readouterr()
+            assert run_cli("score", "--hyp", tmp_path / "h.txt", "--ref", tmp_path / "r.txt",
+                           "--pair", "eng_Latn-hin_Deva", "--threads", threads,
+                           "--out", out) == 1
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"error: {message}\n")
+            assert list(out.parent.iterdir()) == []
+
+    def test_a_failed_run_leaves_no_worker(self, tmp_path):
+        import multiprocessing
+
+        self._break(tmp_path, "mismatch")
+        assert run_cli("score", "--hyp", tmp_path / "h.txt", "--ref", tmp_path / "r.txt",
+                       "--pair", "eng_Latn-hin_Deva", "--threads", 2) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_one_unit_of_work_opens_no_pool(self, tmp_path, hin_lex, monkeypatch):
+        import multiprocessing
+
+        def no_pool(*args, **kwargs):
+            raise RuntimeError("a worker pool was opened")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        hyp, ref, _, _ = _score_files(tmp_path, CHUNK_SEGMENTS)
+        assert run_cli("score", "--hyp", hyp, "--ref", ref, "--pair", "eng_Latn-hin_Deva",
+                       "--threads", 8) == 0
+        corpus = tmp_path / "in.tsv"
+        corpus.write_text("eng_Latn\thin_Deva\tthe dog\tक\tgeneral\n" * 20, encoding="utf-8")
+        assert run_cli("augment", "--in", corpus, "--lex", f"hin_Deva={hin_lex}", "--prob", 1,
+                       "--seed", 1, "--threads", 8, "--out", tmp_path / "aug.tsv") == 0
+        assert (tmp_path / "aug.tsv").read_text(encoding="utf-8").count("कुत्ता") == 20
+
+
 class TestTrainConfigCommand:
     def test_writes_manifest_json(self, tmp_path):
         out = tmp_path / "pretrain.json"
@@ -743,13 +851,15 @@ class TestConfigAndManifest:
         assert err.startswith("error:") and err.count("\n") == 1
         assert str(tags) in err
 
-    @pytest.mark.parametrize("command", ["reduce", "score"])
+    @pytest.mark.parametrize("command", ["reduce", "score", "sample", "seed-select"])
     def test_out_in_missing_directory_is_one_error_line(self, tmp_path, en_hi_files, capsys,
                                                          command):
         corpus = _ingest(tmp_path, en_hi_files)
         out = tmp_path / "nodir" / "x.tsv"
         argv = {
             "reduce": ["reduce", "--in", corpus],
+            "sample": ["sample", "--in", corpus],
+            "seed-select": ["seed-select", "--in", corpus],
             "score": ["score", "--hyp", en_hi_files[1], "--ref", en_hi_files[1],
                       "--pair", "hin_Deva-eng_Latn"],
         }[command]
@@ -757,7 +867,7 @@ class TestConfigAndManifest:
         assert run_cli(*argv, "--out", out) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
-        assert str(out) in err and ".tmp" not in err
+        assert err.endswith(f": '{out}'\n")  # the output as given, not a temp name
         assert not (tmp_path / "nodir").exists()
         assert not list(tmp_path.rglob("*.tmp"))
 
@@ -805,10 +915,10 @@ _WRITERS = {
     ),
     "score": (
         ["--hyp", "HYP", "--ref", "HYP", "--pair", "hin_Deva-eng_Latn"],
-        ["hyp", "ref", "pair"],
+        ["hyp", "ref", "pair", "signatures"],
         ["o.tsv"],
     ),
-    "report": (["--in", "ROWS"], ["in"], ["o.tsv"]),
+    "report": (["--in", "ROWS"], ["in", "signatures"], ["o.tsv"]),
     "train-config": (["--phase", "pretrain"], ["phase"], ["o.tsv"]),
 }
 
@@ -861,6 +971,12 @@ class TestRunner:
                 "pairs_seen", "pairs_augmented", "pairs_without_lexicon",
                 "tokens_matched", "tokens_replaced",
             ]
+        if command in ("score", "report"):
+            from bitextpipe.metrics import BLEU_SIGNATURE, CHRF, CHRF_PP
+
+            assert doc["config"]["signatures"] == {
+                "bleu": BLEU_SIGNATURE, "chrf": CHRF.signature, "chrfpp": CHRF_PP.signature
+            }
 
     @pytest.mark.parametrize("command", list(_WRITERS))
     def test_failed_run_json_write_leaves_no_output(self, writer_inputs, capsys, command):
@@ -905,6 +1021,35 @@ class TestRunner:
         assert not reader.is_alive()
         assert len(received[0].splitlines()) == 18  # 6 orig + 6 rev + 6 aug
         assert fifo.exists() and not fifo.is_file()
+
+    def test_fifo_out_is_written_and_recorded_without_a_digest(self, writer_inputs):
+        import subprocess
+        import sys
+        import threading
+
+        argv, out_dir = writer_inputs
+        fifo = out_dir / "o.tsv"
+        os.mkfifo(fifo)
+        received = []
+
+        def drain():
+            with open(fifo, "rb") as handle:
+                received.append(handle.read())
+
+        reader = threading.Thread(target=drain, daemon=True)
+        reader.start()
+        try:
+            # run.json hashes its outputs: reading a pipe back would block for good
+            proc = subprocess.run(
+                [sys.executable, "-m", "bitextpipe", *map(str, argv("train-config"))],
+                capture_output=True, text=True, timeout=60,
+            )
+        finally:
+            reader.join(timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(received[0])["phase"] == "pretrain"
+        doc = json.loads((out_dir / "o.tsv.run.json").read_text(encoding="utf-8"))
+        assert doc["outputs"] == {str(fifo): None}
 
     @pytest.mark.parametrize("command", _CORPUS_READERS)
     def test_bad_input_leaves_an_earlier_output(self, writer_inputs, tmp_path, command):
