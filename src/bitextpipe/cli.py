@@ -269,7 +269,6 @@ def _cmd_ingest(run: Run) -> tuple[str, dict]:
         "tgt_lang": args.tgt_lang,
         "subset": args.subset,
         "exclude_subset": sorted(excluded),
-        "threads": run.threads,
     }
     return f"ingest: kept {kept} pairs, skipped {skipped.count} -> {out}", config
 
@@ -304,7 +303,6 @@ def _cmd_reduce(run: Run) -> tuple[str, dict]:
         "threshold": threshold,
         "factor": factor,
         "seed": run.seed,
-        "threads": run.threads,
     }
     return (
         f"reduce: kept {kept} of {sum(counts.values())} pairs "
@@ -336,7 +334,6 @@ def _cmd_sample(run: Run) -> tuple[str, dict]:
         "temperature": temperature,
         "budget": budget,
         "seed": run.seed,
-        "threads": run.threads,
     }
     return (
         f"sample: T={temperature:g} budget={budget} languages={len(plan.probabilities)} "
@@ -508,7 +505,7 @@ def _cmd_mixture(run: Run) -> tuple[str, dict]:
     manifest = augment_mod.MixtureManifest(*counts, sum(counts), seed, _augment_policy(args.aug))
     doc = dict(manifest.to_dict(), inputs={str(path): run.digest(path) for path in inputs})
     corpus_mod.write_tsv_rows([json.dumps(doc, indent=2)], run.output(mix_path))
-    config = {"in": args.in_path, "aug": args.aug, "threads": run.threads}
+    config = {"in": args.in_path, "aug": args.aug}
     return (
         f"mixture: {manifest.n_total} pairs "
         f"(2*{manifest.n_original} + {manifest.n_augmented}) -> {args.out}"
@@ -529,7 +526,7 @@ def _cmd_seed_select(run: Run) -> tuple[str, dict]:
         selected = augment_mod.select_seed(pools, budget=budget, seed=run.seed)
         corpus_mod.write_tsv_bytes(selected, run.output(args.out))
     per_subset = {label: selected.counts.get(label, 0) for label in sorted(pools)}
-    config = {"in": args.in_path, "budget": budget, "seed": run.seed, "threads": run.threads}
+    config = {"in": args.in_path, "budget": budget, "seed": run.seed}
     return f"seed-select: {len(selected)} pairs {per_subset} -> {args.out}", config
 
 
@@ -542,7 +539,7 @@ def _cmd_score(run: Run) -> tuple[str, dict]:
     row = evalharness.score_run(args.hyp, args.ref, pair, run.threads)
     if args.out:
         evalharness.write_rows_tsv([row], run.output(args.out))
-    config = {"hyp": args.hyp, "ref": args.ref, "pair": args.pair,
+    config = {"hyp": args.hyp, "ref": args.ref, "pair": args.pair, "threads": run.threads,
               "signatures": evalharness.SIGNATURES}
     return f"{row.pair}\t{row.bleu:.4f}\t{row.chrf:.4f}\t{row.chrf_pp:.4f}", config
 

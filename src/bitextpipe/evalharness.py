@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Collection, Iterator, Mapping, Sequence
+from typing import Collection, Iterator, Sequence
 
 from . import errors, metrics
 from .corpus import imap_ordered, write_tsv_rows
@@ -44,7 +44,6 @@ class ScoreRow:
 @dataclass(frozen=True)
 class ScoreReport:
     rows: tuple[ScoreRow, ...]
-    metadata: Mapping[str, str]
 
     def __post_init__(self) -> None:
         if not self.rows:
@@ -146,11 +145,8 @@ def _chunk_stats(chunk: list[tuple[str, str]]) -> tuple[BleuStats, ChrfStats]:
     )
 
 
-def report(rows: Sequence[ScoreRow], metadata: Mapping[str, str] | None = None) -> ScoreReport:
-    meta = dict(metadata) if metadata else {}
-    for column, signature in SIGNATURES.items():
-        meta.setdefault(f"{column}_signature", signature)
-    return ScoreReport(tuple(rows), meta)
+def report(rows: Sequence[ScoreRow]) -> ScoreReport:
+    return ScoreReport(tuple(rows))
 
 
 def render_text(rep: ScoreReport) -> str:

@@ -867,7 +867,8 @@ class TestConfigAndManifest:
         assert run_cli(*argv, "--out", out) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
-        assert err.endswith(f": '{out}'\n")  # the output as given, not a temp name
+        # the output as given, not a temp or spill name
+        assert err.endswith(f": '{out}'\n") and ".tmp" not in err
         assert not (tmp_path / "nodir").exists()
         assert not list(tmp_path.rglob("*.tmp"))
 
@@ -883,18 +884,18 @@ class TestConfigAndManifest:
 _WRITERS = {
     "ingest": (
         ["--in", "CORPUS"],
-        ["in", "src", "tgt", "src_lang", "tgt_lang", "subset", "exclude_subset", "threads"],
+        ["in", "src", "tgt", "src_lang", "tgt_lang", "subset", "exclude_subset"],
         ["o.tsv", "o.tsv.skipped.txt"],
     ),
     "stats": (["--in", "CORPUS"], ["in"], ["o.tsv"]),
     "reduce": (
         ["--in", "CORPUS", "--threshold", 2],
-        ["in", "threshold", "factor", "seed", "threads"],
+        ["in", "threshold", "factor", "seed"],
         ["o.tsv"],
     ),
     "sample": (
         ["--in", "CORPUS", "--budget", 3],
-        ["in", "temperature", "budget", "seed", "threads"],
+        ["in", "temperature", "budget", "seed"],
         ["o.tsv", "o.tsv.plan.tsv", "o.tsv.plot.tsv"],
     ),
     "lexicon": (
@@ -907,15 +908,15 @@ _WRITERS = {
     ),
     "mixture": (
         ["--in", "CORPUS", "--aug", "CORPUS"],
-        ["in", "aug", "threads"],
+        ["in", "aug"],
         ["o.tsv", "o.tsv.mixture.json"],
     ),
     "seed-select": (
-        ["--in", "CORPUS", "--budget", 2], ["in", "budget", "seed", "threads"], ["o.tsv"]
+        ["--in", "CORPUS", "--budget", 2], ["in", "budget", "seed"], ["o.tsv"]
     ),
     "score": (
         ["--hyp", "HYP", "--ref", "HYP", "--pair", "hin_Deva-eng_Latn"],
-        ["hyp", "ref", "pair", "signatures"],
+        ["hyp", "ref", "pair", "threads", "signatures"],
         ["o.tsv"],
     ),
     "report": (["--in", "ROWS"], ["in", "signatures"], ["o.tsv"]),
@@ -977,6 +978,8 @@ class TestRunner:
             assert doc["config"]["signatures"] == {
                 "bleu": BLEU_SIGNATURE, "chrf": CHRF.signature, "chrfpp": CHRF_PP.signature
             }
+            assert "bleu|o:4" in doc["config"]["signatures"]["bleu"]
+            assert "nw:2" in doc["config"]["signatures"]["chrfpp"]
 
     @pytest.mark.parametrize("command", list(_WRITERS))
     def test_failed_run_json_write_leaves_no_output(self, writer_inputs, capsys, command):

@@ -209,14 +209,9 @@ class TestReport:
         assert lines[-1].startswith("Avg.")
         assert "19.94" in lines[-1]
 
-    def test_metadata_signatures_present(self):
-        rep = report([_row()])
-        assert "bleu|o:4" in rep.metadata["bleu_signature"]
-        assert "nw:2" in rep.metadata["chrfpp_signature"]
-
     def test_empty_report_rejected(self):
         with pytest.raises(MetricError):
-            ScoreReport((), {})
+            ScoreReport(())
 
 
 class TestTsvRoundTrip:
