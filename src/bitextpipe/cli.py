@@ -33,7 +33,8 @@ from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, Sequen
 # and looks functions up on their module then, so a rebound module
 # attribute (a test double, a tracer) takes effect.
 from . import corpus as corpus_mod
-from .errors import AugmentError, ConfigError, CorpusError, PipelineError, iter_lines
+from .errors import (AugmentError, ConfigError, CorpusError, PipelineError, decode_block,
+                     iter_blocks, iter_lines)
 from .lang import ENGLISH, load_extra_tags, parse_pair, parse_tag, rendered_tags
 from .manifest import RunManifest, manifest_path_for, sha256_file
 
@@ -376,7 +377,7 @@ def _augment_worker_init(subs: SubstitutionSet, policy: AugmentationPolicy, tags
 
 
 def _augment_chunk(task: tuple[int, bytes, str]) -> tuple[bytes, int, list[int]]:
-    """Augment one :func:`corpus.iter_blocks` block of TSV lines; pure given the worker state.
+    """Augment one :func:`errors.iter_blocks` block of TSV lines; pure given the worker state.
 
     ``start`` is the corpus index of the block's first line. Returns the
     encoded output rows, their number and the block's four
@@ -387,7 +388,7 @@ def _augment_chunk(task: tuple[int, bytes, str]) -> tuple[bytes, int, list[int]]
     subs, policy, valid_tags = _WORKER[0]
     start, block, label = task
 
-    lines = corpus_mod.decode_block(block, label, start)
+    lines = decode_block(block, label, start, CorpusError)
     rows = (fields for _, fields in corpus_mod.check_rows(lines, valid_tags, label, start))
     totals = [0, 0, 0, 0]
     out = [
@@ -432,7 +433,7 @@ def _cmd_augment(run: Run) -> tuple[str, dict]:
 
     blocks = (
         (start, block, args.in_path)
-        for start, block in corpus_mod.iter_blocks(args.in_path, _AUGMENT_BLOCK)
+        for start, block in iter_blocks(args.in_path, _AUGMENT_BLOCK, CorpusError)
     )
     state = (subs, policy, run.valid_tags)
     results = corpus_mod.imap_ordered(_augment_chunk, blocks, run.threads,

@@ -1,22 +1,22 @@
 """Parallel corpus ingestion, statistics, reduction, and reversal.
 
 Two representations are used. Library operations work on in-memory
-:class:`ParallelCorpus` values. The CLI streams every command in constant
-memory, on raw TSV fields: corpus commands read checked ``(line number,
-fields)`` rows from :func:`iter_tsv_rows` (``augment`` runs its loop,
-:func:`check_rows`, over :func:`iter_blocks` byte blocks) and write them
-with :func:`write_tsv_rows` or, encoded, :func:`write_tsv_bytes`
-(``sample`` and ``seed-select`` spill rows to disk and copy the chosen
-rows' bytes out; see :mod:`selection`). :func:`read_tsv` builds pairs from
-the same rows. Both representations call the same cores: :func:`check_rows`
-(:func:`split_row`, the field check; :func:`check_tags`, with
-:func:`lang.parse_tag`'s messages; :func:`check_pair`, the rules every
-:class:`SentencePair` obeys), :func:`clean_rows` (the cleaning loop around
-:func:`clean_pair`, the empty-side rule), :func:`accounting_language` (the
-accounting rule), :func:`reduce_keep` (the reduction plan) and
-``selection.Selection`` (the draw). :func:`imap_ordered` is the one
-worker map: ``augment`` maps its blocks and ``score`` its chunks of
-segments through it.
+:class:`ParallelCorpus` values. The CLI streams every command in
+constant memory, on raw TSV fields: corpus commands read checked ``(line
+number, fields)`` rows from :func:`iter_tsv_rows` and write them with
+:func:`write_tsv_rows` or, encoded, :func:`write_tsv_bytes` (``sample``
+and ``seed-select`` spill rows to disk and copy the chosen rows' bytes
+out; see :mod:`selection`). Files are read by the blocks of
+:func:`errors.iter_blocks` and written by :func:`_atomic_open`.
+:func:`read_tsv` builds pairs from the same rows. Both representations
+call the same cores: :func:`check_rows` (:func:`split_row`, the field
+check; :func:`check_tags`, with :func:`lang.parse_tag`'s messages;
+:func:`check_pair`, the rules every :class:`SentencePair` obeys),
+:func:`clean_rows` (the cleaning loop around :func:`clean_pair`, the
+empty-side rule), :func:`accounting_language` (the accounting rule),
+:func:`reduce_keep` (the reduction plan) and ``selection.Selection``
+(the draw). :func:`imap_ordered` is the one worker map: ``augment`` maps
+its blocks and ``score`` its chunks of segments through it.
 
 Wire format (one sentence pair per line)::
 
@@ -29,13 +29,14 @@ The optional sixth column tags mixture provenance (``orig``, ``rev``,
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 import os
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import IO, Callable, Collection, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import BinaryIO, Callable, Collection, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from . import errors
 from .errors import CorpusError, TagError
@@ -56,6 +57,9 @@ HIGH_RESOURCE_FACTOR = 0.5
 
 # The rendered registry tags: what a corpus row may carry by default.
 _REGISTRY_TAGS = frozenset(rendered_tags())
+
+# Characters of rows that :func:`write_tsv_rows` encodes and writes at once.
+_WRITE_BATCH = 1 << 16
 
 
 def clean_text(text: str) -> str:
@@ -157,60 +161,8 @@ def accounting_language(src_lang: L, tgt_lang: L) -> L:
 
 
 def iter_lines(path: str | Path) -> Iterator[str]:
-    """Yield lines without line endings; errors are :class:`CorpusError`.
-
-    Lines are split in binary so a decoding error is attributed to the
-    exact line it occurs on (see :func:`errors.iter_lines`).
-    """
+    """:func:`errors.iter_lines` with :class:`CorpusError` errors."""
     return errors.iter_lines(path, CorpusError)
-
-
-def iter_blocks(path: str | Path, size: int) -> Iterator[tuple[int, bytes]]:
-    """Yield (index of the first line, raw bytes) blocks of whole lines.
-
-    Each block ends at a newline, except a last line that has none, and
-    holds at most ``size`` bytes unless one line is longer: that line
-    makes a block of its own. The index counts lines from 0, so blocks
-    can be processed apart and still know their line numbers.
-    """
-    try:
-        with open(path, "rb") as handle:
-            start, pending = 0, b""
-            # ``pending`` holds at most a partial line between reads; a read
-            # fills a unit or, past half a unit, doubles the partial line, so
-            # a very long line costs linear time.
-            while data := handle.read(max(size - len(pending), len(pending))):
-                pending += data
-                # Whole lines within ``size`` bytes, or else the one longer line.
-                while cut := pending.rfind(b"\n", 0, size) + 1 or pending.find(b"\n") + 1:
-                    block, pending = pending[:cut], pending[cut:]
-                    yield start, block
-                    start += block.count(b"\n")
-            if pending:
-                yield start, pending
-    except OSError as exc:
-        raise CorpusError(f"cannot read {path}: {exc}") from exc
-
-
-def decode_block(block: bytes, path: str | Path, start: int) -> list[str]:
-    """The lines of an :func:`iter_blocks` block, as :func:`iter_lines` yields them.
-
-    ``start`` is the index of the block's first line; invalid UTF-8 raises
-    :func:`iter_lines`' error for the same line.
-    """
-    try:
-        lines = block.decode("utf-8").split("\n")
-    except UnicodeDecodeError as exc:
-        # Decoding is reset at every newline, so the line holding the
-        # first bad byte fails alone too, with the error iter_lines gives.
-        first = block.rfind(b"\n", 0, exc.start) + 1
-        end = block.find(b"\n", exc.start) + 1 or len(block)
-        lineno = start + block.count(b"\n", 0, first) + 1
-        errors.decode_line(block[first:end], path, lineno, CorpusError)
-        raise
-    if lines[-1] == "":
-        lines.pop()
-    return [line.rstrip("\r") for line in lines]
 
 
 def usable_cpus() -> int:
@@ -236,8 +188,9 @@ def imap_ordered(
     otherwise a pool of ``min(threads, tasks read ahead)`` workers (forked
     where the platform can) maps them with ``Pool.imap``. ``tasks`` is
     iterated in this process, and an error it raises is re-raised here at
-    its position; leaving the generator, by an error or by closing it,
-    terminates the workers.
+    its position, as is an error of ``fn`` or of ``initializer`` (from the
+    first task of a worker whose initializer failed); leaving the
+    generator, by an error or by closing it, terminates the workers.
     """
     tasks = iter(tasks)
     ahead = list(itertools.islice(tasks, threads))
@@ -257,8 +210,27 @@ def imap_ordered(
 
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-    with ctx.Pool(min(threads, len(ahead)), initializer, initargs) as pool:
-        yield from pool.imap(fn, all_tasks())
+    with ctx.Pool(min(threads, len(ahead)), _worker_init, (initializer, initargs)) as pool:
+        yield from pool.imap(functools.partial(_worker_call, fn), all_tasks())
+
+
+# The error a pool worker's initializer raised, for the worker's tasks to
+# raise: a pool replaces a worker that exits on one for ever.
+_INIT_ERROR: list[Exception] = []
+
+
+def _worker_init(initializer: Callable[..., object] | None, initargs: tuple) -> None:
+    try:
+        if initializer is not None:
+            initializer(*initargs)
+    except Exception as exc:
+        _INIT_ERROR.append(exc)
+
+
+def _worker_call(fn: Callable[[T], R], task: T) -> R:
+    if _INIT_ERROR:
+        raise _INIT_ERROR[0]
+    return fn(task)
 
 
 def ingest(
@@ -516,37 +488,45 @@ def write_tsv(
 
 
 def write_tsv_rows(rows: Iterable[str], path: str | Path) -> int:
-    """Write one line per row atomically; returns the number of rows."""
-    count = 0
-    with _atomic_open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for row in rows:
-            handle.write(row)
-            handle.write("\n")
-            count += 1
+    """Write one line per row atomically; returns the number of rows.
+
+    Rows are encoded and written about :data:`_WRITE_BATCH` characters at a time.
+    """
+    count = size = 0
+    batch: list[str] = []
+    with _atomic_open(path) as handle:
+        for count, row in enumerate(rows, 1):
+            batch += row, "\n"
+            size += len(row)
+            if size >= _WRITE_BATCH:
+                handle.write("".join(batch).encode("utf-8"))
+                batch, size = [], 0
+        handle.write("".join(batch).encode("utf-8"))
     return count
 
 
 def write_tsv_bytes(lines: Iterable[bytes], path: str | Path) -> None:
-    """Write already encoded lines (newline included) atomically, as bytes."""
-    with _atomic_open(path, "wb") as handle:
+    """Write already encoded lines (newline included) atomically."""
+    with _atomic_open(path) as handle:
         handle.writelines(lines)
 
 
 @contextlib.contextmanager
-def _atomic_open(path: str | Path, mode: str, **kwargs) -> Iterator[IO]:
-    """Open a new temp file beside ``path``; rename it over ``path`` if the
-    block succeeds, else delete it.
+def _atomic_open(path: str | Path) -> Iterator[BinaryIO]:
+    """Open a new binary temp file beside ``path``; rename it over ``path``
+    if the block succeeds, else delete it.
 
-    Each call gets its own ``<path>.<random>.tmp``, so concurrent writers to
-    one path never share a temp file: the last to finish wins, whole. The
-    file is created with mode 0666 less the umask, as ``open`` would. As
-    with ``open``, a symlink is written through (the rename lands on its
-    target) and an existing path that is not a regular file (``/dev/null``,
-    a pipe) is written in place, since a rename would replace it.
+    The one writer of every output file. Each call gets its own
+    ``<path>.<random>.tmp``, so concurrent writers to one path never share a
+    temp file: the last to finish wins, whole. The file is created with mode
+    0666 less the umask, as ``open`` would. As with ``open``, a symlink is
+    written through (the rename lands on its target) and an existing path
+    that is not a regular file (``/dev/null``, a pipe) is written in place,
+    since a rename would replace it.
     """
     given = Path(path)
     if given.exists() and not given.is_file():
-        with open(given, mode, **kwargs) as handle:
+        with open(given, "wb") as handle:
             yield handle
         return
     path = Path(os.path.realpath(given))
@@ -560,7 +540,7 @@ def _atomic_open(path: str | Path, mode: str, **kwargs) -> Iterator[IO]:
         except OSError as exc:  # name the output, not the temp file
             raise OSError(exc.errno, exc.strerror, str(given)) from None
     try:
-        with open(fd, mode, **kwargs) as handle:
+        with open(fd, "wb") as handle:
             yield handle
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -571,19 +551,19 @@ def _atomic_open(path: str | Path, mode: str, **kwargs) -> Iterator[IO]:
 class SkipLog:
     """An open skip report: :meth:`append` writes one (line number, reason) row."""
 
-    def __init__(self, handle: IO[str]):
+    def __init__(self, handle: BinaryIO):
         self._write = handle.write
         self.count = 0
 
     def append(self, skip: tuple[int, str]) -> None:
-        self._write(f"{skip[0]}\t{skip[1]}\n")
+        self._write(f"{skip[0]}\t{skip[1]}\n".encode("utf-8"))
         self.count += 1
 
 
 @contextlib.contextmanager
 def open_skip_report(path: str | Path) -> Iterator[SkipLog]:
     """A skip report written as it grows, renamed into place if the block succeeds."""
-    with _atomic_open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with _atomic_open(path) as handle:
         yield SkipLog(handle)
 
 

@@ -63,8 +63,8 @@ class ScoreReport:
 def read_lines(path: str | Path) -> list[str]:
     """Lines split on ``\n`` only, without their line endings.
 
-    A lone ``\r`` stays inside its line, as in :func:`corpus.iter_lines`
-    and sacreBLEU, so line counts agree across readers.
+    A lone ``\r`` stays inside its line, as in sacreBLEU: this is
+    :func:`errors.iter_lines`, the reader of every input file.
     """
     return list(errors.iter_lines(path, MetricError))
 

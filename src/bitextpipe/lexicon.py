@@ -10,8 +10,8 @@ Two file formats are supported:
 Files are assumed to be ordered most-frequent-first, so "top K" means the
 first K distinct source words in file order. Source words are case-folded
 for merging and lookup; translations are kept verbatim. Files are read one
-line at a time and a lexicon keeps one string per source word, so
-:func:`load` with ``top_k`` holds one line and K such strings.
+block of lines at a time and a lexicon keeps one string per source word, so
+:func:`load` with ``top_k`` holds one read block and K such strings.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ def load(
     only the first ``top_k`` distinct sources are kept, with every
     translation the file gives them, so the result equals
     ``truncate_topk(load(path, format, tgt_lang), top_k)`` while memory
-    holds one line and ``top_k`` entries, whatever the size of the file.
+    holds one read block and ``top_k`` entries, whatever the size of the file.
     A file that yields no entries raises :class:`LexiconError`.
     """
     if format not in FORMATS:

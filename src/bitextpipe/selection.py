@@ -116,8 +116,8 @@ class SpilledPools(Mapping):
                 if lines:
                     self.counts[key] += len(lines)
                     lines.append("")  # the last row's newline
-                    with open(self._paths[key], "a", encoding="utf-8", newline="\n") as handle:
-                        handle.write("\n".join(lines))
+                    with open(self._paths[key], "ab") as handle:
+                        handle.write("\n".join(lines).encode("utf-8"))
                     lines.clear()
 
         for key, row in rows:

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+import os
+import threading
+import time
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -72,3 +77,33 @@ def parity_fixture() -> tuple[list[str], list[str]]:
     refs = (FIXTURES / "parity_ref.txt").read_text(encoding="utf-8").splitlines()
     assert len(hyps) == len(refs) == 50
     return hyps, refs
+
+
+def fifo_bytes() -> bytes:
+    """Corpus rows with multi-byte characters and \\r\\n endings, for :func:`feed_fifo`."""
+    rows = [f"eng_Latn\thin_Deva\tthe dog {i}\tकुत्ता {i}\tgeneral" for i in range(30)]
+    return ("\r\n".join(rows) + "\r\n").encode("utf-8")
+
+
+@contextlib.contextmanager
+def feed_fifo(path: Path, data: bytes) -> Iterator[None]:
+    """Make ``path`` a FIFO that a thread feeds ``data`` in small writes.
+
+    The writes split ``data`` inside every multi-byte character and between
+    every ``\\r`` and ``\\n``, with a pause after each, so a read waits on
+    the pipe for bytes that have not arrived.
+    """
+    cuts = sorted({0, len(data)} | {i + 1 for i, b in enumerate(data) if b in b"\r\xe0"})
+    os.mkfifo(path)
+
+    def feed() -> None:
+        with open(path, "wb", buffering=0) as handle:
+            for start, end in zip(cuts, cuts[1:]):
+                handle.write(data[start:end])
+                time.sleep(0.0005)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    yield
+    writer.join(timeout=10)
+    assert not writer.is_alive()

@@ -9,7 +9,7 @@ from bitextpipe.errors import MetricError, iter_lines
 from bitextpipe.evalharness import CHUNK_SEGMENTS, score_run
 from bitextpipe.lang import parse_pair
 
-from conftest import FIXTURES
+from conftest import FIXTURES, feed_fifo, fifo_bytes
 
 
 def run_cli(*argv) -> int:
@@ -100,6 +100,21 @@ class TestStatsReduceSample:
         printed = capsys.readouterr().out
         assert "Hindi" in printed and "Deva" in printed and "50" in printed
         assert out.read_text(encoding="utf-8") == "hin_Deva\t50\n"
+
+    def test_stats_of_a_pipe(self, tmp_path, capsys):
+        data = fifo_bytes()
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_bytes(data)
+        assert run_cli("stats", "--in", corpus, "--out", tmp_path / "file.tsv") == 0
+        table = capsys.readouterr().out
+        fifo = tmp_path / "fifo"
+        out = tmp_path / "s.tsv"
+        with feed_fifo(fifo, data):
+            assert run_cli("stats", "--in", fifo, "--out", out) == 0
+        assert capsys.readouterr().out == table
+        assert out.read_bytes() == (tmp_path / "file.tsv").read_bytes() == b"hin_Deva\t30\n"
+        doc = json.loads(Path(f"{out}.run.json").read_text(encoding="utf-8"))
+        assert doc["inputs"] == {str(fifo): None}
 
     def test_stats_of_an_empty_corpus_writes_an_empty_file(self, tmp_path):
         corpus = tmp_path / "empty.tsv"
@@ -435,7 +450,9 @@ class TestRowRules:
         from bitextpipe.errors import CorpusError
 
         corpus = tmp_path / "bad.tsv"
-        corpus.write_text(f"eng_Latn\thin_Deva\ta\tक\tWiki\n{row}\n", encoding="utf-8")
+        # Line 3 is invalid UTF-8 in the same read block: the first bad line wins.
+        corpus.write_bytes(f"eng_Latn\thin_Deva\ta\tक\tWiki\n{row}\n".encode("utf-8")
+                           + b"eng_Latn\thin_Deva\ta\t\xe0\tWiki\n")
         with pytest.raises(CorpusError) as expected:
             read_tsv(corpus)
         assert str(expected.value).startswith(f"{corpus}:2: ")

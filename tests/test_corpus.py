@@ -1,20 +1,23 @@
 import math
 import os
+import signal
 import stat
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
 import pytest
 
+from bitextpipe import errors
 from bitextpipe.corpus import (
     CorpusStats,
     ParallelCorpus,
     SentencePair,
     accounting_language,
     clean_text,
-    decode_block,
+    imap_ordered,
     ingest,
-    iter_blocks,
     iter_lines,
     iter_tsv_rows,
     read_tsv,
@@ -26,10 +29,11 @@ from bitextpipe.corpus import (
     write_tsv,
     write_tsv_rows,
 )
-from bitextpipe.errors import CorpusError
+from bitextpipe.errors import CorpusError, LexiconError, decode_block, iter_blocks
 from bitextpipe.lang import parse_tag
 
-from conftest import ASM, BRX, ENG, HIN, REFERENCE_COUNTS, mk_corpus, mk_pair
+from conftest import (ASM, BRX, ENG, HIN, REFERENCE_COUNTS, feed_fifo, fifo_bytes, mk_corpus,
+                      mk_pair)
 
 
 def _write(path, lines):
@@ -347,16 +351,23 @@ class TestAtomicWrites:
 
 
 class TestBlocks:
+    """The one line reader: whole-line blocks, each decoded at once."""
+
     LINES = [b"short\n", b"x" * 90 + b"\n", b"ab\r\n", b"\n", "क्ष\n".encode(), b"y" * 40,
              b"z\n"]
+    EXPECTED = {  # by the step of the slice that orders LINES
+        None: ["short", "x" * 90, "ab", "", "क्ष", "y" * 40 + "z"],
+        -1: ["z", "y" * 40 + "क्ष", "", "ab", "x" * 90, "short"],
+    }
+    SIZES = [1, 5, 16, 41, 64, 1000]
 
-    @pytest.mark.parametrize("size", [1, 5, 16, 41, 64, 1000])
+    @pytest.mark.parametrize("size", SIZES)
     @pytest.mark.parametrize("order", [slice(None), slice(None, None, -1)])
-    def test_blocks_hold_whole_lines_within_the_unit(self, tmp_path, size, order):
+    def test_blocks_hold_whole_lines_within_the_unit(self, tmp_path, monkeypatch, size, order):
         lines = self.LINES[order]
         path = tmp_path / "c.tsv"
         path.write_bytes(b"".join(lines))
-        blocks = list(iter_blocks(path, size))
+        blocks = list(iter_blocks(path, size, CorpusError))
         assert b"".join(block for _, block in blocks) == path.read_bytes()
         longest = max(len(line) for line in lines)
         decoded = []
@@ -364,20 +375,86 @@ class TestBlocks:
             assert len(block) <= max(size, longest)
             assert start == len(decoded)
             assert block.endswith(b"\n") or block is blocks[-1][1]
-            decoded += decode_block(block, path, start)
-        assert decoded == list(iter_lines(path))
+            decoded += decode_block(block, path, start, CorpusError)
+        assert decoded == self.EXPECTED[order.step]
+        monkeypatch.setattr(errors, "_READ_BLOCK", size)
+        assert list(iter_lines(path)) == self.EXPECTED[order.step]
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_only_newline_breaks_a_line(self, tmp_path, monkeypatch, size):
+        # U+0085, U+2028 and a lone \r are characters inside a line, and only
+        # \r before a line's end is dropped.
+        path = tmp_path / "c.tsv"
+        path.write_bytes("a\u0085b\u2028c\rd\r\r\nnel\u0085\n\rx\n".encode("utf-8"))
+        monkeypatch.setattr(errors, "_READ_BLOCK", size)
+        assert list(iter_lines(path)) == ["a\u0085b\u2028c\rd", "nel\u0085", "\rx"]
 
     def test_invalid_utf8_names_the_line_as_iter_lines_does(self, tmp_path):
         path = tmp_path / "c.tsv"
         path.write_bytes(b"ok\n" * 7 + b"fine \xe0\xa4 cut\r\n" + b"ok\n" * 3)
+        message = f"{path}: invalid UTF-8 at line 8: "
+        lines = iter_lines(path)
+        # the lines before the bad one come first, as read one at a time
+        assert [next(lines) for _ in range(7)] == ["ok"] * 7
         with pytest.raises(CorpusError) as expected:
-            list(iter_lines(path))
-        assert "line 8" in str(expected.value)
+            next(lines)
+        assert str(expected.value).startswith(message)
         with pytest.raises(CorpusError) as got:
-            for start, block in iter_blocks(path, 10):
-                decode_block(block, path, start)
+            for start, block in iter_blocks(path, 10, CorpusError):
+                list(decode_block(block, path, start, CorpusError))
         assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_invalid_utf8_on_a_last_line_without_newline(self, tmp_path, monkeypatch, size):
+        path = tmp_path / "c.tsv"
+        path.write_bytes("ok\nक\n".encode("utf-8") * 3 + b"last \xff")
+        monkeypatch.setattr(errors, "_READ_BLOCK", size)
+        with pytest.raises(CorpusError, match=r"c\.tsv: invalid UTF-8 at line 7: "):
+            list(iter_lines(path))
+
+    def test_the_error_type_is_the_callers(self, tmp_path):
+        from bitextpipe.lexicon import MUSE, load
+
+        path = tmp_path / "lex.txt"
+        path.write_bytes("dog कुत्ता\n".encode("utf-8") * 3 + b"cat \xe0\xa4")
+        with pytest.raises(LexiconError, match=r"lex\.txt: invalid UTF-8 at line 4: "):
+            load(path, MUSE, HIN)
+        with pytest.raises(LexiconError, match="cannot read"):
+            load(tmp_path / "nope.txt", MUSE, HIN)
+
+    @pytest.mark.parametrize("size", [5, 41, 1 << 16])
+    def test_a_pipe_reads_as_the_same_bytes_in_a_file(self, tmp_path, monkeypatch, size):
+        monkeypatch.setattr(errors, "_READ_BLOCK", size)
+        data = fifo_bytes()
+        path = tmp_path / "c.tsv"
+        path.write_bytes(data)
+        fifo = tmp_path / "fifo"
+        with feed_fifo(fifo, data):
+            assert list(iter_lines(fifo)) == list(iter_lines(path))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CorpusError, match="cannot read"):
-            list(iter_blocks(tmp_path / "nope.tsv", 64))
+            list(iter_blocks(tmp_path / "nope.tsv", 64, CorpusError))
+
+
+class TestWorkerMap:
+    def test_initializer_error_in_process(self):
+        with pytest.raises(ValueError, match="'boom'"):
+            list(imap_ordered(abs, range(4), 1, int, ("boom",)))
+
+    def test_initializer_error_in_workers_reaches_the_caller(self):
+        # A pool replaces a worker whose initializer raises, for ever: run the
+        # map in a child process, so a regression fails here instead of hanging.
+        code = "from bitextpipe.corpus import imap_ordered\n" \
+               "list(imap_ordered(abs, range(4), 2, int, ('boom',)))"
+        child = subprocess.Popen([sys.executable, "-c", code], text=True,
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                 start_new_session=True)
+        try:
+            _, err = child.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            pytest.fail("the worker map hung on an initializer error")
+        assert child.returncode == 1
+        assert err.rstrip().endswith("ValueError: invalid literal for int() with base 10: 'boom'")
