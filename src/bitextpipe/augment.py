@@ -222,11 +222,14 @@ def augment_rows(
     Rows start ``src_lang, tgt_lang, source`` (rendered, English source);
     the first has corpus index ``start``, and row ``index`` draws from the
     stream seeded by ``(policy.seed, "augment", index)``, so chunking never
-    changes bytes. Errors name ``<label>:<index + 1>``. When the rows run
-    out, adds rows seen, without lexicon, tokens matched and replaced to ``totals``.
+    changes bytes; in pair-target mode a row whose target has no table
+    draws nothing and derives no stream. Errors name
+    ``<label>:<index + 1>``. When the rows run out, adds rows seen,
+    without lexicon, tokens matched and replaced to ``totals``.
     """
     eng = _ENG_TEXT
     rng = random.Random()
+    pair_target = policy.mode == MODE_PAIR_TARGET
     index = start - 1
     without_lexicon = matched_total = replaced_total = 0
     for index, row in enumerate(rows, start):
@@ -234,6 +237,9 @@ def augment_rows(
             raise AugmentError(
                 f"{label}:{index + 1}: source language must be {eng}, got {row[0]!r}"
             )
+        if pair_target and row[1] not in subs.tables:
+            without_lexicon += 1
+            continue
         rng.seed(derive_seed(policy.seed, "augment", index))
         result = augment_record(row[2], row[1], subs, policy, rng)
         if result is None:

@@ -296,7 +296,7 @@ def _cmd_reduce(run: Run) -> tuple[str, dict]:
     keep = corpus_mod.reduce_keep(counts, threshold, factor, run.seed)
     rows = (fields for _, fields in corpus_mod.iter_fields(args.in_path))
     kept_rows = corpus_mod.keep_ordinals(
-        rows, lambda f: corpus_mod.accounting_language(f[0], f[1]), keep
+        rows, lambda f: corpus_mod.accounting_language(f[0], f[1]), counts, keep, args.in_path
     )
     kept = corpus_mod.write_tsv_rows(("\t".join(f[:5]) for f in kept_rows), run.output(args.out))
     config = {

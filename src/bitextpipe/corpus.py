@@ -15,8 +15,9 @@ check; :func:`check_tags`, with :func:`lang.parse_tag`'s messages;
 :func:`clean_rows` (the cleaning loop around :func:`clean_pair`, the
 empty-side rule), :func:`accounting_language` (the accounting rule),
 :func:`reduce_keep` (the reduction plan) and ``selection.Selection``
-(the draw). :func:`imap_ordered` is the one worker map: ``augment`` maps
-its blocks and ``score`` its chunks of segments through it.
+(the draw), both drawing by :func:`rng.selection_sample`.
+:func:`imap_ordered` is the one worker map: ``augment`` maps its blocks
+and ``score`` its chunks of segments through it.
 
 Wire format (one sentence pair per line)::
 
@@ -41,7 +42,7 @@ from typing import BinaryIO, Callable, Collection, Iterable, Iterator, Mapping, 
 from . import errors
 from .errors import CorpusError, TagError
 from .lang import ENGLISH, LANGUAGE_NAMES, LanguageTag, parse_tag, rendered_tags
-from .rng import derive_rng, pick
+from .rng import derive_rng, selection_sample
 
 K = TypeVar("K")
 L = TypeVar("L")
@@ -336,48 +337,67 @@ def reduce_highresource(
     original order. Languages at or below the threshold pass through
     untouched. Deterministic given (corpus, seed).
     """
-    keep = reduce_keep(stats(corpus).counts, threshold, factor, seed)
+    counts = stats(corpus).counts
+    keep = reduce_keep(counts, threshold, factor, seed)
     if not keep:
         return corpus
-    kept = keep_ordinals(corpus, lambda p: accounting_language(p.src_lang, p.tgt_lang), keep)
+    kept = keep_ordinals(
+        corpus, lambda p: accounting_language(p.src_lang, p.tgt_lang), counts, keep, "corpus"
+    )
     return ParallelCorpus(tuple(kept))
 
 
 def reduce_keep(
     counts: Mapping[K, int], threshold: int, factor: float, seed: int
-) -> dict[K, bytearray]:
-    """The reduction plan: a bitmap of the surviving ordinals of each over-threshold key.
+) -> dict[K, Iterator[bool]]:
+    """The reduction plan: for each over-threshold key, the draw of its survivors.
 
     Keys are accounting languages (tags or rendered tags), counted in
-    corpus order; ordinal ``i`` is the key's ``i``-th pair and survives
-    when ``mask[i >> 3] >> (i & 7) & 1`` (see :func:`rng.sample_mask`).
-    Keys at or below the threshold are absent from the plan and keep every
-    pair. The plan holds n/8 bytes per pair of an over-threshold key.
+    corpus order. A key of ``n`` pairs keeps ``ceil(factor * n)``, drawn
+    by :func:`rng.selection_sample` from ``derive_rng(seed, "reduce",
+    str(key))``: the draw says, for each of the key's pairs in order,
+    whether it survives, and is consumed by one :func:`keep_ordinals`
+    pass. Keys at or below the threshold are absent from the plan and
+    keep every pair.
     """
     if not 0.0 < factor <= 1.0:
         raise CorpusError(f"factor must be in (0, 1], got {factor}")
     if threshold <= 0:
         raise CorpusError(f"threshold must be positive, got {threshold}")
-    plan = {}
-    for key, n in counts.items():
-        if n > threshold:
-            full, mask = pick(n, math.ceil(factor * n), derive_rng(seed, "reduce", str(key)))
-            plan[key] = bytearray(b"\xff" * len(mask)) if full else mask
-    return plan
+    return {
+        key: selection_sample(n, math.ceil(factor * n), derive_rng(seed, "reduce", str(key)))
+        for key, n in counts.items()
+        if n > threshold
+    }
 
 
 def keep_ordinals(
-    items: Iterable[T], key: Callable[[T], K], keep: Mapping[K, bytearray]
+    items: Iterable[T],
+    key: Callable[[T], K],
+    counts: Mapping[K, int],
+    keep: Mapping[K, Iterator[bool]],
+    source: str | Path,
 ) -> Iterator[T]:
-    """Stream the items a :func:`reduce_keep` plan retains, in order."""
-    seen: dict[K, int] = {}
+    """Stream the items a :func:`reduce_keep` plan retains, in order.
+
+    ``counts`` are the items per key that the plan was made from. Items
+    holding more or fewer of a key than that raise :class:`CorpusError`
+    naming ``source``: the input changed after it was counted.
+    """
+    left = dict(counts)
     for item in items:
         k = key(item)
-        ordinal = seen.get(k, 0)
-        seen[k] = ordinal + 1
-        chosen = keep.get(k)
-        if chosen is None or chosen[ordinal >> 3] >> (ordinal & 7) & 1:
+        if not left.get(k):
+            raise CorpusError(f"{source}: changed while read: more {k} rows than first counted")
+        left[k] -= 1
+        draw = keep.get(k)
+        if draw is None or next(draw, False):
             yield item
+    short = [str(k) for k, n in left.items() if n]
+    if short:
+        raise CorpusError(
+            f"{source}: changed while read: fewer {', '.join(short)} rows than first counted"
+        )
 
 
 def reverse(corpus: ParallelCorpus) -> ParallelCorpus:

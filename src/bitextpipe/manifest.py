@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .corpus import write_tsv_rows
 
-VERSION = "0.1.0"
+VERSION = "0.2.0"
 
 
 def sha256_file(path: str | Path) -> str:

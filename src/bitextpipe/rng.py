@@ -7,22 +7,17 @@ on any number of workers and still produce identical output. Python's
 built-in ``hash()`` is salted per process and must not be used here;
 blake2b is stable everywhere.
 
-Reduce, temperature sampling and seed selection all draw through
-:func:`pick`. Its sampler, :func:`sample_mask`, replicates CPython's
-``Random.sample(range(n), k)`` call for call but returns a bitmap of the
-drawn indices instead of a list, so a draw keeps n/8 bytes per pool item
-and selects the rows the list-based draw of earlier releases selected.
-The replica is pinned to CPython's ``Random.sample`` algorithm and its
-private ``Random._randbelow``; ``tests/test_rng.py`` compares the two on
-the running interpreter, so a CPython release that changes either fails
-loudly instead of changing output bytes.
+Reduce, temperature sampling and seed selection all draw their subsets by
+:func:`selection_sample` (Knuth's Algorithm S), one pass over a key's
+items in their order, in constant memory. Releases before 0.2.0
+replicated ``Random.sample`` instead, so their draws kept other rows.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import random
+from typing import Iterator
 
 _SEP = "\x1f"
 
@@ -45,49 +40,21 @@ def derive_rng(base_seed: int, *parts: int | str) -> random.Random:
     return random.Random(derive_seed(base_seed, *parts))
 
 
-def pick(n: int, want: int, rng: random.Random) -> tuple[int, bytearray]:
-    """A seeded draw of ``want`` items from a pool of ``n``: (whole copies, mask).
+def selection_sample(n: int, k: int, rng: random.Random) -> Iterator[bool]:
+    """For each of ``n`` items in turn, whether it is among ``k`` drawn without replacement.
 
-    ``want // n`` whole copies of the pool, then the remainder drawn by
-    :func:`sample_mask`. Returns the number of copies and the remainder's
-    bitmap.
+    Knuth's selection sampling (TAOCP vol. 2, §3.4.2, Algorithm S): with
+    ``n`` items left, this one included, and ``k`` still needed, the item
+    is taken when ``rng.random() * n < k``, so every k-subset is equally
+    likely and taken items keep their order. Nothing is drawn once the
+    ``k`` are taken: the stream ends there, before the items left over.
+    Needs ``0 <= k <= n``.
     """
-    if want == 0:
-        return 0, bytearray((n + 7) >> 3)
-    full, k = divmod(want, n)
-    return full, sample_mask(n, k, rng)
-
-
-def sample_mask(n: int, k: int, rng: random.Random) -> bytearray:
-    """``set(rng.sample(range(n), k))`` as a bitmap of ``ceil(n / 8)`` bytes.
-
-    Pool index ``i`` is drawn when ``mask[i >> 3] >> (i & 7) & 1``. This
-    replicates ``Random.sample`` for a range: the same ``_randbelow`` calls
-    and the same pool/set branch rule, so ``rng`` ends in the same state.
-    The pool branch holds its pool in a transient ``array`` (at most 8 B
-    per item); the set branch rejects repeats on the bitmap instead of a
-    set.
-    """
-    if not 0 <= k <= n:
-        raise ValueError("Sample larger than population or is negative")
-    mask = bytearray((n + 7) >> 3)
-    randbelow = rng._randbelow
-    setsize = 21  # a list pool is used when it is smaller than a k-set
-    if k > 5:
-        setsize += 4 ** math.ceil(math.log(k * 3, 4))
-    if n <= setsize:
-        from array import array
-
-        pool = array("I" if n <= 1 << 32 else "Q", range(n))
-        for m in range(n, n - k, -1):
-            j = randbelow(m)
-            index = pool[j]
-            mask[index >> 3] |= 1 << (index & 7)
-            pool[j] = pool[m - 1]
-    else:
-        for _ in range(k):
-            j = randbelow(n)
-            while mask[j >> 3] >> (j & 7) & 1:
-                j = randbelow(n)
-            mask[j >> 3] |= 1 << (j & 7)
-    return mask
+    random = rng.random
+    while k:
+        if random() * n < k:
+            k -= 1
+            yield True
+        else:
+            yield False
+        n -= 1

@@ -13,8 +13,7 @@ and is independent of input order.
 :func:`materialize` draws from an in-memory corpus or from spilled
 pools (:class:`selection.SpilledPools`, one bucket file per language);
 both go through the same draw (:class:`selection.Selection`), so the CLI
-holds one bitmap bit per pair instead of the corpus and writes the same
-bytes.
+holds no part of the corpus and writes the same bytes.
 """
 
 from __future__ import annotations
@@ -111,8 +110,8 @@ def materialize(
     Languages whose target count is at most their supply are downsampled
     without replacement (survivors keep corpus order); languages needing
     more are repeated whole plus a seeded remainder sample (see
-    :func:`rng.pick`). Output is grouped by rendered tag, so it depends
-    only on (plan, corpus, seed). A :class:`ParallelCorpus` gives a
+    :class:`selection.Selection`). Output is grouped by rendered tag, so
+    it depends only on (plan, corpus, seed). A :class:`ParallelCorpus` gives a
     ``ParallelCorpus``; spilled pools keyed by accounting language give a
     lazy :class:`selection.Selection` of their encoded rows.
     """

@@ -1,13 +1,13 @@
 """The selection engine behind temperature sampling and seed selection.
 
-A draw keeps one bitmap per key (:func:`rng.pick`), never the drawn
-items: :class:`Selection` is a sized, lazy draw that reads the items from
-their pools only when it is iterated. A pool is any sized iterable that
-can be iterated more than once. The library passes in-memory groups of
-pairs; the CLI passes :class:`SpilledPools`, validated rows grouped by key
-into one bucket file each, so ``sample`` and ``seed-select`` hold n/8
-bytes per pair instead of the corpus and copy the chosen rows' bytes
-straight to their output.
+:class:`Selection` is a sized, lazy draw that reads the items from their
+pools only when it is iterated, drawing each key's remainder by
+:func:`rng.selection_sample` as its pool streams by, so it keeps no
+per-item state. A pool is any sized iterable that can be iterated more
+than once. The library passes in-memory groups of pairs; the CLI passes
+:class:`SpilledPools`, validated rows grouped by key into one bucket file
+each, so ``sample`` and ``seed-select`` hold no part of the corpus and
+copy the chosen rows' bytes straight to their output.
 """
 
 from __future__ import annotations
@@ -17,13 +17,10 @@ from collections.abc import Mapping
 from pathlib import Path
 from typing import Collection, Generic, Hashable, Iterable, Iterator, TypeVar
 
-from .rng import derive_rng, pick
+from .rng import derive_rng, selection_sample
 
 K = TypeVar("K", bound=Hashable)
 T = TypeVar("T")
-
-# The eight bits of each byte value, lowest first: a mask as a 0/1 stream.
-_BITS = tuple(tuple(value >> bit & 1 for bit in range(8)) for value in range(256))
 
 _SPILL_BUFFER = 1 << 18  # characters of rows buffered before they go to their buckets
 
@@ -32,10 +29,11 @@ class Selection(Generic[K, T]):
     """A sized, lazy draw from keyed pools: iterating yields the drawn items.
 
     Each key in ``order`` with a positive ``wants[key]`` draws that many
-    items from ``pools[key]`` through :func:`rng.pick`, from the stream
-    ``derive_rng(seed, purpose, str(key))``. Only the bitmaps are kept;
-    items are read from the pools when the selection is iterated, key by
-    key in ``order``, each pool in its own order (whole copies first).
+    items from the ``n`` of ``pools[key]``: ``want // n`` whole copies of
+    the pool, then the ``want % n`` items that :func:`rng.selection_sample`
+    takes, in pool order, from the stream ``derive_rng(seed, purpose,
+    str(key))``. Items are read from the pools, and the remainders drawn,
+    each time the selection is iterated, key by key in ``order``.
     ``counts`` holds the items drawn per key, in output order.
     """
 
@@ -48,14 +46,14 @@ class Selection(Generic[K, T]):
         purpose: str,
     ):
         self.counts: dict[K, int] = {}
-        self._draws: list[tuple[K, Collection[T], int, bytearray]] = []
+        self._draws: list[tuple[K, Collection[T], int, int]] = []
+        self._seed, self._purpose = seed, purpose
         for key in order:
             want = wants.get(key, 0)
             if want:
                 pool = pools[key]
-                full, mask = pick(len(pool), want, derive_rng(seed, purpose, str(key)))
                 self.counts[key] = want
-                self._draws.append((key, pool, full, mask))
+                self._draws.append((key, pool, *divmod(want, len(pool))))
 
     def __len__(self) -> int:
         return sum(self.counts.values())
@@ -65,11 +63,12 @@ class Selection(Generic[K, T]):
 
     def by_key(self) -> Iterator[tuple[K, Iterator[T]]]:
         """(key, that key's drawn items) in output order."""
-        for key, pool, full, mask in self._draws:
+        for key, pool, full, k in self._draws:
             items = itertools.chain.from_iterable(itertools.repeat(pool, full))
-            if any(mask):
-                bits = itertools.chain.from_iterable(map(_BITS.__getitem__, mask))
-                items = itertools.chain(items, itertools.compress(pool, bits))
+            if k:
+                stream = derive_rng(self._seed, self._purpose, str(key))
+                taken = selection_sample(len(pool), k, stream)
+                items = itertools.chain(items, itertools.compress(pool, taken))
             yield key, items
 
 

@@ -275,6 +275,27 @@ class TestAugmentCorpus:
                 expected.append(one)
         assert list(out.pairs) == expected
 
+    def test_pair_target_rows_without_a_table_derive_no_stream(self, monkeypatch):
+        import bitextpipe.augment as augment_mod
+
+        corpus = ParallelCorpus(tuple(
+            SentencePair(f"the dog saw a cat {i}", f"t {i}", ENG, HIN if i % 4 == 0 else BRX)
+            for i in range(40)
+        ))
+        policy = AugmentationPolicy(probability=0.5, mode=MODE_PAIR_TARGET, seed=9)
+        subs = SubstitutionSet.prepare([HIN_LEX], policy.top_k)
+        derive, calls = augment_mod.derive_seed, []
+        monkeypatch.setattr(augment_mod, "derive_seed", lambda *a: calls.append(a) or derive(*a))
+        out, stats = augment_corpus(corpus, subs, policy)
+        assert len(calls) == 10  # the hin_Deva rows: only they have a table
+        assert stats.pairs_without_lexicon == 30
+        expected = [
+            one for index, pair in enumerate(corpus)
+            if (one := augment_sentence(pair, subs, policy,
+                                        derive_rng(policy.seed, "augment", index))) is not None
+        ]
+        assert list(out.pairs) == expected and expected
+
     def test_targets_byte_identical_and_sourced_replacements(self):
         corpus = self._corpus(300)
         policy = AugmentationPolicy(probability=0.4, mode=MODE_PAIR_TARGET, seed=13)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from bitextpipe import corpus as corpus_mod
 from bitextpipe.cli import main
 from bitextpipe.errors import MetricError, iter_lines
 from bitextpipe.evalharness import CHUNK_SEGMENTS, score_run
@@ -136,6 +137,27 @@ class TestStatsReduceSample:
         assert run_cli("reduce", "--in", corpus, "--out", out,
                        "--threshold", 50, "--seed", 3) == 0
         assert out.read_bytes() == corpus.read_bytes()
+
+    @pytest.mark.parametrize("extra", [5_000, -5])
+    def test_reduce_input_changed_between_reads(self, tmp_path, en_hi_files, monkeypatch,
+                                                capsys, extra):
+        corpus = _ingest(tmp_path, en_hi_files)
+        out = tmp_path / "reduced.tsv"
+        first_read = corpus_mod.iter_fields
+
+        def changed_read(path):  # the second read sees a longer or shorter file
+            rows = list(first_read(path))
+            return iter(rows + rows[:1] * extra if extra > 0 else rows[:extra])
+
+        monkeypatch.setattr(corpus_mod, "iter_fields", changed_read)
+        capsys.readouterr()
+        assert run_cli("reduce", "--in", corpus, "--out", out,
+                       "--threshold", 20, "--seed", 3) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {corpus}: changed while read") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.tsv", "corpus.tsv.run.json",
+                                                              "corpus.tsv.skipped.txt", "en.txt",
+                                                              "hi.txt"]
 
     def test_sample_writes_plan_and_plot(self, tmp_path, en_hi_files):
         corpus = _ingest(tmp_path, en_hi_files)

@@ -1,15 +1,19 @@
-"""The bitmap draw is CPython's ``Random.sample`` and keeps the old rows.
+"""The subset draw is Knuth's Algorithm S and pins the rows it keeps.
 
-``rng.sample_mask`` replicates ``Random.sample(range(n), k)`` call for call;
-these tests compare the two directly, so a change to CPython's algorithm
-fails here instead of silently changing output bytes. The second half
+``rng.selection_sample`` is checked against a reference Algorithm S
+written out below, for uniformity (chi-squared over fixed seeds) and for
+its memory, which must not grow with the number of items. The second half
 checks that reduce, materialize and select_seed keep exactly the rows the
-list-based draw of earlier releases (``sorted(rng.sample(range(n), k))``)
-kept.
+reference draw keeps: ``want // n`` whole copies of a key's pool, then
+the remainder that Algorithm S takes from ``derive_rng(seed, purpose,
+key)``.
 """
 
+import itertools
 import math
 import random
+import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -20,79 +24,87 @@ from bitextpipe.corpus import (
     ParallelCorpus,
     SentencePair,
     accounting_language,
+    keep_ordinals,
     reduce_highresource,
+    reduce_keep,
     stats,
 )
 from bitextpipe.lang import parse_tag
-from bitextpipe.rng import derive_rng, pick, sample_mask
+from bitextpipe.rng import derive_rng, selection_sample
 from bitextpipe.sampling import allocate, distribution, largest_remainder, materialize
 from bitextpipe.selection import Selection
 
 from conftest import ENG, REFERENCE_COUNTS
 
 
-def _setsize(k: int) -> int:
-    """Random.sample uses a list pool when n <= this, a set otherwise."""
-    return 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+def _algorithm_s(n: int, k: int, rng: random.Random) -> list[int]:
+    """The ``k`` of ``range(n)`` that Algorithm S takes (TAOCP vol. 2, §3.4.2)."""
+    taken: list[int] = []
+    for i in range(n):
+        if len(taken) == k:
+            break
+        if rng.random() * (n - i) < k - len(taken):
+            taken.append(i)
+    return taken
 
 
-def _members(mask: bytearray, n: int) -> set[int]:
-    assert len(mask) == (n + 7) // 8
-    return {i for i in range(len(mask) * 8) if mask[i >> 3] >> (i & 7) & 1}
+def _reference_pick(n: int, want: int, rng: random.Random) -> list[int]:
+    if want == 0:
+        return []
+    full, remainder = divmod(want, n)
+    return [*range(n)] * full + _algorithm_s(n, remainder, rng)
 
 
-def _assert_replica(n: int, k: int, seed: int) -> None:
-    reference, replica = random.Random(seed), random.Random(seed)
-    expected = set(reference.sample(range(n), k))
-    assert _members(sample_mask(n, k, replica), n) == expected
-    assert replica.getstate() == reference.getstate()
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(min_value=0, max_value=300), data=st.data(),
+       seed=st.integers(min_value=0, max_value=2**64 - 1))
+def test_selection_sample_is_algorithm_s(n, data, seed):
+    k = data.draw(st.integers(min_value=0, max_value=n))
+    flags = list(selection_sample(n, k, random.Random(seed)))
+    taken = [i for i, flag in enumerate(flags) if flag]
+    assert taken == _algorithm_s(n, k, random.Random(seed))
+    assert len(taken) == k and len(flags) <= n
+    assert not flags or flags[-1]  # nothing is drawn once the k are taken
 
 
-@st.composite
-def draws(draw):
-    """(n, k) on both sides of the pool/set boundary, and anywhere else."""
-    k = draw(st.integers(min_value=0, max_value=400))
-    near = _setsize(k) + draw(st.integers(min_value=-3, max_value=3))
-    anywhere = draw(st.integers(min_value=k, max_value=4 * k + 50))
-    return max(k, draw(st.sampled_from([near, anywhere]))), k
+def test_selection_sample_includes_each_item_uniformly():
+    # 20,000 draws of 3 of 10: each ordinal is taken 6,000 times in
+    # expectation; 27.877 is the chi-squared critical value, df 9, p = 0.001.
+    n, k, draws = 10, 3, 20_000
+    hits = Counter()
+    for seed in range(draws):
+        hits.update(itertools.compress(range(n), selection_sample(n, k, random.Random(seed))))
+    expected = draws * k / n
+    chi2 = sum((hits[i] - expected) ** 2 / expected for i in range(n))
+    assert chi2 < 27.877
 
 
-@settings(max_examples=300, deadline=None)
-@given(nk=draws(), seed=st.integers(min_value=0, max_value=2**64 - 1))
-def test_sample_mask_is_random_sample(nk, seed):
-    _assert_replica(*nk, seed)
+def test_selection_sample_draws_every_subset_uniformly():
+    # 60,000 draws over the 120 3-subsets of 10, 500 each in expectation;
+    # 172.418 is the chi-squared critical value, df 119, p = 0.001.
+    n, k, draws = 10, 3, 60_000
+    seen = Counter(
+        tuple(itertools.compress(range(n), selection_sample(n, k, random.Random(seed))))
+        for seed in range(draws)
+    )
+    subsets = list(itertools.combinations(range(n), k))
+    assert set(seen) == set(subsets)
+    expected = draws / len(subsets)
+    chi2 = sum((seen[s] - expected) ** 2 / expected for s in subsets)
+    assert chi2 < 172.418
 
 
-@pytest.mark.parametrize("k", [0, 1, 2, 5, 6, 7, 40, 300])
-def test_sample_mask_at_the_branch_boundary(k):
-    # the two branches often agree on small draws, so try many seeds
-    size = _setsize(k)
-    for n in (max(k, 1), size - 1, size, size + 1, 4 * size):
-        for seed in range(40):
-            _assert_replica(n, k, seed)
-
-
-@pytest.mark.parametrize("n, k", [(1, 0), (1, 1), (0, 0), (2, 2), (5000, 5000), (37, 0)])
-def test_sample_mask_edge_sizes(n, k):
-    _assert_replica(n, k, seed=7)
-
-
-def test_sample_mask_rejects_what_random_sample_rejects():
-    with pytest.raises(ValueError):
-        sample_mask(3, 4, random.Random(0))
-
-
-@settings(max_examples=100, deadline=None)
-@given(n=st.integers(min_value=1, max_value=300), want=st.integers(min_value=0, max_value=1200),
-       seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_pick_is_whole_copies_plus_a_remainder_sample(n, want, seed):
-    full, mask = pick(n, want, random.Random(seed))
-    assert full == want // n
-    assert _members(mask, n) == set(random.Random(seed).sample(range(n), want % n))
-
-
-def test_pick_of_nothing_from_nothing():
-    assert pick(0, 0, random.Random(0)) == (0, bytearray())
+def test_reduce_draw_memory_does_not_grow_with_the_key():
+    n = 2_000_000
+    tracemalloc.start()
+    try:
+        keep = reduce_keep({"k": n}, threshold=1, factor=0.5, seed=1)
+        kept = Counter(keep_ordinals(("k" for _ in range(n)), str, {"k": n}, keep, "gen"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept == {"k": n // 2}
+    assert peak < 1 << 20
 
 
 def test_selection_is_sized_lazy_and_reiterable():
@@ -105,14 +117,7 @@ def test_selection_is_sized_lazy_and_reiterable():
 
 
 # ---------------------------------------------------------------------------
-# Same rows as the list-based draw
-
-
-def _old_pick(n: int, want: int, rng: random.Random) -> list[int]:
-    if want == 0:
-        return []
-    full, remainder = divmod(want, n)
-    return [*range(n)] * full + sorted(rng.sample(range(n), remainder))
+# Same rows as the reference draw
 
 
 # REFERENCE_COUNTS scaled down 10,000 times (10 to 1,924 pairs per language).
@@ -135,7 +140,7 @@ def test_reduce_keeps_the_old_rows(seed):
     threshold, factor = 1_000, 0.5
     counts = stats(corpus).counts
     chosen = {
-        tag: set(_old_pick(n, math.ceil(factor * n), derive_rng(seed, "reduce", str(tag))))
+        tag: set(_reference_pick(n, math.ceil(factor * n), derive_rng(seed, "reduce", str(tag))))
         for tag, n in counts.items() if n > threshold
     }
     seen: dict = {}
@@ -160,7 +165,7 @@ def test_materialize_keeps_the_old_rows(temperature, budget):
     for tag in plan.languages():
         pool = groups[tag]
         rng = derive_rng(5, "materialize", str(tag))
-        expected += [pool[i] for i in _old_pick(len(pool), plan.counts[tag], rng)]
+        expected += [pool[i] for i in _reference_pick(len(pool), plan.counts[tag], rng)]
     assert materialize(plan, corpus, budget, seed=5).pairs == tuple(expected)
 
 
@@ -176,5 +181,5 @@ def test_select_seed_keeps_the_old_rows(budget):
     for label in SEED_SUBSETS:
         pool = subsets[label].pairs
         rng = derive_rng(11, "seed-select", label)
-        expected += [pool[i] for i in _old_pick(len(pool), allocation[label], rng)]
+        expected += [pool[i] for i in _reference_pick(len(pool), allocation[label], rng)]
     assert select_seed(subsets, budget, seed=11).pairs == tuple(expected)
