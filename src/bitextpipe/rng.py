@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterator
+from typing import Callable, Iterator
 
 _SEP = "\x1f"
 
@@ -48,9 +48,14 @@ def selection_sample(n: int, k: int, rng: random.Random) -> Iterator[bool]:
     is taken when ``rng.random() * n < k``, so every k-subset is equally
     likely and taken items keep their order. Nothing is drawn once the
     ``k`` are taken: the stream ends there, before the items left over.
-    Needs ``0 <= k <= n``.
+    Raises ``ValueError`` unless ``0 <= k <= n``, as ``Random.sample`` does.
     """
-    random = rng.random
+    if not 0 <= k <= n:
+        raise ValueError(f"cannot draw {k} of {n} items")
+    return _algorithm_s(n, k, rng.random)
+
+
+def _algorithm_s(n: int, k: int, random: Callable[[], float]) -> Iterator[bool]:
     while k:
         if random() * n < k:
             k -= 1

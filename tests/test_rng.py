@@ -1,8 +1,9 @@
 """The subset draw is Knuth's Algorithm S and pins the rows it keeps.
 
 ``rng.selection_sample`` is checked against a reference Algorithm S
-written out below, for uniformity (chi-squared over fixed seeds) and for
-its memory, which must not grow with the number of items. The second half
+written out below, at edge sizes, for the sizes it rejects, for
+uniformity (chi-squared over fixed seeds) and for its memory, which must
+not grow with the number of items. The second half
 checks that reduce, materialize and select_seed keep exactly the rows the
 reference draw keeps: ``want // n`` whole copies of a key's pool, then
 the remainder that Algorithm S takes from ``derive_rng(seed, purpose,
@@ -67,6 +68,32 @@ def test_selection_sample_is_algorithm_s(n, data, seed):
     assert not flags or flags[-1]  # nothing is drawn once the k are taken
 
 
+@pytest.mark.parametrize("n, k", [(1, 0), (1, 1), (0, 0), (2, 2), (5000, 5000), (37, 0)])
+def test_selection_sample_edge_sizes(n, k):
+    rng, untouched = random.Random(7), random.Random(7)
+    flags = list(selection_sample(n, k, rng))
+    assert flags == [True] * k  # all or none: no item is ever passed over
+    if k == 0:
+        assert rng.getstate() == untouched.getstate()  # nothing drawn for nothing
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 5, 6, 7, 40, 300])
+def test_selection_sample_takes_exactly_k_in_order(k):
+    for n in (max(k, 1), k + 1, 2 * k + 1, 4 * k + 21):
+        for seed in range(40):
+            taken = list(itertools.compress(range(n), selection_sample(n, k, random.Random(seed))))
+            assert taken == _algorithm_s(n, k, random.Random(seed))
+            assert len(taken) == k and taken == sorted(set(taken))
+
+
+@pytest.mark.parametrize("n, k", [(3, 4), (0, 1), (5, -1)])
+def test_selection_sample_rejects_what_random_sample_rejects(n, k):
+    with pytest.raises(ValueError):
+        random.Random(0).sample(range(n), k)
+    with pytest.raises(ValueError):
+        selection_sample(n, k, random.Random(0))
+
+
 def test_selection_sample_includes_each_item_uniformly():
     # 20,000 draws of 3 of 10: each ordinal is taken 6,000 times in
     # expectation; 27.877 is the chi-squared critical value, df 9, p = 0.001.
@@ -114,6 +141,21 @@ def test_selection_is_sized_lazy_and_reiterable():
     items = list(selection)
     assert items[:6] == ["a0", "a1", "a2"] * 2 and items[6] in pools["a"]
     assert list(selection) == items
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(min_value=1, max_value=300), want=st.integers(min_value=0, max_value=1200),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_selection_is_whole_copies_plus_a_remainder_sample(n, want, seed):
+    pool = [f"p{i}" for i in range(n)]
+    selection = Selection({"k": pool}, {"k": want}, ["k"], seed=seed, purpose="test")
+    expected = [pool[i] for i in _reference_pick(n, want, derive_rng(seed, "test", "k"))]
+    assert len(selection) == want and list(selection) == expected
+
+
+def test_selection_of_nothing_from_nothing():
+    selection = Selection({"k": []}, {"k": 0}, ["k"], seed=0, purpose="test")
+    assert len(selection) == 0 and selection.counts == {} and list(selection) == []
 
 
 # ---------------------------------------------------------------------------
