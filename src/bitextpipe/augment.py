@@ -18,10 +18,12 @@ from __future__ import annotations
 import random
 import string
 from dataclasses import asdict, dataclass, replace as dc_replace
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from pathlib import Path
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
-from .corpus import ParallelCorpus, SentencePair, reverse_pair
-from .errors import AugmentError, CorpusError
+from .corpus import (ParallelCorpus, SentencePair, encode_rows, file_ranges, iter_tsv_rows,
+                     ordered_map, reverse_pair, use_workers, write_tsv_rows)
+from .errors import AugmentError, CorpusError, PipelineError
 from .lang import ENGLISH
 from .lexicon import BilingualLexicon, truncate_topk
 from .rng import derive_seed
@@ -327,16 +329,17 @@ def mixture_rows(
     rendered ``src_lang, tgt_lang``; ``original()`` streams (line number,
     row) and is called twice, the second time for the ``rev`` rows, which
     the caller reverses. Sources must be English and augmented targets
-    must occur in the original. Errors name ``<name>:<line>``. When the
-    rows run out, ``counts`` holds the original, reversed and augmented
-    row counts.
+    must occur in the original (:func:`not_english_source`,
+    :func:`check_targets`). Errors name ``<name>:<line>``. When the rows
+    run out, ``counts`` holds the original, reversed and augmented row
+    counts.
     """
     eng = _ENG_TEXT
     targets: set[str] = set()
     n_original = n_reversed = n_augmented = 0
     for lineno, row in original():
         if row[0] != eng:
-            raise AugmentError(f"{names[0]}:{lineno}: original corpus must be {eng} source")
+            raise not_english_source(names[0], lineno, "orig")
         targets.add(row[1])
         n_original += 1
         yield "orig", row
@@ -345,14 +348,97 @@ def mixture_rows(
         yield "rev", row
     for lineno, row in augmented:
         if row[0] != eng:
-            raise AugmentError(f"{names[1]}:{lineno}: augmented corpus must be {eng} source")
+            raise not_english_source(names[1], lineno, "aug")
         if row[1] not in targets:
-            raise AugmentError(
-                f"{names[1]}:{lineno}: language {row[1]} absent from original corpus"
-            )
+            check_targets({row[1]: lineno}, targets, names[1])
         n_augmented += 1
         yield "aug", row
     counts[:] = n_original, n_reversed, n_augmented
+
+
+def mixture_line(origin: str, row: Sequence[str]) -> str:
+    """One mixture TSV line: the row's five fields, swapped for ``rev``, and its origin."""
+    if origin == "rev":
+        return "\t".join((row[1], row[0], row[3], row[2], row[4], origin))
+    return "\t".join(row[:5]) + "\t" + origin
+
+
+def write_mixture(
+    paths: tuple[str, str], valid_tags: Collection[str], out: str | Path, threads: int = 1
+) -> list[int]:
+    """Write :func:`mixture_rows` of two corpus TSVs to ``out``; return its counts.
+
+    ``paths`` are the original and the augmented corpus. With workers
+    (:func:`corpus.use_workers`), the tasks are the ``orig`` ranges of the
+    original, its ``rev`` ranges, then the ``aug`` ranges of the augmented
+    corpus, and the token carries the counts and the original targets. An
+    ``aug`` range notes the line where each of its targets first occurs and
+    checks them at its turn, so the first error in file order is raised: a
+    target absent before the range's own first error, else that error.
+    """
+    if not use_workers(threads, *paths):
+        counts: list[int] = []
+        rows = mixture_rows(lambda: iter_tsv_rows(paths[0], valid_tags),
+                            iter_tsv_rows(paths[1], valid_tags), paths, counts)
+        write_tsv_rows((mixture_line(origin, row) for origin, row in rows), out)
+        return counts
+    eng = _ENG_TEXT
+    names = {"orig": paths[0], "rev": paths[0], "aug": paths[1]}
+
+    def tasks() -> Iterator[tuple[str, tuple[int, int, int]]]:
+        for origin, path in names.items():
+            for span in file_ranges(path):
+                yield origin, span
+
+    def section(task: tuple[str, tuple[int, int, int]]) -> tuple[tuple[list], tuple]:
+        origin, span = task
+        lines: list[str] = []
+        first_lines: dict[str, int] = {}
+        error = None
+        try:
+            for lineno, row in iter_tsv_rows(names[origin], valid_tags, span):
+                if origin != "rev":
+                    if row[0] != eng:
+                        raise not_english_source(names[origin], lineno, origin)
+                    first_lines.setdefault(row[1], lineno)
+                lines.append(mixture_line(origin, row))
+        except PipelineError as exc:
+            if origin != "aug":
+                raise
+            error = exc
+        return (list(encode_rows(lines)),), (origin, len(lines), first_lines, error)
+
+    def add(token: tuple[dict, set], part: tuple) -> tuple[dict, set]:
+        counts, targets = token
+        origin, n, first_lines, error = part
+        if origin == "orig":
+            targets.update(first_lines)
+        elif origin == "aug":
+            check_targets(first_lines, targets, paths[1])
+        if error is not None:
+            raise error
+        counts[origin] += n
+        return token
+
+    token = ({origin: 0 for origin in names}, set())
+    counts, _ = ordered_map(tasks(), threads, section, add, token, [out])
+    return list(counts.values())
+
+
+def not_english_source(name: str, lineno: int, origin: str) -> AugmentError:
+    """The error for a mixture input row without an English source (``orig`` or ``aug``)."""
+    corpus = "original" if origin == "orig" else "augmented"
+    return AugmentError(f"{name}:{lineno}: {corpus} corpus must be {_ENG_TEXT} source")
+
+
+def check_targets(first_lines: Mapping[str, int], targets: Collection[str], name: str) -> None:
+    """Each augmented target language (mapped to its first line) must be an original target.
+
+    The first one, in the mapping's order, that is not raises.
+    """
+    for lang, lineno in first_lines.items():
+        if lang not in targets:
+            raise AugmentError(f"{name}:{lineno}: language {lang} absent from original corpus")
 
 
 def build_pretraining_mixture(

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import os
 import stat
@@ -26,15 +27,15 @@ import sys
 import time
 from collections import Counter
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
+from typing import (TYPE_CHECKING, Callable, Collection, Hashable, Iterable, Iterator, Sequence,
+                    TypeVar)
 
 # Only what every subcommand needs is imported here, so a call never pays
 # for another command's modules: each handler imports the rest when it runs
 # and looks functions up on their module then, so a rebound module
 # attribute (a test double, a tracer) takes effect.
 from . import corpus as corpus_mod
-from .errors import (AugmentError, ConfigError, CorpusError, PipelineError, decode_block,
-                     iter_blocks, iter_lines)
+from .errors import AugmentError, ConfigError, CorpusError, PipelineError, iter_lines
 from .lang import ENGLISH, load_extra_tags, parse_pair, parse_tag, rendered_tags
 from .manifest import RunManifest, manifest_path_for, sha256_file
 
@@ -50,13 +51,6 @@ _INT_KEYS = {"seed", "threads", "topk", "budget", "threshold"}
 _FLOAT_KEYS = {"temperature", "prob", "factor"}
 _STR_KEYS = {"format", "mode"}
 _CONFIG_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
-
-# Bytes of whole lines in one augment work unit: the unit, its decoded
-# lines and its output are what a worker holds besides the top-K tables.
-# On the pretrain-zipf benchmark input (2 vCPUs), 64 KiB units peaked
-# 1.6 MiB lower but ran 25-40% slower at two workers; 1 MiB units peaked
-# 8 MiB higher.
-_AUGMENT_BLOCK = 1 << 18
 
 # Parser choices, equal to lexicon.FORMATS, augment.MODES and
 # trainconfig.PHASES (a test ties them) without importing those modules.
@@ -198,9 +192,29 @@ def _execute(run: Run, handler: Callable[[Run], tuple[str, dict]]) -> int:
 
 
 def _count_accounting_tags(run: Run, path: str) -> Counter[str]:
-    """Checked rows per rendered accounting language, in first-seen order."""
-    rows = corpus_mod.iter_tsv_rows(path, run.valid_tags)
-    return Counter(corpus_mod.accounting_language(f[0], f[1]) for _, f in rows)
+    """Checked rows per rendered accounting language, in first-seen order.
+
+    Spread over ``--threads`` workers by range; each range's counts are
+    added in file order, so the first-seen order is the file's.
+    """
+
+    def count(span: tuple[int, int, int] | None = None) -> Counter[str]:
+        rows = corpus_mod.iter_tsv_rows(path, run.valid_tags, span)
+        return Counter(corpus_mod.accounting_language(f[0], f[1]) for _, f in rows)
+
+    if not corpus_mod.use_workers(run.threads, path):
+        return count()
+    return corpus_mod.ordered_map(corpus_mod.file_ranges(path), run.threads,
+                                  lambda span: ((), count(span)), _update, Counter())
+
+
+def _update(token: Counter[str], part: Counter[str]) -> Counter[str]:
+    token.update(part)
+    return token
+
+
+def _add_counts(token: tuple[int, ...], part: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(a + b for a, b in zip(token, part))
 
 
 @contextlib.contextmanager
@@ -232,20 +246,26 @@ def _spilled_pools(
 def _cmd_ingest(run: Run) -> tuple[str, dict]:
     args = run.args
     out = run.output(Path(args.out))
+    skip_path = run.output(Path(f"{out}.skipped.txt"))
     excluded = set(args.exclude_subset or ())
+
+    def tsv_rows(span: tuple[int, int, int] | None = None) -> Iterator[tuple[int, list[str]]]:
+        for lineno, fields in corpus_mod.iter_fields(args.in_path, span):
+            corpus_mod.check_tags(fields, run.valid_tags, args.in_path, lineno)
+            if fields[0] == fields[1]:
+                raise CorpusError(
+                    f"{args.in_path}:{lineno}: source and target language are equal"
+                )
+            yield lineno, fields
+
+    def ingest_range(span: tuple[int, int, int]) -> tuple[tuple[list, list], tuple[int, int]]:
+        skips = io.BytesIO()
+        log = corpus_mod.SkipLog(skips)
+        rows = [*map("\t".join, corpus_mod.clean_rows(tsv_rows(span), log.append, excluded))]
+        return (list(corpus_mod.encode_rows(rows)), [skips.getvalue()]), (len(rows), log.count)
 
     if args.in_path:
         run.input(args.in_path)
-
-        def tsv_rows() -> Iterator[tuple[int, list[str]]]:
-            for lineno, fields in corpus_mod.iter_fields(args.in_path):
-                corpus_mod.check_tags(fields, run.valid_tags, args.in_path, lineno)
-                if fields[0] == fields[1]:
-                    raise CorpusError(
-                        f"{args.in_path}:{lineno}: source and target language are equal"
-                    )
-                yield lineno, fields
-
         rows: Iterable[tuple[int, Sequence[str]]] = tsv_rows()
     else:
         if not (args.src and args.tgt and args.src_lang and args.tgt_lang):
@@ -259,9 +279,14 @@ def _cmd_ingest(run: Run) -> tuple[str, dict]:
         run.input(args.src, args.tgt)
         rows = corpus_mod.iter_paired_rows(args.src, args.tgt, *tags, subset)
 
-    with corpus_mod.open_skip_report(run.output(Path(f"{out}.skipped.txt"))) as skipped:
-        cleaned = corpus_mod.clean_rows(rows, skipped.append, excluded)
-        kept = corpus_mod.write_tsv_rows(map("\t".join, cleaned), out)
+    if args.in_path and corpus_mod.use_workers(run.threads, args.in_path):
+        kept, skipped = corpus_mod.ordered_map(corpus_mod.file_ranges(args.in_path), run.threads,
+                                               ingest_range, _add_counts, (0, 0), (out, skip_path))
+    else:
+        with corpus_mod.open_skip_report(skip_path) as log:
+            cleaned = corpus_mod.clean_rows(rows, log.append, excluded)
+            kept = corpus_mod.write_tsv_rows(map("\t".join, cleaned), out)
+        skipped = log.count
     config = {
         "in": args.in_path,
         "src": args.src,
@@ -270,8 +295,9 @@ def _cmd_ingest(run: Run) -> tuple[str, dict]:
         "tgt_lang": args.tgt_lang,
         "subset": args.subset,
         "exclude_subset": sorted(excluded),
+        "threads": run.threads,
     }
-    return f"ingest: kept {kept} pairs, skipped {skipped.count} -> {out}", config
+    return f"ingest: kept {kept} pairs, skipped {skipped} -> {out}", config
 
 
 def _cmd_stats(run: Run) -> tuple[str, dict]:
@@ -284,7 +310,7 @@ def _cmd_stats(run: Run) -> tuple[str, dict]:
     if args.out:
         rows = (f"{tag}\t{n}" for tag, n in sorted(counts.items()))
         corpus_mod.write_tsv_rows(rows, run.output(args.out))
-    return corpus_mod.format_stats_table(stats_value), {"in": args.in_path}
+    return corpus_mod.format_stats_table(stats_value), {"in": args.in_path, "threads": run.threads}
 
 
 def _cmd_reduce(run: Run) -> tuple[str, dict]:
@@ -304,6 +330,7 @@ def _cmd_reduce(run: Run) -> tuple[str, dict]:
         "threshold": threshold,
         "factor": factor,
         "seed": run.seed,
+        "threads": run.threads,
     }
     return (
         f"reduce: kept {kept} of {sum(counts.values())} pairs "
@@ -369,33 +396,25 @@ def _parse_lex_specs(specs: Sequence[str]) -> list[tuple[str, str]]:
     return out
 
 
-_WORKER: dict = {}
+def _augment_chunk(
+    path: str,
+    span: tuple[int, int, int] | None,
+    subs: SubstitutionSet,
+    policy: AugmentationPolicy,
+    valid_tags: Collection[str],
+    totals: list[int],
+) -> Iterator[str]:
+    """The augmented rows of ``path``, or of one of its :func:`corpus.file_ranges` spans.
 
-
-def _augment_worker_init(subs: SubstitutionSet, policy: AugmentationPolicy, tags: set) -> None:
-    _WORKER[0] = (subs, policy, tags)
-
-
-def _augment_chunk(task: tuple[int, bytes, str]) -> tuple[bytes, int, list[int]]:
-    """Augment one :func:`errors.iter_blocks` block of TSV lines; pure given the worker state.
-
-    ``start`` is the corpus index of the block's first line. Returns the
-    encoded output rows, their number and the block's four
-    :func:`augment.augment_rows` totals.
+    When the rows run out, adds the four :func:`augment.augment_rows`
+    totals to ``totals``.
     """
     from . import augment as augment_mod
 
-    subs, policy, valid_tags = _WORKER[0]
-    start, block, label = task
-
-    lines = decode_block(block, label, start, CorpusError)
-    rows = (fields for _, fields in corpus_mod.check_rows(lines, valid_tags, label, start))
-    totals = [0, 0, 0, 0]
-    out = [
-        f"{f[0]}\t{f[1]}\t{new_source}\t{f[3]}\t{f[4]}\n"
-        for _, f, new_source in augment_mod.augment_rows(rows, start, subs, policy, label, totals)
-    ]
-    return "".join(out).encode("utf-8"), len(out), totals
+    rows = (fields for _, fields in corpus_mod.iter_tsv_rows(path, valid_tags, span))
+    augmented = augment_mod.augment_rows(rows, span[2] if span else 0, subs, policy, path, totals)
+    for _, f, new_source in augmented:
+        yield f"{f[0]}\t{f[1]}\t{new_source}\t{f[3]}\t{f[4]}"
 
 
 def _cmd_augment(run: Run) -> tuple[str, dict]:
@@ -423,25 +442,23 @@ def _cmd_augment(run: Run) -> tuple[str, dict]:
     # A generator: each lexicon is read into its top-K entries only, and
     # dropped once its table is built, before the next one is read.
     subs = augment_mod.SubstitutionSet.prepare(lexicons(), policy.top_k)
-    totals = [0, 0, 0, 0, 0]  # augmented, seen, without lexicon, matched, replaced
+    out = run.output(args.out)
 
-    def consume(results: Iterable[tuple[bytes, int, list[int]]]) -> Iterator[bytes]:
-        for data, rows, counts in results:
-            for i, n in enumerate((rows, *counts)):
-                totals[i] += n
-            yield data
+    def augment_range(span: tuple[int, int, int]) -> tuple[tuple[list], tuple[int, ...]]:
+        totals = [0] * 4
+        rows = list(_augment_chunk(args.in_path, span, subs, policy, run.valid_tags, totals))
+        return (list(corpus_mod.encode_rows(rows)),), (len(rows), *totals)
 
-    blocks = (
-        (start, block, args.in_path)
-        for start, block in iter_blocks(args.in_path, _AUGMENT_BLOCK, CorpusError)
-    )
-    state = (subs, policy, run.valid_tags)
-    results = corpus_mod.imap_ordered(_augment_chunk, blocks, run.threads,
-                                      _augment_worker_init, state)
-    with contextlib.closing(results):  # a failed write stops the workers at once
-        corpus_mod.write_tsv_bytes(consume(results), run.output(args.out))
+    if corpus_mod.use_workers(run.threads, args.in_path):
+        augmented, *totals = corpus_mod.ordered_map(corpus_mod.file_ranges(args.in_path),
+                                                    run.threads, augment_range, _add_counts,
+                                                    (0,) * 5, [out])
+    else:
+        totals = [0] * 4  # seen, without lexicon, matched, replaced
+        rows = _augment_chunk(args.in_path, None, subs, policy, run.valid_tags, totals)
+        augmented = corpus_mod.write_tsv_rows(rows, out)
 
-    augmented, seen, without_lexicon, matched, replaced = totals
+    seen, without_lexicon, matched, replaced = totals
     rate = replaced / matched if matched else 0.0
     config = {
         "in": args.in_path,
@@ -485,28 +502,13 @@ def _cmd_mixture(run: Run) -> tuple[str, dict]:
     args = run.args
     inputs = (args.in_path, args.aug)
     run.input(*inputs)
-    counts: list[int] = []
-    mixed = augment_mod.mixture_rows(
-        lambda: corpus_mod.iter_tsv_rows(args.in_path, run.valid_tags),
-        corpus_mod.iter_tsv_rows(args.aug, run.valid_tags),
-        inputs,
-        counts,
-    )
-
-    def rows() -> Iterator[str]:
-        for origin, f in mixed:
-            if origin == "rev":
-                yield "\t".join((f[1], f[0], f[3], f[2], f[4], origin))
-            else:
-                yield "\t".join(f[:5]) + "\t" + origin
-
-    corpus_mod.write_tsv_rows(rows(), run.output(args.out))
+    counts = augment_mod.write_mixture(inputs, run.valid_tags, run.output(args.out), run.threads)
     mix_path = Path(args.mixture_manifest or f"{args.out}.mixture.json")
     seed = run.seed if run.seed_given else None
     manifest = augment_mod.MixtureManifest(*counts, sum(counts), seed, _augment_policy(args.aug))
     doc = dict(manifest.to_dict(), inputs={str(path): run.digest(path) for path in inputs})
     corpus_mod.write_tsv_rows([json.dumps(doc, indent=2)], run.output(mix_path))
-    config = {"in": args.in_path, "aug": args.aug}
+    config = {"in": args.in_path, "aug": args.aug, "threads": run.threads}
     return (
         f"mixture: {manifest.n_total} pairs "
         f"(2*{manifest.n_original} + {manifest.n_augmented}) -> {args.out}"
@@ -577,7 +579,8 @@ def _cmd_train_config(run: Run) -> tuple[str, dict]:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="global random seed")
-    parser.add_argument("--threads", type=int, default=None, help="worker processes for augment "
+    parser.add_argument("--threads", type=int, default=None,
+                        help="worker processes for ingest --in, stats, reduce, augment, mixture "
                         "and score, default: the usable CPUs (never changes output bytes)")
     parser.add_argument(
         "--tags-file", default=None, help="file of extra language tags, one per line"

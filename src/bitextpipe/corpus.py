@@ -16,8 +16,17 @@ check; :func:`check_tags`, with :func:`lang.parse_tag`'s messages;
 empty-side rule), :func:`accounting_language` (the accounting rule),
 :func:`reduce_keep` (the reduction plan) and ``selection.Selection``
 (the draw), both drawing by :func:`rng.selection_sample`.
-:func:`imap_ordered` is the one worker map: ``augment`` maps its blocks
-and ``score`` its chunks of segments through it.
+
+:func:`ordered_map` is the one worker map. At ``--threads`` 2 or more,
+``ingest --in``, ``stats``, ``reduce``'s count, ``augment`` and ``mixture``
+cut each regular input file into the newline-aligned ranges of
+:func:`file_ranges` (:data:`RANGE_BYTES` each), and forked workers read
+their own ranges (:func:`iter_lines` given a span), write their output
+through the shared output files in range order and add their counts to a
+token passed from worker to worker; ``score`` sends its chunks of segments
+to the workers. No output crosses a pipe, and the bytes are those of one
+process at any thread count. :func:`usable_cpus` is the default thread
+count.
 
 Wire format (one sentence pair per line)::
 
@@ -30,10 +39,10 @@ The optional sixth column tags mixture provenance (``orig``, ``rev``,
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 import math
 import os
+import stat
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -46,7 +55,8 @@ from .rng import derive_rng, selection_sample
 
 K = TypeVar("K")
 L = TypeVar("L")
-R = TypeVar("R")
+P = TypeVar("P")
+S = TypeVar("S")
 T = TypeVar("T")
 
 DEFAULT_SUBSET = "general"
@@ -161,77 +171,148 @@ def accounting_language(src_lang: L, tgt_lang: L) -> L:
     return src_lang if tgt_lang in _ENGLISH_FORMS else tgt_lang
 
 
-def iter_lines(path: str | Path) -> Iterator[str]:
+def iter_lines(path: str | Path, span: tuple[int, int, int] | None = None) -> Iterator[str]:
     """:func:`errors.iter_lines` with :class:`CorpusError` errors."""
-    return errors.iter_lines(path, CorpusError)
+    return errors.iter_lines(path, CorpusError, span)
+
+
+# The cgroup file system: cgroup v2 keeps the CPU quota in ``cpu.max``
+# ("<quota> <period>", or "max <period>"), cgroup v1 in
+# ``cpu/cpu.cfs_quota_us`` (-1: none) and ``cpu/cpu.cfs_period_us``.
+CGROUP_ROOT = Path("/sys/fs/cgroup")
 
 
 def usable_cpus() -> int:
-    """The CPUs this process may run on: the default worker count."""
+    """The CPUs this process may use: the default worker count.
+
+    The smaller of the CPUs in the affinity mask and the cgroup CPU quota,
+    rounded up to whole CPUs; ``max``, ``-1`` or an unreadable file means
+    no quota.
+    """
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    quota = _first_line(CGROUP_ROOT / "cpu.max").split()
+    if len(quota) != 2:
+        quota = [_first_line(CGROUP_ROOT / "cpu" / f"cpu.cfs_{name}_us")
+                 for name in ("quota", "period")]
+    try:
+        limit, period = map(int, quota)
+    except ValueError:
+        return cpus
+    return min(cpus, -(-limit // period)) if limit > 0 and period > 0 else cpus
 
 
-def imap_ordered(
-    fn: Callable[[T], R],
+def _first_line(path: Path) -> str:
+    """The first line of a small file; empty if it cannot be read."""
+    try:
+        return next(errors.iter_lines(path, CorpusError), "")
+    except CorpusError:
+        return ""
+
+
+# Bytes of whole lines in one range: a command that spreads its input over
+# worker processes cuts it into ranges of this size at line ends, and each
+# worker reads, works on and holds the output of one range at a time. On
+# the pretrain-zipf benchmark input (2 vCPUs), 64 KiB units ran 25-40%
+# slower at two workers and 1 MiB units peaked 8 MiB higher.
+RANGE_BYTES = 1 << 18
+
+
+# Inputs smaller than this, together, stay in one process: forking and
+# reaping the workers costs more than they save. On 2 vCPUs, `ingest` at
+# two workers ran 29 ms slower than one process on a 0.9 MB input, 15 ms
+# slower on 2 MB and as fast on 4 MB.
+SPREAD_BYTES = 1 << 22
+
+
+def use_workers(threads: int, *paths: str | Path) -> bool:
+    """Whether a command spreads ``paths`` over worker processes.
+
+    It does at two threads or more where the platform can fork, when every
+    path is a regular file and together they hold :data:`SPREAD_BYTES` or
+    more. Otherwise the command streams its input in this process.
+    """
+    if threads < 2 or not hasattr(os, "fork"):
+        return False
+    try:
+        found = [os.stat(path) for path in paths]
+    except OSError:  # the one-process read reports it
+        return False
+    regular = all(stat.S_ISREG(st.st_mode) for st in found)
+    return regular and sum(st.st_size for st in found) >= SPREAD_BYTES
+
+
+def file_ranges(path: str | Path) -> Iterator[tuple[int, int, int]]:
+    """The ``(lo, hi, first line index)`` span of each range of the file, in order.
+
+    A range holds the whole lines of up to :data:`RANGE_BYTES` bytes (a
+    longer line makes one of its own); :func:`iter_lines` given its span
+    reads it back, numbering its lines as a read of the whole file would.
+    """
+    lo = 0
+    for start, block in errors.iter_blocks(path, RANGE_BYTES, CorpusError):
+        yield lo, lo + len(block), start
+        lo += len(block)
+
+
+def ordered_map(
     tasks: Iterable[T],
     threads: int,
-    initializer: Callable[..., object] | None = None,
-    initargs: tuple = (),
-) -> Iterator[R]:
-    """``fn`` over ``tasks``, results in task order, on up to ``threads`` worker processes.
+    compute: Callable[[T], tuple[Sequence[Sequence[bytes]], P]],
+    add: Callable[[S, P], S],
+    token: S,
+    paths: Sequence[str | Path] = (),
+) -> S:
+    """Compute every task on up to ``threads`` worker processes; apply the results in order.
 
-    The one worker map of the package. Up to ``threads`` tasks are read
-    ahead: with fewer than two (one thread reads one), ``fn`` runs in this
-    process (after ``initializer(*initargs)``) and no pool is opened;
-    otherwise a pool of ``min(threads, tasks read ahead)`` workers (forked
-    where the platform can) maps them with ``Pool.imap``. ``tasks`` is
-    iterated in this process, and an error it raises is re-raised here at
-    its position, as is an error of ``fn`` or of ``initializer`` (from the
-    first task of a worker whose initializer failed); leaving the
-    generator, by an error or by closing it, terminates the workers.
+    The one worker map of the package. ``compute(task)`` gives a result:
+    for each path in ``paths`` the bytes pieces to write, and a part.
+    Applying it writes the pieces to the outputs, opened with
+    :func:`_atomic_open`, and makes the token ``add(token, part)``; the
+    last token is returned. The token crosses a pipe at every task, so keep
+    it small. Results are applied in task order, so outputs and token equal
+    those of one process at any thread count.
+
+    Up to ``threads`` tasks are read ahead. With fewer than two, or where
+    the platform cannot fork, everything runs in this process. Otherwise
+    ``n`` workers are forked, and worker ``i`` computes tasks ``i``, ``i +
+    n``, ...: this process sends each task on the worker's task pipe, and a
+    worker that has computed one waits for the token from the worker before
+    it, applies the result through its inherited output descriptors, and
+    passes the token on. No result crosses a pipe, only the token.
+
+    The first error in task order is raised here: an error of ``compute``
+    or of applying is raised once the results before it are applied, and an
+    error from iterating ``tasks`` once the tasks before it are. When the
+    map ends, on success or on any error or interrupt, every worker has
+    been reaped; a worker that dies raises :class:`errors.PipelineError`.
     """
-    tasks = iter(tasks)
-    ahead = list(itertools.islice(tasks, threads))
-    ahead.reverse()
+    with contextlib.ExitStack() as stack:
+        outputs = [stack.enter_context(_atomic_open(path)) for path in paths]
+        tasks, ahead = iter(tasks), []
+        try:
+            for task in itertools.islice(tasks, threads):
+                ahead.append(task)
+        except Exception as exc:  # raised after the tasks read before it
+            tasks = _raising(exc)
+        if len(ahead) >= 2 and hasattr(os, "fork"):
+            from .ring import Ring
 
-    def all_tasks() -> Iterator[T]:
-        while ahead:  # hand each read-ahead task on without keeping it
-            yield ahead.pop()
-        yield from tasks
-
-    if len(ahead) < 2:
-        if initializer is not None:
-            initializer(*initargs)
-        yield from map(fn, all_tasks())
-        return
-    import multiprocessing
-
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-    with ctx.Pool(min(threads, len(ahead)), _worker_init, (initializer, initargs)) as pool:
-        yield from pool.imap(functools.partial(_worker_call, fn), all_tasks())
+            return Ring(len(ahead), compute, add, outputs).run(ahead, tasks, token)
+        for task in itertools.chain(ahead, tasks):
+            pieces, part = compute(task)
+            for handle, data in zip(outputs, pieces):
+                handle.writelines(data)
+            token = add(token, part)
+        return token
 
 
-# The error a pool worker's initializer raised, for the worker's tasks to
-# raise: a pool replaces a worker that exits on one for ever.
-_INIT_ERROR: list[Exception] = []
-
-
-def _worker_init(initializer: Callable[..., object] | None, initargs: tuple) -> None:
-    try:
-        if initializer is not None:
-            initializer(*initargs)
-    except Exception as exc:
-        _INIT_ERROR.append(exc)
-
-
-def _worker_call(fn: Callable[[T], R], task: T) -> R:
-    if _INIT_ERROR:
-        raise _INIT_ERROR[0]
-    return fn(task)
+def _raising(exc: Exception) -> Iterator:
+    """An iterator that raises ``exc`` when it is reached."""
+    raise exc
+    yield  # a generator: nothing is raised before it is iterated
 
 
 def ingest(
@@ -465,21 +546,29 @@ def check_rows(
         yield lineno, fields
 
 
-def iter_fields(path: str | Path) -> Iterator[tuple[int, list[str]]]:
-    """Stream (line number, raw fields) from a corpus TSV; only the field count is checked."""
-    for lineno, line in enumerate(iter_lines(path), start=1):
+def iter_fields(
+    path: str | Path, span: tuple[int, int, int] | None = None
+) -> Iterator[tuple[int, list[str]]]:
+    """Stream (line number, raw fields) from a corpus TSV; only the field count is checked.
+
+    Given a :func:`file_ranges` span, only that range is read.
+    """
+    for lineno, line in enumerate(iter_lines(path, span), start=span[2] + 1 if span else 1):
         yield lineno, split_row(line, path, lineno)
 
 
 def iter_tsv_rows(
-    path: str | Path, valid_tags: Collection[str] = _REGISTRY_TAGS
+    path: str | Path,
+    valid_tags: Collection[str] = _REGISTRY_TAGS,
+    span: tuple[int, int, int] | None = None,
 ) -> Iterator[tuple[int, list[str]]]:
     """Stream checked (line number, fields) rows from a corpus TSV (see :func:`check_rows`).
 
     ``valid_tags`` holds the rendered tags a row may carry, as
-    :func:`lang.rendered_tags` gives them; by default the registry's.
+    :func:`lang.rendered_tags` gives them; by default the registry's. Given
+    a :func:`file_ranges` span, only that range is read.
     """
-    return check_rows(iter_lines(path), valid_tags, path)
+    return check_rows(iter_lines(path, span), valid_tags, path, span[2] if span else 0)
 
 
 def read_tsv(path: str | Path, extra_tags: Collection[LanguageTag] = ()) -> ParallelCorpus:
@@ -508,21 +597,33 @@ def write_tsv(
 
 
 def write_tsv_rows(rows: Iterable[str], path: str | Path) -> int:
-    """Write one line per row atomically; returns the number of rows.
+    """Write one line per row atomically; returns the number of rows."""
+    count = 0
 
-    Rows are encoded and written about :data:`_WRITE_BATCH` characters at a time.
-    """
-    count = size = 0
-    batch: list[str] = []
-    with _atomic_open(path) as handle:
+    def counted() -> Iterator[str]:
+        nonlocal count
         for count, row in enumerate(rows, 1):
-            batch += row, "\n"
-            size += len(row)
-            if size >= _WRITE_BATCH:
-                handle.write("".join(batch).encode("utf-8"))
-                batch, size = [], 0
-        handle.write("".join(batch).encode("utf-8"))
+            yield row
+
+    with _atomic_open(path) as handle:
+        handle.writelines(encode_rows(counted()))
     return count
+
+
+def encode_rows(rows: Iterable[str]) -> Iterator[bytes]:
+    """Each row and a newline, UTF-8, about :data:`_WRITE_BATCH` characters a piece.
+
+    Pieces this size are reused from the heap rather than mapped fresh.
+    """
+    size, batch = 0, []
+    for row in rows:
+        batch += row, "\n"
+        size += len(row)
+        if size >= _WRITE_BATCH:
+            yield "".join(batch).encode("utf-8")
+            size, batch = 0, []
+    if batch:
+        yield "".join(batch).encode("utf-8")
 
 
 def write_tsv_bytes(lines: Iterable[bytes], path: str | Path) -> None:

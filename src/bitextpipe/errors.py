@@ -44,21 +44,27 @@ class ConfigError(PipelineError):
 _READ_BLOCK = 1 << 16
 
 
-def iter_lines(path: str | Path, error: type[PipelineError]) -> Iterator[str]:
+def iter_lines(
+    path: str | Path, error: type[PipelineError], span: tuple[int, int, int] | None = None
+) -> Iterator[str]:
     """The file's lines as UTF-8, one at a time, without line endings.
 
     The reader of every input file. Lines are split on ``\\n`` only and
     trailing ``\\r`` characters are dropped; no other character breaks a
     line, so every reader numbers lines alike. A missing or unreadable file
     raises ``error`` naming the path; invalid UTF-8 raises ``error`` naming
-    the path and the line.
+    the path and the line. Given a ``span``, only that range of the file is
+    read (see :func:`iter_blocks`).
     """
-    for start, block in iter_blocks(path, _READ_BLOCK, error):
+    for start, block in iter_blocks(path, _READ_BLOCK, error, span):
         yield from decode_block(block, path, start, error)
 
 
 def iter_blocks(
-    path: str | Path, size: int, error: type[PipelineError]
+    path: str | Path,
+    size: int,
+    error: type[PipelineError],
+    span: tuple[int, int, int] | None = None,
 ) -> Iterator[tuple[int, bytes]]:
     """Yield (index of the first line, raw bytes) blocks of whole lines.
 
@@ -66,20 +72,34 @@ def iter_blocks(
     holds at most ``size`` bytes unless one line is longer: that line
     makes a block of its own. The index counts lines from 0, so blocks
     can be processed apart and still know their line numbers.
+
+    ``span`` is ``(lo, hi, first)``: the bytes ``[lo, hi)`` that a scan of
+    the file found to hold whole lines, the first of them line index
+    ``first``. Only those bytes are read, and their blocks are indexed from
+    ``first``. If the file now holds fewer bytes there, or the range ends
+    inside a line that the file goes on with, the file changed after the
+    scan: ``error`` "<path>: changed while read" is raised.
     """
+    lo, hi, start = span or (0, float("inf"), 0)
     try:
         with open(path, "rb") as handle:
-            start, pending = 0, b""
+            if lo:
+                handle.seek(lo)
+            left, pending = hi - lo, b""  # bytes of the span still to read
             # ``pending`` holds at most a partial line between reads; a read
             # fills a unit or, past half a unit, doubles the partial line, so
             # a very long line costs linear time.
-            while data := handle.read(max(size - len(pending), len(pending))):
+            while left and (data := handle.read(min(max(size - len(pending), len(pending)),
+                                                    left))):
+                left -= len(data)
                 pending += data
                 # Whole lines within ``size`` bytes, or else the one longer line.
                 while cut := pending.rfind(b"\n", 0, size) + 1 or pending.find(b"\n") + 1:
                     block, pending = pending[:cut], pending[cut:]
                     yield start, block
                     start += block.count(b"\n")
+            if span and (left or pending and handle.read(1)):
+                raise error(f"{path}: changed while read")
             if pending:
                 yield start, pending
     except OSError as exc:

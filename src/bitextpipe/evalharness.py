@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Collection, Iterator, Sequence
 
 from . import errors, metrics
-from .corpus import imap_ordered, write_tsv_rows
+from .corpus import ordered_map, write_tsv_rows
 from .errors import MetricError
 from .lang import LanguageTag, parse_pair
 from .metrics import BLEU_SIGNATURE, CHRF, CHRF_PP, BleuStats, ChrfStats
@@ -77,18 +77,15 @@ def score_run(
 ) -> ScoreRow:
     """Score one system output file against its reference file.
 
-    Both files are read once, in step, and their segments are scored in
-    chunks of :data:`CHUNK_SEGMENTS` on up to ``threads`` worker processes
-    (:func:`corpus.imap_ordered`). The statistics of every chunk are summed
-    in order, so no file is held whole and the scores equal a one-process
-    run over the whole lists.
+    Both files are read once, in step, in this process, and their segments
+    are scored in chunks of :data:`CHUNK_SEGMENTS` on up to ``threads``
+    worker processes (:func:`corpus.ordered_map`). The statistics of every
+    chunk are summed in order, so no file is held whole and the scores equal
+    a one-process run over the whole lists.
     """
-    bleu_stats, pp_stats = BleuStats(), ChrfStats()
-    for chunk_bleu, chunk_pp in imap_ordered(
-        _chunk_stats, _chunks(hyp_path, ref_path), threads
-    ):
-        bleu_stats += chunk_bleu
-        pp_stats += chunk_pp
+    bleu_stats, pp_stats = ordered_map(
+        _chunks(hyp_path, ref_path), threads, _chunk_stats, _add_stats, (BleuStats(), ChrfStats())
+    )
     src_lang, tgt_lang = pair
     # One n-gram pass: chrF's statistics are the character-order prefix of chrF++'s.
     chrf_stats = ChrfStats(pp_stats.counts[: 3 * CHRF.order])
@@ -136,13 +133,18 @@ def _chunks(hyp_path: str | Path, ref_path: str | Path) -> Iterator[list[tuple[s
         yield chunk
 
 
-def _chunk_stats(chunk: list[tuple[str, str]]) -> tuple[BleuStats, ChrfStats]:
-    """Summed BLEU and chrF++ statistics of one chunk of segments."""
+def _chunk_stats(chunk: list[tuple[str, str]]) -> tuple[tuple, tuple[BleuStats, ChrfStats]]:
+    """Summed BLEU and chrF++ statistics of one chunk of segments (and no output)."""
     hyps, refs = zip(*chunk)
-    return (
+    return (), (
         metrics.sum_stats(metrics.bleu_segment_stats, hyps, refs),
         metrics.sum_stats(metrics.chrf_segment_stats, hyps, refs, CHRF_PP),
     )
+
+
+def _add_stats(total: tuple[BleuStats, ChrfStats],
+               part: tuple[BleuStats, ChrfStats]) -> tuple[BleuStats, ChrfStats]:
+    return total[0] + part[0], total[1] + part[1]
 
 
 def report(rows: Sequence[ScoreRow]) -> ScoreReport:

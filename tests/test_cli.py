@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -407,15 +409,14 @@ class TestAugmentBlocks:
     def test_small_units_give_the_same_bytes_and_counts(
         self, tmp_path, hin_lex, monkeypatch, threads, ending, last
     ):
-        from bitextpipe import cli
-
         corpus = tmp_path / "in.tsv"
         corpus.write_text("\n".join(self.ROWS) + "\n", encoding="utf-8")
         expected, expected_stats = self._augment(corpus, hin_lex, tmp_path / "ref.tsv", 1)
         assert expected_stats["pairs_augmented"] > 10
 
         corpus.write_bytes((ending.join(self.ROWS) + last).encode("utf-8"))
-        monkeypatch.setattr(cli, "_AUGMENT_BLOCK", 48)
+        monkeypatch.setattr(corpus_mod, "RANGE_BYTES", 48)
+        monkeypatch.setattr(corpus_mod, "SPREAD_BYTES", 0)
         got, stats = self._augment(corpus, hin_lex, tmp_path / "aug.tsv", threads)
         assert got == expected
         assert stats == expected_stats
@@ -424,7 +425,6 @@ class TestAugmentBlocks:
     def test_invalid_utf8_in_a_later_unit_names_its_line(
         self, tmp_path, hin_lex, monkeypatch, capsys, threads
     ):
-        from bitextpipe import cli
         from bitextpipe.corpus import iter_lines
         from bitextpipe.errors import CorpusError
 
@@ -436,7 +436,8 @@ class TestAugmentBlocks:
             list(iter_lines(corpus))
         assert "line 32" in str(expected.value)
 
-        monkeypatch.setattr(cli, "_AUGMENT_BLOCK", 48)
+        monkeypatch.setattr(corpus_mod, "RANGE_BYTES", 48)
+        monkeypatch.setattr(corpus_mod, "SPREAD_BYTES", 0)
         out = tmp_path / "out" / "aug.tsv"
         out.parent.mkdir()
         assert run_cli("augment", "--in", corpus, "--lex", f"hin_Deva={hin_lex}",
@@ -451,6 +452,163 @@ class TestAugmentBlocks:
                        "--threads", threads, "--out", tmp_path / "aug.tsv") == 1
         assert capsys.readouterr().err.startswith(f"error: cannot read {missing}: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["muse_hin.txt"]
+
+
+# Every command that spreads a corpus over range workers: its argv given
+# the corpus as CORPUS, a hin_Deva lexicon as LEX and a valid corpus as GOOD.
+_RANGE_COMMANDS = {
+    "ingest": ["ingest", "--in", "CORPUS"],
+    "stats": ["stats", "--in", "CORPUS"],
+    "reduce": ["reduce", "--in", "CORPUS", "--threshold", "3"],
+    "augment": ["augment", "--in", "CORPUS", "--lex", "LEX", "--prob", "0.5"],
+    "mixture": ["mixture", "--in", "CORPUS", "--aug", "GOOD"],
+    "mixture-aug": ["mixture", "--in", "GOOD", "--aug", "CORPUS"],
+}
+
+
+def _rows(n: int, tgt: str = "hin_Deva", src: str = "eng_Latn") -> list[bytes]:
+    return [f"{src}\t{tgt}\tthe dog saw cat {i:03}\tकुत्ता {i:03}\tWiki\n".encode()
+            for i in range(n)]
+
+
+def _argv(command: str, files: dict, out: Path, threads: int) -> list:
+    argv = [files.get(arg, arg) for arg in _RANGE_COMMANDS[command]]
+    return argv + ["--seed", 5, "--threads", threads, "--out", out]
+
+
+class TestRangeWorkers:
+    """Commands spread over range workers write and fail as one process does."""
+
+    RANGE = 140  # bytes: two 66-byte rows of :func:`_rows` per range
+
+    @pytest.fixture
+    def files(self, tmp_path, hin_lex, monkeypatch):
+        monkeypatch.setattr(corpus_mod, "RANGE_BYTES", self.RANGE)
+        monkeypatch.setattr(corpus_mod, "SPREAD_BYTES", 0)
+        good = tmp_path / "good.tsv"
+        good.write_bytes(b"".join(_rows(12)))
+        return {"LEX": f"hin_Deva={hin_lex}", "GOOD": good}
+
+    def _fails(self, capsys, tmp_path, command, files, message):
+        out = tmp_path / "out" / "o.tsv"
+        out.parent.mkdir()
+        for threads in (1, 2, 8):
+            capsys.readouterr()
+            assert run_cli(*_argv(command, files, out, threads)) == 1, threads
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"error: {message}\n"), threads
+            assert list(out.parent.iterdir()) == []
+
+    @pytest.mark.parametrize("command", list(_RANGE_COMMANDS))
+    def test_the_bytes_are_those_of_one_process(self, tmp_path, files, command):
+        rows = _rows(15)
+        long_row = "eng_Latn\thin_Deva\t" + "near the house a cat " * 8 + "\tघर\tWiki\r\n"
+        rows[9] = long_row.encode()  # longer than a range, with a CRLF ending
+        if command == "ingest":  # rows that ingest skips, in two ranges
+            for i in (2, 11):
+                rows[i] = rows[i].replace(f"कुत्ता {i:03}".encode(), b" ")
+        corpus = files["CORPUS"] = tmp_path / "c.tsv"
+        corpus.write_bytes(b"".join(rows)[:-1])  # no newline after the last row
+        outputs = []
+        for threads in (1, 2, 8):
+            out = tmp_path / f"t{threads}" / "o.tsv"
+            out.parent.mkdir()
+            assert run_cli(*_argv(command, files, out, threads)) == 0
+            outputs.append({p.name: p.read_bytes() for p in out.parent.iterdir()
+                            if not p.name.endswith(".json")})
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0]["o.tsv"]
+        if command == "ingest":
+            assert outputs[0]["o.tsv.skipped.txt"] == b"3\tempty target\n12\tempty target\n"
+
+    @pytest.mark.parametrize("command", list(_RANGE_COMMANDS))
+    def test_the_first_error_in_the_file_wins(self, tmp_path, capsys, files, command):
+        rows = _rows(12)
+        corpus = files["CORPUS"] = tmp_path / "c.tsv"
+        corpus.write_bytes(b"".join(rows))
+        spans = list(corpus_mod.file_ranges(corpus))
+        assert len(spans) == 6 and [start for _, _, start in spans[:3]] == [0, 2, 4]
+        rows[3] = rows[3].replace(b"\tWiki", b" Wiki")  # the second range
+        rows[4] = rows[4].replace(b"cat", b"c\xfft")  # the third
+        corpus.write_bytes(b"".join(rows))
+        self._fails(capsys, tmp_path, command, files,
+                    f"{corpus}:4: expected 5 or 6 tab-separated fields, got 4")
+
+    # Lines 7 and 8 share the fourth range; lines 4 and 7 are in two.
+    @pytest.mark.parametrize("english, absent", [(4, 7), (7, 4), (8, 7), (7, 8)])
+    def test_mixture_reports_the_earlier_of_two_augmented_rows(
+        self, tmp_path, capsys, files, english, absent
+    ):
+        rows = _rows(12)
+        rows[english - 1] = _rows(english, "eng_Latn", "hin_Deva")[-1]
+        rows[absent - 1] = _rows(absent, "tam_Taml")[-1]
+        corpus = files["CORPUS"] = tmp_path / "c.tsv"
+        corpus.write_bytes(b"".join(rows))
+        if english < absent:
+            message = f"{corpus}:{english}: augmented corpus must be eng_Latn source"
+        else:
+            message = f"{corpus}:{absent}: language tam_Taml absent from original corpus"
+        self._fails(capsys, tmp_path, "mixture-aug", files, message)
+
+    def test_an_error_in_the_original_comes_before_one_in_the_augmented(
+        self, tmp_path, capsys, files
+    ):
+        rows = _rows(12)
+        rows[10] = _rows(11, "eng_Latn", "hin_Deva")[-1]
+        original = files["CORPUS"] = tmp_path / "c.tsv"
+        original.write_bytes(b"".join(rows))
+        aug = files["GOOD"]
+        aug.write_bytes(b"".join(_rows(2) + _rows(3, "tam_Taml")[2:]))
+        self._fails(capsys, tmp_path, "mixture", files,
+                    f"{original}:11: original corpus must be eng_Latn source")
+
+    def test_an_input_changed_after_the_scan_fails(self, tmp_path, capsys, files, monkeypatch):
+        corpus = files["CORPUS"] = tmp_path / "c.tsv"
+        corpus.write_bytes(b"".join(_rows(12)))
+        spans = list(corpus_mod.file_ranges(corpus))
+        corpus.write_bytes(b"".join(_rows(7)))  # cut inside the fourth range
+        monkeypatch.setattr(corpus_mod, "file_ranges", lambda path: iter(spans))
+        out = tmp_path / "out" / "o.tsv"
+        out.parent.mkdir()
+        assert run_cli(*_argv("stats", files, out, 2)) == 1
+        assert capsys.readouterr().err == f"error: {corpus}: changed while read\n"
+        assert list(out.parent.iterdir()) == []
+
+    def test_no_worker_outlives_a_run(self, tmp_path, files):
+        corpus = files["CORPUS"] = tmp_path / "c.tsv"
+        rows = _rows(12)
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"".join(rows[:5] + [b"eng_Latn\thin_Deva\tx\n"] + rows[5:]))
+        corpus.write_bytes(b"".join(rows))
+        hyp, bad_ref = tmp_path / "h.txt", tmp_path / "r.txt"
+        hyp.write_text("the dog saw a cat\n" * (3 * CHUNK_SEGMENTS), encoding="utf-8")
+        bad_ref.write_bytes(hyp.read_bytes() + b"\xff\n")  # fails after three chunks
+        runs = []
+        for command in _RANGE_COMMANDS:
+            for path, code in ((corpus, 0), (bad, 1)):
+                files["CORPUS"] = path
+                runs.append((_argv(command, files, tmp_path / "o.tsv", 2), code))
+        runs += [(["score", "--hyp", hyp, "--ref", hyp, "--pair", "eng_Latn-hin_Deva",
+                   "--threads", 2], 0),
+                 (["score", "--hyp", bad_ref, "--ref", bad_ref, "--pair", "eng_Latn-hin_Deva",
+                   "--threads", 2], 1)]
+        code = (
+            "import json, os, sys\n"
+            "from bitextpipe import cli, corpus\n"
+            f"corpus.RANGE_BYTES, corpus.SPREAD_BYTES = {self.RANGE}, 0\n"
+            "for argv, expected in json.loads(sys.argv[1]):\n"
+            "    assert cli.main(argv) == expected, argv\n"
+            "    try:\n"
+            "        os.waitpid(-1, os.WNOHANG)\n"
+            "    except ChildProcessError:\n"
+            "        continue\n"
+            "    sys.exit(f'a process outlived {argv}')\n"
+        )
+        runs = [([str(arg) for arg in argv], expected) for argv, expected in runs]
+        env = dict(os.environ, PYTHONPATH=str(Path(corpus_mod.__file__).parents[1]))
+        child = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
 
 
 class TestRowRules:
@@ -776,21 +934,11 @@ class TestChunkedScore:
             assert (captured.out, captured.err) == ("", f"error: {message}\n")
             assert list(out.parent.iterdir()) == []
 
-    def test_a_failed_run_leaves_no_worker(self, tmp_path):
-        import multiprocessing
+    def test_one_unit_of_work_forks_no_worker(self, tmp_path, hin_lex, monkeypatch):
+        def no_fork():
+            raise RuntimeError("a worker was forked")
 
-        self._break(tmp_path, "mismatch")
-        assert run_cli("score", "--hyp", tmp_path / "h.txt", "--ref", tmp_path / "r.txt",
-                       "--pair", "eng_Latn-hin_Deva", "--threads", 2) == 1
-        assert multiprocessing.active_children() == []
-
-    def test_one_unit_of_work_opens_no_pool(self, tmp_path, hin_lex, monkeypatch):
-        import multiprocessing
-
-        def no_pool(*args, **kwargs):
-            raise RuntimeError("a worker pool was opened")
-
-        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork)
         hyp, ref, _, _ = _score_files(tmp_path, CHUNK_SEGMENTS)
         assert run_cli("score", "--hyp", hyp, "--ref", ref, "--pair", "eng_Latn-hin_Deva",
                        "--threads", 8) == 0
@@ -923,13 +1071,13 @@ class TestConfigAndManifest:
 _WRITERS = {
     "ingest": (
         ["--in", "CORPUS"],
-        ["in", "src", "tgt", "src_lang", "tgt_lang", "subset", "exclude_subset"],
+        ["in", "src", "tgt", "src_lang", "tgt_lang", "subset", "exclude_subset", "threads"],
         ["o.tsv", "o.tsv.skipped.txt"],
     ),
-    "stats": (["--in", "CORPUS"], ["in"], ["o.tsv"]),
+    "stats": (["--in", "CORPUS"], ["in", "threads"], ["o.tsv"]),
     "reduce": (
         ["--in", "CORPUS", "--threshold", 2],
-        ["in", "threshold", "factor", "seed"],
+        ["in", "threshold", "factor", "seed", "threads"],
         ["o.tsv"],
     ),
     "sample": (
@@ -947,7 +1095,7 @@ _WRITERS = {
     ),
     "mixture": (
         ["--in", "CORPUS", "--aug", "CORPUS"],
-        ["in", "aug"],
+        ["in", "aug", "threads"],
         ["o.tsv", "o.tsv.mixture.json"],
     ),
     "seed-select": (

@@ -5,6 +5,7 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from bitextpipe.corpus import (
     SentencePair,
     accounting_language,
     clean_text,
-    imap_ordered,
+    file_ranges,
     ingest,
     iter_lines,
     iter_tsv_rows,
@@ -24,12 +25,15 @@ from bitextpipe.corpus import (
     reduce_highresource,
     reverse,
     stats,
+    ordered_map,
     stats_from_counts,
+    usable_cpus,
     write_skip_report,
     write_tsv,
     write_tsv_rows,
 )
-from bitextpipe.errors import CorpusError, LexiconError, decode_block, iter_blocks
+from bitextpipe.errors import (CorpusError, LexiconError, PipelineError, decode_block,
+                               iter_blocks)
 from bitextpipe.lang import parse_tag
 
 from conftest import (ASM, BRX, ENG, HIN, REFERENCE_COUNTS, feed_fifo, fifo_bytes, mk_corpus,
@@ -437,24 +441,183 @@ class TestBlocks:
             list(iter_blocks(tmp_path / "nope.tsv", 64, CorpusError))
 
 
-class TestWorkerMap:
-    def test_initializer_error_in_process(self):
-        with pytest.raises(ValueError, match="'boom'"):
-            list(imap_ordered(abs, range(4), 1, int, ("boom",)))
+class TestRanges:
+    """Range reads: a range of the file reads as its part of the whole file."""
 
-    def test_initializer_error_in_workers_reaches_the_caller(self):
-        # A pool replaces a worker whose initializer raises, for ever: run the
-        # map in a child process, so a regression fails here instead of hanging.
-        code = "from bitextpipe.corpus import imap_ordered\n" \
-               "list(imap_ordered(abs, range(4), 2, int, ('boom',)))"
+    LINES = TestBlocks.LINES
+
+    @pytest.mark.parametrize("size", TestBlocks.SIZES)
+    def test_ranges_read_back_as_the_whole_file(self, tmp_path, monkeypatch, size):
+        from bitextpipe import corpus
+
+        path = tmp_path / "c.tsv"
+        path.write_bytes(b"".join(self.LINES))
+        monkeypatch.setattr(corpus, "RANGE_BYTES", size)
+        monkeypatch.setattr(errors, "_READ_BLOCK", 7)
+        spans = list(file_ranges(path))
+        assert [(lo, start) for lo, _, start in spans] == [
+            (lo, start) for (start, _), lo in zip(
+                iter_blocks(path, size, CorpusError),
+                [0] + [hi for _, hi, _ in spans[:-1]],
+            )
+        ]
+        assert spans[-1][1] == path.stat().st_size
+        assert [line for span in spans for line in iter_lines(path, span)] == list(
+            iter_lines(path)
+        )
+
+    def test_invalid_utf8_in_a_range_names_its_line_in_the_file(self, tmp_path, monkeypatch):
+        from bitextpipe import corpus
+
+        path = tmp_path / "c.tsv"
+        path.write_bytes(b"ok\n" * 20 + b"bad \xff\n" + b"ok\n" * 5)
+        monkeypatch.setattr(corpus, "RANGE_BYTES", 16)
+        span = next(s for s in file_ranges(path) if s[0] <= 60 < s[1])  # the bad line
+        assert span[0] > 0
+        with pytest.raises(CorpusError, match=r"c\.tsv: invalid UTF-8 at line 21: "):
+            list(iter_lines(path, span))
+
+    @pytest.mark.parametrize("cut", ["inside the range", "at its start", "at its last byte"])
+    def test_a_file_truncated_after_planning_fails(self, tmp_path, monkeypatch, cut):
+        from bitextpipe import corpus
+
+        path = tmp_path / "c.tsv"
+        path.write_bytes(b"".join(f"line {i}\n".encode() for i in range(40)))
+        monkeypatch.setattr(corpus, "RANGE_BYTES", 64)
+        spans = list(file_ranges(path))
+        lo, hi, _ = spans[1]
+        data = path.read_bytes()
+        path.write_bytes(data[:{"inside the range": lo + 10, "at its start": lo,
+                                "at its last byte": hi - 1}[cut]])
+        assert list(iter_lines(path, spans[0])) == [f"line {i}" for i in range(spans[1][2])]
+        with pytest.raises(CorpusError, match=f"^{path}: changed while read$"):
+            list(iter_lines(path, spans[1]))
+
+    def test_a_range_ending_inside_a_line_the_file_goes_on_with_fails(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        path.write_bytes(b"one\ntwo")
+        spans = list(file_ranges(path))
+        assert [line for span in spans for line in iter_lines(path, span)] == ["one", "two"]
+        path.write_bytes(b"one\ntwo more\n")
+        with pytest.raises(CorpusError, match="changed while read"):
+            list(iter_lines(path, spans[-1]))
+
+
+def _collect(token: list, part: object) -> list:
+    return token + [part]
+
+
+def _numbered(task: int) -> tuple[tuple[bytes], int]:
+    time.sleep(0.002 * (task % 3 == 0))  # finish out of order
+    return [[f"{task}\n".encode()]], task
+
+
+class TestWorkerMap:
+    """:func:`ordered_map`: results applied in task order, errors at their position."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 8])
+    def test_order_is_kept(self, tmp_path, threads):
+        # More workers than CPUs, finishing out of order: a result applied
+        # out of turn would show in the file and in the token.
+        out = tmp_path / "o.txt"
+        assert ordered_map(range(60), threads, _numbered, _collect, [], [out]) == list(range(60))
+        assert out.read_text() == "".join(f"{i}\n" for i in range(60))
+
+    def test_it_runs_in_process_under_two_tasks(self, tmp_path, monkeypatch):
+        def no_fork():
+            raise AssertionError("a worker was forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        out = tmp_path / "o.txt"
+        assert ordered_map([7], 8, _numbered, _collect, [], [out]) == [7]
+        assert out.read_text() == "7\n"
+        assert ordered_map(range(5), 1, _numbered, _collect, [], [out]) == list(range(5))
+        assert ordered_map([], 4, _numbered, _collect, [], [out]) == []
+        assert out.read_bytes() == b""
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("where, expected", [
+        ({"compute": 5, "add": 9, "tasks": 7}, "compute 5"),
+        ({"compute": 9, "add": 5, "tasks": 7}, "add 5"),
+        ({"compute": 9, "add": 8, "tasks": 7}, "tasks 7"),
+        ({"compute": 0, "add": 1, "tasks": 2}, "compute 0"),
+    ])
+    def test_an_error_is_raised_at_its_position(self, tmp_path, threads, where, expected):
+        def tasks():
+            for task in range(12):
+                if task == where["tasks"]:
+                    raise CorpusError(f"tasks {task}")
+                yield task
+
+        def compute(task):
+            if task == where["compute"]:
+                raise ValueError(f"compute {task}")
+            return _numbered(task)
+
+        def add(token, part):
+            if part == where["add"]:
+                raise KeyError(f"add {part}")
+            return token + [part]
+
+        out = tmp_path / "out" / "o.txt"
+        out.parent.mkdir()
+        with pytest.raises((CorpusError, ValueError, KeyError), match=expected):
+            ordered_map(tasks(), threads, compute, add, [], [out])
+        assert list(out.parent.iterdir()) == []
+
+    def test_a_worker_that_dies_never_hangs_the_run(self):
+        # Run the map in a child process, so a regression fails here instead
+        # of hanging the suite.
+        code = (
+            "import os, signal\n"
+            "from bitextpipe.corpus import ordered_map\n"
+            "def compute(task):\n"
+            "    if task == 3:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return (), task\n"
+            "try:\n"
+            "    ordered_map(range(40), 2, compute, lambda t, p: t + p, 0)\n"
+            "except Exception as exc:\n"
+            "    print(type(exc).__name__, exc)\n"
+            "os.waitpid(-1, os.WNOHANG)\n"
+        )
         child = subprocess.Popen([sys.executable, "-c", code], text=True,
                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                                  start_new_session=True)
         try:
-            _, err = child.communicate(timeout=60)
+            out, err = child.communicate(timeout=60)
         except subprocess.TimeoutExpired:
             os.killpg(child.pid, signal.SIGKILL)
             child.communicate()
-            pytest.fail("the worker map hung on an initializer error")
-        assert child.returncode == 1
-        assert err.rstrip().endswith("ValueError: invalid literal for int() with base 10: 'boom'")
+            pytest.fail("the worker map hung on a dead worker")
+        # every worker was reaped: waitpid finds no child
+        assert child.returncode == 1 and err.rstrip().endswith("ChildProcessError: [Errno 10] "
+                                                               "No child processes")
+        assert out.startswith("PipelineError worker process ") and "died (exit status -9)" in out
+
+
+class TestUsableCpus:
+    """The default worker count: the affinity mask, capped by a cgroup CPU quota."""
+
+    @pytest.mark.parametrize("files, expected", [
+        ({}, 4),
+        ({"cpu.max": "max 100000\n"}, 4),
+        ({"cpu.max": "150000 100000\n"}, 2),
+        ({"cpu.max": "50000 100000\n"}, 1),
+        ({"cpu.max": "800000 100000\n"}, 4),
+        ({"cpu.max": "garbage\n"}, 4),
+        ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, 4),
+        ({"cpu/cpu.cfs_quota_us": "250000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 3),
+        ({"cpu/cpu.cfs_quota_us": "250000\n"}, 4),
+        ({"cpu.max": "max 100000\n", "cpu/cpu.cfs_quota_us": "100000\n",
+          "cpu/cpu.cfs_period_us": "100000\n"}, 4),
+    ])
+    def test_the_quota_caps_the_affinity_mask(self, tmp_path, monkeypatch, files, expected):
+        from bitextpipe import corpus
+
+        for name, text in files.items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(text)
+        monkeypatch.setattr(corpus, "CGROUP_ROOT", tmp_path)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        assert usable_cpus() == expected

@@ -48,8 +48,8 @@ def test_ingest_imports_only_its_modules(tmp_path):
     assert "bitextpipe.cli" in modules and (tmp_path / "o.tsv").exists()
     unused = {"bitextpipe.augment", "bitextpipe.sampling", "bitextpipe.lexicon",
               "bitextpipe.metrics", "bitextpipe.evalharness", "bitextpipe.trainconfig",
-              "bitextpipe.selection", "multiprocessing", "secrets", "fractions",
-              "array"}
+              "bitextpipe.selection", "multiprocessing", "pickle", "select", "secrets",
+              "fractions", "array"}
     assert sorted(unused & modules) == []
 
 
