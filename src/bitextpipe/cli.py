@@ -4,8 +4,8 @@ Every subcommand writes its outputs to explicitly named paths and never
 mutates inputs. A handler declares its inputs and outputs on its
 :class:`Run` and returns its stdout text and config; :func:`_execute`
 then writes the run manifest (``<first output>.run.json``: config
-snapshot, SHA-256 digests of inputs and outputs) last and prints the
-text. A command without an output file writes no manifest. When a run
+snapshot, SHA-256 digests of the bytes read and written) last and prints
+the text. A command without an output file writes no manifest. When a run
 fails, the outputs it renamed into place are removed. ``--seed`` is the
 single entropy source; omitting it picks a random seed that is recorded
 in the manifest. ``--threads`` (default: the usable CPUs) only changes
@@ -35,6 +35,7 @@ from typing import (TYPE_CHECKING, Callable, Collection, Hashable, Iterable, Ite
 # and looks functions up on their module then, so a rebound module
 # attribute (a test double, a tracer) takes effect.
 from . import corpus as corpus_mod
+from . import errors
 from .errors import AugmentError, ConfigError, CorpusError, PipelineError, iter_lines
 from .lang import ENGLISH, load_extra_tags, parse_pair, parse_tag, rendered_tags
 from .manifest import RunManifest, manifest_path_for, sha256_file
@@ -116,7 +117,7 @@ class Run:
         self.inputs: list[str | Path] = []
         # (path as given, the file it resolves to, that file's identity before the write)
         self.outputs: list[tuple[Path, str, tuple[int, int] | None]] = []
-        self._digests: dict[str, str] = {}
+        self._digests: dict[tuple[str, str], str | None] = {}
 
     def opt(self, key: str, default):
         value = getattr(self.args, key, None)
@@ -144,11 +145,14 @@ class Run:
         self.outputs.append((Path(path), real, before))
         return path
 
-    def digest(self, path: str | Path) -> str | None:
-        """SHA-256 of ``path``, once per run; ``None`` for a pipe or device, read only once."""
-        key = str(path)
+    def digest(self, path: str | Path, kind: str) -> str | None:
+        """SHA-256 of ``path`` as this run read (``kind`` "in") or wrote ("out") it.
+
+        Looked up once per path and kind; ``None`` for a pipe or device.
+        """
+        key = kind, str(path)
         if key not in self._digests:
-            self._digests[key] = sha256_file(path) if os.path.isfile(path) else None
+            self._digests[key] = sha256_file(path, kind) if os.path.isfile(path) else None
         return self._digests[key]
 
     def remove_written(self) -> None:
@@ -172,17 +176,20 @@ def _execute(run: Run, handler: Callable[[Run], tuple[str, dict]]) -> int:
     its ``run.json`` config. On any error the outputs this run wrote are
     removed and nothing is printed.
     """
+    errors.digests = {}  # this run's, recorded by the reader and the writer
     try:
         text, config = handler(run)
         if run.outputs and not run.args.no_manifest:
-            inputs = {str(path): run.digest(path) for path in run.inputs}
-            outputs = {str(path): run.digest(path) for path, _, _ in run.outputs}
+            inputs = {str(path): run.digest(path, "in") for path in run.inputs}
+            outputs = {str(path): run.digest(path, "out") for path, _, _ in run.outputs}
             manifest = RunManifest(run.args.command, config, run.seed, inputs, outputs)
             manifest.wall_time_s = time.monotonic() - run.started
             manifest.write(manifest_path_for(run.outputs[0][0]))
     except BaseException:
         run.remove_written()
         raise
+    finally:
+        errors.digests = None
     print(text)
     return 0
 
@@ -506,7 +513,7 @@ def _cmd_mixture(run: Run) -> tuple[str, dict]:
     mix_path = Path(args.mixture_manifest or f"{args.out}.mixture.json")
     seed = run.seed if run.seed_given else None
     manifest = augment_mod.MixtureManifest(*counts, sum(counts), seed, _augment_policy(args.aug))
-    doc = dict(manifest.to_dict(), inputs={str(path): run.digest(path) for path in inputs})
+    doc = dict(manifest.to_dict(), inputs={str(path): run.digest(path, "in") for path in inputs})
     corpus_mod.write_tsv_rows([json.dumps(doc, indent=2)], run.output(mix_path))
     config = {"in": args.in_path, "aug": args.aug, "threads": run.threads}
     return (

@@ -39,6 +39,8 @@ The optional sixth column tags mixture provenance (``orig``, ``rev``,
 from __future__ import annotations
 
 import contextlib
+import hashlib
+import io
 import itertools
 import math
 import os
@@ -300,6 +302,8 @@ def ordered_map(
         if len(ahead) >= 2 and hasattr(os, "fork"):
             from .ring import Ring
 
+            for handle in outputs:  # written by the workers: digest unknown here
+                handle.raw.sha = None
             return Ring(len(ahead), compute, add, outputs).run(ahead, tasks, token)
         for task in itertools.chain(ahead, tasks):
             pieces, part = compute(task)
@@ -643,7 +647,8 @@ def _atomic_open(path: str | Path) -> Iterator[BinaryIO]:
     0666 less the umask, as ``open`` would. As with ``open``, a symlink is
     written through (the rename lands on its target) and an existing path
     that is not a regular file (``/dev/null``, a pipe) is written in place,
-    since a rename would replace it.
+    since a rename would replace it. In a run, what this process writes is
+    hashed, and the digest recorded in :data:`errors.digests`.
     """
     given = Path(path)
     if given.exists() and not given.is_file():
@@ -661,12 +666,26 @@ def _atomic_open(path: str | Path) -> Iterator[BinaryIO]:
         except OSError as exc:  # name the output, not the temp file
             raise OSError(exc.errno, exc.strerror, str(given)) from None
     try:
-        with open(fd, "wb") as handle:
+        raw = _HashingFile(fd, "w")
+        raw.sha = hashlib.sha256() if errors.digests is not None else None
+        with io.BufferedWriter(raw) as handle:
             yield handle
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
     os.replace(tmp, path)
+    if errors.digests is not None:
+        errors.digests["out", str(path)] = raw.sha and raw.sha.hexdigest()
+
+
+class _HashingFile(io.FileIO):
+    """An output file that hashes the bytes written to it while ``sha`` is set."""
+
+    def write(self, data) -> int:
+        n = super().write(data)
+        if self.sha:
+            self.sha.update(memoryview(data)[:n])
+        return n
 
 
 class SkipLog:

@@ -1,8 +1,11 @@
-"""Exception hierarchy shared by all pipeline modules, and the one line
-reader that turns an unreadable input file into one of these errors."""
+"""Exception hierarchy shared by all pipeline modules, the one line reader
+that turns an unreadable input file into one of these errors, and the
+digests of the files a run reads and writes."""
 
 from __future__ import annotations
 
+import hashlib
+import os
 from pathlib import Path
 from typing import Iterator
 
@@ -43,6 +46,12 @@ class ConfigError(PipelineError):
 # benchmark (2 vCPUs), 256 KiB blocks peaked 0.8 MiB higher and ran no faster.
 _READ_BLOCK = 1 << 16
 
+# SHA-256 of each file this run read whole ("in", every byte to end of
+# file) or wrote ("out"; None if forked workers wrote it), by (kind, real
+# path). ``cli._execute`` sets a fresh dict per run and None after it;
+# while it is None (library calls), nothing is hashed.
+digests: dict[tuple[str, str], str | None] | None = None
+
 
 def iter_lines(
     path: str | Path, error: type[PipelineError], span: tuple[int, int, int] | None = None
@@ -78,9 +87,12 @@ def iter_blocks(
     ``first``. Only those bytes are read, and their blocks are indexed from
     ``first``. If the file now holds fewer bytes there, or the range ends
     inside a line that the file goes on with, the file changed after the
-    scan: ``error`` "<path>: changed while read" is raised.
+    scan: ``error`` "<path>: changed while read" is raised. Without a
+    span, a run hashes the bytes and records the digest at end of file
+    (:data:`digests`), raising the same error if an earlier read differed.
     """
     lo, hi, start = span or (0, float("inf"), 0)
+    sha = hashlib.sha256() if span is None and digests is not None else None
     try:
         with open(path, "rb") as handle:
             if lo:
@@ -92,6 +104,8 @@ def iter_blocks(
             while left and (data := handle.read(min(max(size - len(pending), len(pending)),
                                                     left))):
                 left -= len(data)
+                if sha:
+                    sha.update(data)
                 pending += data
                 # Whole lines within ``size`` bytes, or else the one longer line.
                 while cut := pending.rfind(b"\n", 0, size) + 1 or pending.find(b"\n") + 1:
@@ -100,6 +114,10 @@ def iter_blocks(
                     start += block.count(b"\n")
             if span and (left or pending and handle.read(1)):
                 raise error(f"{path}: changed while read")
+            if sha:  # a second whole read must hash alike
+                key, digest = ("in", os.path.realpath(path)), sha.hexdigest()
+                if digests.setdefault(key, digest) != digest:
+                    raise error(f"{path}: changed while read")
             if pending:
                 yield start, pending
     except OSError as exc:

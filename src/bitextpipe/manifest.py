@@ -1,8 +1,9 @@
 """Run manifests: config snapshot plus input/output digests for every run.
 
 A run writes its manifest last, beside its first output, as
-``<output>.run.json``. Two runs with the same config snapshot and input
-digests must produce the same output digests; wall time is recorded for
+``<output>.run.json``. Its digests are of the bytes the run read and
+wrote. Two runs with the same config snapshot and input digests must
+produce the same output digests; wall time is recorded for
 bookkeeping and is the only field allowed to differ.
 """
 
@@ -10,18 +11,28 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import errors
 from .corpus import write_tsv_rows
 
 VERSION = "0.2.0"
 
 
-def sha256_file(path: str | Path) -> str:
+def sha256_file(path: str | Path, kind: str = "in") -> str:
+    """SHA-256 of ``path`` as this run read it whole (``kind`` "in") or wrote it ("out").
+
+    The digest in :data:`errors.digests`; if none was recorded (workers
+    wrote the file, or it was not read to its end), it is read now, 64 KiB at a time.
+    """
+    recorded = errors.digests and errors.digests.get((kind, os.path.realpath(path)))
+    if recorded:
+        return recorded
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
+        for chunk in iter(lambda: handle.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
 
@@ -38,15 +49,7 @@ class RunManifest:
     version: str = VERSION
 
     def write(self, path: str | Path) -> None:
-        doc = {
-            "command": self.command,
-            "config": self.config,
-            "seed": self.seed,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "wall_time_s": round(self.wall_time_s, 3),
-            "version": self.version,
-        }
+        doc = dict(vars(self), wall_time_s=round(self.wall_time_s, 3))  # in field order
         write_tsv_rows([json.dumps(doc, indent=2, sort_keys=False, ensure_ascii=False)], path)
 
 

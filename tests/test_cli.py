@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from bitextpipe import corpus as corpus_mod
+from bitextpipe import errors
 from bitextpipe.cli import main
 from bitextpipe.errors import MetricError, iter_lines
 from bitextpipe.evalharness import CHUNK_SEGMENTS, score_run
@@ -316,9 +318,9 @@ class TestLexiconAugmentMixture:
         hashed = []
         sha256_file = manifest.sha256_file
 
-        def counting(path):
+        def counting(path, *kind):
             hashed.append(str(path))
-            return sha256_file(path)
+            return sha256_file(path, *kind)
 
         monkeypatch.setattr(manifest, "sha256_file", counting)
         monkeypatch.setattr(cli, "sha256_file", counting)
@@ -841,9 +843,9 @@ class TestScoreReport:
         hashed = []
         sha256_file = manifest.sha256_file
 
-        def counting(path):
+        def counting(path, *kind):
             hashed.append(str(path))
-            return sha256_file(path)
+            return sha256_file(path, *kind)
 
         monkeypatch.setattr(manifest, "sha256_file", counting)
         monkeypatch.setattr(cli, "sha256_file", counting)
@@ -1250,3 +1252,116 @@ class TestRunner:
             handle.write("eng_Latn\txyz_Deva\tb\tख\tWiki\n")
         assert run_cli(*argv(command)) == 1
         assert _snapshot(out_dir) == before
+
+
+def _sha256(path: str | Path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class TestDigests:
+    """run.json digests are of the bytes a run read and wrote, hashed as they went by."""
+
+    @pytest.fixture
+    def ranges(self, monkeypatch):
+        """Small inputs spread over range workers at two threads, as in TestRangeWorkers."""
+        monkeypatch.setattr(corpus_mod, "RANGE_BYTES", TestRangeWorkers.RANGE)
+        monkeypatch.setattr(corpus_mod, "SPREAD_BYTES", 0)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("command", list(_WRITERS))
+    def test_every_digest_is_of_the_file(self, writer_inputs, ranges, command, threads):
+        argv, out_dir = writer_inputs
+        assert run_cli(*argv(command), "--threads", threads) == 0
+        doc = json.loads((out_dir / "o.tsv.run.json").read_text(encoding="utf-8"))
+        recorded = [*doc["inputs"].items(), *doc["outputs"].items()]
+        if command == "mixture":
+            mixture = json.loads((out_dir / "o.tsv.mixture.json").read_text(encoding="utf-8"))
+            recorded += mixture["inputs"].items()
+        assert doc["outputs"] and recorded == [(path, _sha256(path)) for path, _ in recorded]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_fifo_input_gets_no_digest(self, tmp_path, ranges, threads):
+        fifo, out = tmp_path / "fifo", tmp_path / "o.tsv"
+        with feed_fifo(fifo, fifo_bytes()):
+            assert run_cli("ingest", "--in", fifo, "--out", out, "--threads", threads) == 0
+        doc = json.loads(Path(f"{out}.run.json").read_text(encoding="utf-8"))
+        assert doc["inputs"] == {str(fifo): None}
+        assert doc["outputs"][str(out)] == _sha256(out)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_out_replacing_in_records_the_bytes_read_and_written(self, tmp_path, ranges,
+                                                                  threads):
+        corpus = tmp_path / "c.tsv"
+        rows = _rows(12)
+        rows[3] = rows[3].replace(b"the dog", b"the  dog")  # ingest cleans this row
+        corpus.write_bytes(b"".join(rows))
+        before = _sha256(corpus)
+        assert run_cli("ingest", "--in", corpus, "--out", corpus, "--threads", threads) == 0
+        after = _sha256(corpus)
+        assert after != before
+        doc = json.loads(Path(f"{corpus}.run.json").read_text(encoding="utf-8"))
+        assert doc["inputs"] == {str(corpus): before}
+        assert doc["outputs"][str(corpus)] == after
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("command", ["reduce", "mixture"])
+    def test_an_input_changed_between_two_reads_fails(self, tmp_path, capsys, ranges,
+                                                      monkeypatch, hin_lex, command, threads):
+        # Between reduce's count and keep passes, or mixture's orig and rev
+        # scans, one row's text changes in place: the row counts, the lines
+        # and the file size stay, and only the digests tell the reads apart.
+        files = {"LEX": f"hin_Deva={hin_lex}", "GOOD": tmp_path / "good.tsv"}
+        files["GOOD"].write_bytes(b"".join(_rows(12)))
+        corpus = files["CORPUS"] = tmp_path / "c.tsv"
+        corpus.write_bytes(b"".join(_rows(12)))
+        changed = corpus.read_bytes().replace(b"cat 005", b"cow 005")
+        real, whole_reads = errors.iter_blocks, []
+
+        def iter_blocks(path, size, error, span=None):
+            if span is None and Path(path) == corpus:
+                whole_reads.append(path)
+                if len(whole_reads) == 2:
+                    corpus.write_bytes(changed)
+            return real(path, size, error, span)
+
+        monkeypatch.setattr(errors, "iter_blocks", iter_blocks)
+        out = tmp_path / "out" / "o.tsv"
+        out.parent.mkdir()
+        assert run_cli(*_argv(command, files, out, threads)) == 1
+        assert len(whole_reads) == 2
+        assert capsys.readouterr() == ("", f"error: {corpus}: changed while read\n")
+        assert list(out.parent.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["sample", "seed-select"])
+    def test_one_process_reads_its_input_once_and_no_output(self, writer_inputs, monkeypatch,
+                                                            tmp_path, command):
+        from bitextpipe import manifest
+
+        read: dict[str, int] = {}
+
+        class Counted:
+            def __init__(self, path, mode):
+                self.path, self.handle = os.path.realpath(path), open(path, mode)
+
+            def read(self, size=-1):
+                data = self.handle.read(size)
+                read[self.path] = read.get(self.path, 0) + len(data)
+                return data
+
+            def __getattr__(self, name):
+                return getattr(self.handle, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+        # The line reader and the digest fallback: every read of a declared file.
+        monkeypatch.setattr(errors, "open", Counted, raising=False)
+        monkeypatch.setattr(manifest, "open", Counted, raising=False)
+        argv, out_dir = writer_inputs
+        assert run_cli(*argv(command), "--threads", 1) == 0
+        corpus = Path(os.path.realpath(tmp_path / "corpus.tsv"))
+        mine = {path: n for path, n in read.items() if Path(path).is_relative_to(corpus.parent)}
+        assert mine == {str(corpus): corpus.stat().st_size}  # and not a byte of out/
