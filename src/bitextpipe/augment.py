@@ -19,10 +19,10 @@ import random
 import string
 from dataclasses import asdict, dataclass, replace as dc_replace
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
-from .corpus import (ParallelCorpus, SentencePair, encode_rows, file_ranges, iter_tsv_rows,
-                     ordered_map, reverse_pair, use_workers, write_tsv_rows)
+from .corpus import (ParallelCorpus, SentencePair, Work, encode_rows, file_tasks, iter_tsv_rows,
+                     ordered_map, reverse_pair)
 from .errors import AugmentError, CorpusError, PipelineError
 from .lang import ENGLISH
 from .lexicon import BilingualLexicon, truncate_topk
@@ -317,45 +317,6 @@ class MixtureManifest:
         return out
 
 
-def mixture_rows(
-    original: Callable[[], Iterable[tuple[int, Sequence[str]]]],
-    augmented: Iterable[tuple[int, Sequence[str]]],
-    names: tuple[str, str],
-    counts: list[int],
-) -> Iterator[tuple[str, Sequence[str]]]:
-    """The mixture as (origin, row): ``orig`` rows, ``rev`` rows, then ``aug`` rows.
-
-    Rows are valid pairs (checked by the caller) that start with their
-    rendered ``src_lang, tgt_lang``; ``original()`` streams (line number,
-    row) and is called twice, the second time for the ``rev`` rows, which
-    the caller reverses. Sources must be English and augmented targets
-    must occur in the original (:func:`not_english_source`,
-    :func:`check_targets`). Errors name ``<name>:<line>``. When the rows
-    run out, ``counts`` holds the original, reversed and augmented row
-    counts.
-    """
-    eng = _ENG_TEXT
-    targets: set[str] = set()
-    n_original = n_reversed = n_augmented = 0
-    for lineno, row in original():
-        if row[0] != eng:
-            raise not_english_source(names[0], lineno, "orig")
-        targets.add(row[1])
-        n_original += 1
-        yield "orig", row
-    for _, row in original():
-        n_reversed += 1
-        yield "rev", row
-    for lineno, row in augmented:
-        if row[0] != eng:
-            raise not_english_source(names[1], lineno, "aug")
-        if row[1] not in targets:
-            check_targets({row[1]: lineno}, targets, names[1])
-        n_augmented += 1
-        yield "aug", row
-    counts[:] = n_original, n_reversed, n_augmented
-
-
 def mixture_line(origin: str, row: Sequence[str]) -> str:
     """One mixture TSV line: the row's five fields, swapped for ``rev``, and its origin."""
     if origin == "rev":
@@ -366,47 +327,40 @@ def mixture_line(origin: str, row: Sequence[str]) -> str:
 def write_mixture(
     paths: tuple[str, str], valid_tags: Collection[str], out: str | Path, threads: int = 1
 ) -> list[int]:
-    """Write :func:`mixture_rows` of two corpus TSVs to ``out``; return its counts.
+    """Write the mixture of two corpus TSVs to ``out``; return its three row counts.
 
-    ``paths`` are the original and the augmented corpus. With workers
-    (:func:`corpus.use_workers`), the tasks are the ``orig`` ranges of the
-    original, its ``rev`` ranges, then the ``aug`` ranges of the augmented
-    corpus, and the token carries the counts and the original targets. An
-    ``aug`` range notes the line where each of its targets first occurs and
-    checks them at its turn, so the first error in file order is raised: a
-    target absent before the range's own first error, else that error.
+    ``paths`` are the original and the augmented corpus: the mixture is the
+    ``orig`` rows of the original, its ``rev`` rows, then the ``aug`` rows,
+    each read whole or by range (:func:`corpus.file_tasks`). Sources must be
+    English and augmented targets original targets; errors name
+    ``<path>:<line>``. The token carries the counts and the original
+    targets. An ``aug`` task notes the line where each of its targets first
+    occurs and checks them at its turn, so the first error in file order is
+    raised: a target absent before the task's own first error, else that
+    error.
     """
-    if not use_workers(threads, *paths):
-        counts: list[int] = []
-        rows = mixture_rows(lambda: iter_tsv_rows(paths[0], valid_tags),
-                            iter_tsv_rows(paths[1], valid_tags), paths, counts)
-        write_tsv_rows((mixture_line(origin, row) for origin, row in rows), out)
-        return counts
     eng = _ENG_TEXT
     names = {"orig": paths[0], "rev": paths[0], "aug": paths[1]}
 
-    def tasks() -> Iterator[tuple[str, tuple[int, int, int]]]:
-        for origin, path in names.items():
-            for span in file_ranges(path):
-                yield origin, span
-
-    def section(task: tuple[str, tuple[int, int, int]]) -> tuple[tuple[list], tuple]:
+    def section(task: tuple[str, tuple[int, int, int] | None]) -> Work[tuple]:
         origin, span = task
-        lines: list[str] = []
         first_lines: dict[str, int] = {}
-        error = None
-        try:
+
+        def lines() -> Iterator[str]:
             for lineno, row in iter_tsv_rows(names[origin], valid_tags, span):
                 if origin != "rev":
                     if row[0] != eng:
                         raise not_english_source(names[origin], lineno, origin)
                     first_lines.setdefault(row[1], lineno)
-                lines.append(mixture_line(origin, row))
+                yield mixture_line(origin, row)
+
+        try:
+            n = yield from encode_rows(lines())
         except PipelineError as exc:
             if origin != "aug":
                 raise
-            error = exc
-        return (list(encode_rows(lines)),), (origin, len(lines), first_lines, error)
+            return origin, 0, first_lines, exc
+        return origin, n, first_lines, None
 
     def add(token: tuple[dict, set], part: tuple) -> tuple[dict, set]:
         counts, targets = token
@@ -420,8 +374,8 @@ def write_mixture(
         counts[origin] += n
         return token
 
-    token = ({origin: 0 for origin in names}, set())
-    counts, _ = ordered_map(tasks(), threads, section, add, token, [out])
+    tasks = file_tasks(threads, list(names.values()), list(names))
+    counts, _ = ordered_map(*tasks, section, add, ({origin: 0 for origin in names}, set()), [out])
     return list(counts.values())
 
 
@@ -447,20 +401,24 @@ def build_pretraining_mixture(
     seed: int | None = None,
     policy: AugmentationPolicy | None = None,
 ) -> tuple[ParallelCorpus, MixtureManifest]:
-    """Original pairs, their reversals, and augmented pairs, in that order."""
+    """Original pairs, their reversals, and augmented pairs, in that order.
 
-    def rows(corpus: ParallelCorpus) -> list[tuple[int, tuple[str, str, SentencePair]]]:
-        return [(i, (str(p.src_lang), str(p.tgt_lang), p)) for i, p in enumerate(corpus, 1)]
-
-    original = rows(en_indic)
-    counts: list[int] = []
-    pairs = tuple(
-        reverse_pair(row[2]) if origin == "rev" else row[2]
-        for origin, row in mixture_rows(
-            lambda: original, rows(augmented), ("original", "augmented"), counts
-        )
-    )
-    return ParallelCorpus(pairs), MixtureManifest(*counts, len(pairs), seed, policy)
+    Checked as :func:`write_mixture` checks its files, in the same order;
+    errors name ``original:<n>`` or ``augmented:<n>``, the pair's position.
+    """
+    targets: set[str] = set()
+    for lineno, pair in enumerate(en_indic, 1):
+        if pair.src_lang != ENGLISH:
+            raise not_english_source("original", lineno, "orig")
+        targets.add(str(pair.tgt_lang))
+    for lineno, pair in enumerate(augmented, 1):
+        if pair.src_lang != ENGLISH:
+            raise not_english_source("augmented", lineno, "aug")
+        check_targets({str(pair.tgt_lang): lineno}, targets, "augmented")
+    pairs = (*en_indic, *map(reverse_pair, en_indic), *augmented)
+    manifest = MixtureManifest(len(en_indic), len(en_indic), len(augmented), len(pairs), seed,
+                               policy)
+    return ParallelCorpus(pairs), manifest
 
 
 # ---------------------------------------------------------------------------

@@ -19,16 +19,15 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import io
 import json
 import os
+import signal
 import stat
 import sys
 import time
 from collections import Counter
 from pathlib import Path
-from typing import (TYPE_CHECKING, Callable, Collection, Hashable, Iterable, Iterator, Sequence,
-                    TypeVar)
+from typing import TYPE_CHECKING, Callable, Collection, Hashable, Iterator, Sequence, TypeVar
 
 # Only what every subcommand needs is imported here, so a call never pays
 # for another command's modules: each handler imports the rest when it runs
@@ -201,18 +200,28 @@ def _execute(run: Run, handler: Callable[[Run], tuple[str, dict]]) -> int:
 def _count_accounting_tags(run: Run, path: str) -> Counter[str]:
     """Checked rows per rendered accounting language, in first-seen order.
 
-    Spread over ``--threads`` workers by range; each range's counts are
-    added in file order, so the first-seen order is the file's.
+    The work of ``stats`` and of ``reduce``'s first read. Each task's counts
+    are added in file order, so the first-seen order is the file's.
     """
 
-    def count(span: tuple[int, int, int] | None = None) -> Counter[str]:
-        rows = corpus_mod.iter_tsv_rows(path, run.valid_tags, span)
+    def count(task: tuple[str, tuple[int, int, int] | None]) -> corpus_mod.Work[Counter[str]]:
+        rows = corpus_mod.iter_tsv_rows(task[0], run.valid_tags, task[1])
         return Counter(corpus_mod.accounting_language(f[0], f[1]) for _, f in rows)
+        yield  # a work function with no output
 
-    if not corpus_mod.use_workers(run.threads, path):
-        return count()
-    return corpus_mod.ordered_map(corpus_mod.file_ranges(path), run.threads,
-                                  lambda span: ((), count(span)), _update, Counter())
+    return corpus_mod.ordered_map(*corpus_mod.file_tasks(run.threads, [path]), count, _update,
+                                  Counter())
+
+
+def _require_regular(path: str) -> None:
+    """Reject an input that is not a regular file, for a command that reads it twice.
+
+    A pipe cannot be opened for a second read once its writer has gone:
+    the open would wait for good. A missing file is left to the first read.
+    """
+    with contextlib.suppress(OSError):
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            raise CorpusError(f"{path}: not a regular file, and this command reads it twice")
 
 
 def _update(token: Counter[str], part: Counter[str]) -> Counter[str]:
@@ -256,24 +265,18 @@ def _cmd_ingest(run: Run) -> tuple[str, dict]:
     skip_path = run.output(Path(f"{out}.skipped.txt"))
     excluded = set(args.exclude_subset or ())
 
-    def tsv_rows(span: tuple[int, int, int] | None = None) -> Iterator[tuple[int, list[str]]]:
-        for lineno, fields in corpus_mod.iter_fields(args.in_path, span):
-            corpus_mod.check_tags(fields, run.valid_tags, args.in_path, lineno)
-            if fields[0] == fields[1]:
-                raise CorpusError(
-                    f"{args.in_path}:{lineno}: source and target language are equal"
-                )
-            yield lineno, fields
-
-    def ingest_range(span: tuple[int, int, int]) -> tuple[tuple[list, list], tuple[int, int]]:
-        skips = io.BytesIO()
-        log = corpus_mod.SkipLog(skips)
-        rows = [*map("\t".join, corpus_mod.clean_rows(tsv_rows(span), log.append, excluded))]
-        return (list(corpus_mod.encode_rows(rows)), [skips.getvalue()]), (len(rows), log.count)
-
     if args.in_path:
         run.input(args.in_path)
-        rows: Iterable[tuple[int, Sequence[str]]] = tsv_rows()
+        tasks, threads = corpus_mod.file_tasks(run.threads, [args.in_path])
+
+        def rows(task: tuple[str, tuple[int, int, int] | None]
+                 ) -> Iterator[tuple[int, list[str]]]:
+            path, span = task
+            for lineno, fields in corpus_mod.iter_fields(path, span):
+                corpus_mod.check_tags(fields, run.valid_tags, path, lineno)
+                if fields[0] == fields[1]:
+                    raise CorpusError(f"{path}:{lineno}: source and target language are equal")
+                yield lineno, fields
     else:
         if not (args.src and args.tgt and args.src_lang and args.tgt_lang):
             raise ConfigError(
@@ -284,16 +287,15 @@ def _cmd_ingest(run: Run) -> tuple[str, dict]:
         if subset in excluded:
             raise ConfigError(f"subset {subset!r} is excluded by --exclude-subset")
         run.input(args.src, args.tgt)
-        rows = corpus_mod.iter_paired_rows(args.src, args.tgt, *tags, subset)
+        # One task: the two files would have to be cut at matching lines.
+        tasks, threads = [None], 1
 
-    if args.in_path and corpus_mod.use_workers(run.threads, args.in_path):
-        kept, skipped = corpus_mod.ordered_map(corpus_mod.file_ranges(args.in_path), run.threads,
-                                               ingest_range, _add_counts, (0, 0), (out, skip_path))
-    else:
-        with corpus_mod.open_skip_report(skip_path) as log:
-            cleaned = corpus_mod.clean_rows(rows, log.append, excluded)
-            kept = corpus_mod.write_tsv_rows(map("\t".join, cleaned), out)
-        skipped = log.count
+        def rows(_: None) -> Iterator[tuple[int, tuple]]:
+            return corpus_mod.iter_paired_rows(args.src, args.tgt, *tags, subset)
+
+    kept, skipped = corpus_mod.ordered_map(
+        tasks, threads, lambda task: corpus_mod.clean_rows(rows(task), excluded), _add_counts,
+        (0, 0), (out, skip_path))
     config = {
         "in": args.in_path,
         "src": args.src,
@@ -322,6 +324,7 @@ def _cmd_stats(run: Run) -> tuple[str, dict]:
 
 def _cmd_reduce(run: Run) -> tuple[str, dict]:
     args = run.args
+    _require_regular(args.in_path)
     run.input(args.in_path)
     threshold = run.opt("threshold", corpus_mod.HIGH_RESOURCE_THRESHOLD)
     factor = run.opt("factor", corpus_mod.HIGH_RESOURCE_FACTOR)
@@ -409,19 +412,21 @@ def _augment_chunk(
     subs: SubstitutionSet,
     policy: AugmentationPolicy,
     valid_tags: Collection[str],
-    totals: list[int],
-) -> Iterator[str]:
-    """The augmented rows of ``path``, or of one of its :func:`corpus.file_ranges` spans.
+) -> corpus_mod.Work[tuple[int, ...]]:
+    """The work of ``augment``: the augmented rows of ``path``, whole or one span.
 
-    When the rows run out, adds the four :func:`augment.augment_rows`
-    totals to ``totals``.
+    Returns the rows written and the four :func:`augment.augment_rows`
+    totals.
     """
     from . import augment as augment_mod
 
+    totals = [0] * 4
     rows = (fields for _, fields in corpus_mod.iter_tsv_rows(path, valid_tags, span))
     augmented = augment_mod.augment_rows(rows, span[2] if span else 0, subs, policy, path, totals)
-    for _, f, new_source in augmented:
-        yield f"{f[0]}\t{f[1]}\t{new_source}\t{f[3]}\t{f[4]}"
+    written = yield from corpus_mod.encode_rows(
+        f"{f[0]}\t{f[1]}\t{new_source}\t{f[3]}\t{f[4]}" for _, f, new_source in augmented
+    )
+    return written, *totals
 
 
 def _cmd_augment(run: Run) -> tuple[str, dict]:
@@ -450,22 +455,10 @@ def _cmd_augment(run: Run) -> tuple[str, dict]:
     # dropped once its table is built, before the next one is read.
     subs = augment_mod.SubstitutionSet.prepare(lexicons(), policy.top_k)
     out = run.output(args.out)
-
-    def augment_range(span: tuple[int, int, int]) -> tuple[tuple[list], tuple[int, ...]]:
-        totals = [0] * 4
-        rows = list(_augment_chunk(args.in_path, span, subs, policy, run.valid_tags, totals))
-        return (list(corpus_mod.encode_rows(rows)),), (len(rows), *totals)
-
-    if corpus_mod.use_workers(run.threads, args.in_path):
-        augmented, *totals = corpus_mod.ordered_map(corpus_mod.file_ranges(args.in_path),
-                                                    run.threads, augment_range, _add_counts,
-                                                    (0,) * 5, [out])
-    else:
-        totals = [0] * 4  # seen, without lexicon, matched, replaced
-        rows = _augment_chunk(args.in_path, None, subs, policy, run.valid_tags, totals)
-        augmented = corpus_mod.write_tsv_rows(rows, out)
-
-    seen, without_lexicon, matched, replaced = totals
+    augmented, seen, without_lexicon, matched, replaced = corpus_mod.ordered_map(
+        *corpus_mod.file_tasks(run.threads, [args.in_path]),
+        lambda task: _augment_chunk(*task, subs, policy, run.valid_tags),
+        _add_counts, (0,) * 5, [out])
     rate = replaced / matched if matched else 0.0
     config = {
         "in": args.in_path,
@@ -507,6 +500,7 @@ def _cmd_mixture(run: Run) -> tuple[str, dict]:
     from . import augment as augment_mod
 
     args = run.args
+    _require_regular(args.in_path)
     inputs = (args.in_path, args.aug)
     run.input(*inputs)
     counts = augment_mod.write_mixture(inputs, run.valid_tags, run.output(args.out), run.threads)
@@ -689,8 +683,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _terminated(signum: int, frame: object) -> None:
+    raise SystemExit(128 + signum)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # SIGTERM raises, so the run removes its temp files and outputs as on
+    # any error, and exits 143; the caller's handler is back on return.
+    previous = signal.signal(signal.SIGTERM, _terminated)
     try:
         run = Run(args, _load_config_file(os.environ.get(_CONFIG_ENV)))
         # Looked up per call, so a rebound handler (a tracer) takes effect.
@@ -698,6 +699,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (PipelineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

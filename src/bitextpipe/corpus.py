@@ -12,21 +12,20 @@ out; see :mod:`selection`). Files are read by the blocks of
 call the same cores: :func:`check_rows` (:func:`split_row`, the field
 check; :func:`check_tags`, with :func:`lang.parse_tag`'s messages;
 :func:`check_pair`, the rules every :class:`SentencePair` obeys),
-:func:`clean_rows` (the cleaning loop around :func:`clean_pair`, the
-empty-side rule), :func:`accounting_language` (the accounting rule),
-:func:`reduce_keep` (the reduction plan) and ``selection.Selection``
-(the draw), both drawing by :func:`rng.selection_sample`.
+:func:`clean_pair` (the empty-side rule), :func:`accounting_language`
+(the accounting rule), :func:`reduce_keep` (the reduction plan) and
+``selection.Selection`` (the draw), both drawing by
+:func:`rng.selection_sample`.
 
-:func:`ordered_map` is the one worker map. At ``--threads`` 2 or more,
-``ingest --in``, ``stats``, ``reduce``'s count, ``augment`` and ``mixture``
-cut each regular input file into the newline-aligned ranges of
-:func:`file_ranges` (:data:`RANGE_BYTES` each), and forked workers read
-their own ranges (:func:`iter_lines` given a span), write their output
-through the shared output files in range order and add their counts to a
-token passed from worker to worker; ``score`` sends its chunks of segments
-to the workers. No output crosses a pipe, and the bytes are those of one
-process at any thread count. :func:`usable_cpus` is the default thread
-count.
+``ingest``, ``stats``, ``reduce``'s count, ``augment``, ``mixture`` and
+``score`` each have one work function (:data:`Work`), run by
+:func:`ordered_map`, the one worker map, on the tasks of
+:func:`file_tasks`: a whole input file read in this process, or at
+``--threads`` 2 or more the newline-aligned ranges of :func:`file_ranges`,
+which forked workers read themselves (:func:`iter_lines` given a span),
+writing their output to the shared output files in range order. No output
+crosses a pipe, and the bytes are those of one process at any thread
+count. :func:`usable_cpus` is the default thread count.
 
 Wire format (one sentence pair per line)::
 
@@ -48,7 +47,8 @@ import stat
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import BinaryIO, Callable, Collection, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import (BinaryIO, Callable, Collection, Generator, Iterable, Iterator, Mapping,
+                    Sequence, TypeVar)
 
 from . import errors
 from .errors import CorpusError, TagError
@@ -71,8 +71,12 @@ HIGH_RESOURCE_FACTOR = 0.5
 # The rendered registry tags: what a corpus row may carry by default.
 _REGISTRY_TAGS = frozenset(rendered_tags())
 
-# Characters of rows that :func:`write_tsv_rows` encodes and writes at once.
+# Characters of rows that :func:`encode_rows` encodes into one piece.
 _WRITE_BATCH = 1 << 16
+
+# A work function's generator for one task: it yields ``(output index,
+# bytes)`` pieces and returns its part (see :func:`ordered_map`).
+Work = Generator[tuple[int, bytes], None, P]
 
 
 def clean_text(text: str) -> str:
@@ -234,7 +238,7 @@ def use_workers(threads: int, *paths: str | Path) -> bool:
 
     It does at two threads or more where the platform can fork, when every
     path is a regular file and together they hold :data:`SPREAD_BYTES` or
-    more. Otherwise the command streams its input in this process.
+    more. Otherwise the command reads each input whole in this process.
     """
     if threads < 2 or not hasattr(os, "fork"):
         return False
@@ -259,31 +263,48 @@ def file_ranges(path: str | Path) -> Iterator[tuple[int, int, int]]:
         lo += len(block)
 
 
+def file_tasks(
+    threads: int, paths: Sequence[str | Path], keys: Sequence | None = None
+) -> tuple[Iterator[tuple], int]:
+    """The ``(key, span)`` tasks of an :func:`ordered_map` over files, and its threads.
+
+    The key is the file's entry in ``keys``, by default its path. With
+    workers (:func:`use_workers`), each file's spans are its
+    :func:`file_ranges`; otherwise a file is one task, span None, read
+    whole in this process.
+    """
+    keyed = list(zip(paths if keys is None else keys, paths))
+    if not use_workers(threads, *dict.fromkeys(paths)):
+        return ((key, None) for key, _ in keyed), 1
+    return ((key, span) for key, path in keyed for span in file_ranges(path)), threads
+
+
 def ordered_map(
     tasks: Iterable[T],
     threads: int,
-    compute: Callable[[T], tuple[Sequence[Sequence[bytes]], P]],
+    compute: Callable[[T], Work[P]],
     add: Callable[[S, P], S],
     token: S,
     paths: Sequence[str | Path] = (),
 ) -> S:
-    """Compute every task on up to ``threads`` worker processes; apply the results in order.
+    """Run ``compute`` on every task, on up to ``threads`` workers; apply the results in order.
 
-    The one worker map of the package. ``compute(task)`` gives a result:
-    for each path in ``paths`` the bytes pieces to write, and a part.
-    Applying it writes the pieces to the outputs, opened with
-    :func:`_atomic_open`, and makes the token ``add(token, part)``; the
-    last token is returned. The token crosses a pipe at every task, so keep
-    it small. Results are applied in task order, so outputs and token equal
-    those of one process at any thread count.
+    The one worker map of the package. ``compute(task)`` (:data:`Work`)
+    yields pieces ``(i, data)``, bytes for output ``paths[i]``, and returns
+    a part. Applying the result writes the pieces to the outputs, opened
+    with :func:`_atomic_open`, and makes the token ``add(token, part)``;
+    the last token is returned. The token crosses a pipe at every task, so
+    keep it small. Results are applied in task order, so outputs and token
+    equal those of one process at any thread count.
 
     Up to ``threads`` tasks are read ahead. With fewer than two, or where
-    the platform cannot fork, everything runs in this process. Otherwise
-    ``n`` workers are forked, and worker ``i`` computes tasks ``i``, ``i +
-    n``, ...: this process sends each task on the worker's task pipe, and a
-    worker that has computed one waits for the token from the worker before
-    it, applies the result through its inherited output descriptors, and
-    passes the token on. No result crosses a pipe, only the token.
+    the platform cannot fork, everything runs in this process and each
+    piece is written as it comes. Otherwise ``n`` workers are forked, and
+    worker ``i`` computes tasks ``i``, ``i + n``, ...: this process sends
+    each task on the worker's task pipe, and a worker that has computed one
+    holds its pieces until the token comes from the worker before it,
+    writes them through its inherited output descriptors, and passes the
+    token on. No result crosses a pipe, only the token.
 
     The first error in task order is raised here: an error of ``compute``
     or of applying is raised once the results before it are applied, and an
@@ -305,12 +326,20 @@ def ordered_map(
             for handle in outputs:  # written by the workers: digest unknown here
                 handle.raw.sha = None
             return Ring(len(ahead), compute, add, outputs).run(ahead, tasks, token)
+        writes = [handle.write for handle in outputs]
         for task in itertools.chain(ahead, tasks):
-            pieces, part = compute(task)
-            for handle, data in zip(outputs, pieces):
-                handle.writelines(data)
-            token = add(token, part)
+            token = add(token, drain(compute(task), writes))
         return token
+
+
+def drain(work: Work[P], writes: Sequence[Callable[[bytes], object]]) -> P:
+    """Pass each ``(i, data)`` piece of ``work`` to ``writes[i]``; return its part."""
+    while True:
+        try:
+            index, data = next(work)
+        except StopIteration as stop:
+            return stop.value
+        writes[index](data)
 
 
 def _raising(exc: Exception) -> Iterator:
@@ -331,35 +360,49 @@ def ingest(
     Lines that are empty after trimming on either side drop the pair; the
     drops are recorded in the returned report. Unequal line counts raise.
     """
+    pairs: list[SentencePair] = []
     skipped: list[tuple[int, str]] = []
-    rows = iter_paired_rows(source_path, target_path, src_lang, tgt_lang, subset)
-    pairs = tuple(
-        SentencePair(src, tgt, src_tag, tgt_tag, label)
-        for src_tag, tgt_tag, src, tgt, label in clean_rows(rows, skipped.append)
-    )
-    return ParallelCorpus(pairs), IngestReport(len(pairs), tuple(skipped))
+    for lineno, (src_tag, tgt_tag, src, tgt, label) in iter_paired_rows(
+        source_path, target_path, src_lang, tgt_lang, subset
+    ):
+        src, tgt, reason = clean_pair(src, tgt)
+        if reason:
+            skipped.append((lineno, reason))
+        else:
+            pairs.append(SentencePair(src, tgt, src_tag, tgt_tag, label))
+    return ParallelCorpus(tuple(pairs)), IngestReport(len(pairs), tuple(skipped))
 
 
-def clean_rows(
-    rows: Iterable[tuple[int, Sequence]],
-    skip: Callable[[tuple[int, str]], object],
-    excluded: Collection[str] = (),
-) -> Iterator[tuple]:
-    """The first five fields of each kept (line number, fields) row, texts cleaned.
+def clean_rows(rows: Iterable[tuple[int, Sequence]], excluded: Collection[str] = ()
+               ) -> Work[tuple[int, int]]:
+    """``ingest``'s work: (line number, fields) rows cleaned, as pieces of two outputs.
 
-    A row dropped by :func:`clean_pair`, or whose subset is in ``excluded``,
-    is passed to ``skip`` as (line number, reason) instead: a list's
-    ``append``, or a :class:`SkipLog`'s, which writes it out at once.
+    A row that :func:`clean_pair` drops, or whose subset is in
+    ``excluded``, is one piece of output 1, the skip report:
+    ``<line>\\t<reason>``. Each kept row goes to output 0, its first five
+    fields tab-joined, texts cleaned, in pieces of about
+    :data:`_WRITE_BATCH` characters. Returns the rows kept and dropped.
     """
+    kept = dropped = size = 0
+    batch: list[str] = []
     for lineno, fields in rows:
         source, target, reason = clean_pair(fields[2], fields[3])
-        subset = fields[4]
-        if subset in excluded:
-            reason = f"excluded subset:{subset}"
+        if fields[4] in excluded:
+            reason = f"excluded subset:{fields[4]}"
         if reason:
-            skip((lineno, reason))
-        else:
-            yield fields[0], fields[1], source, target, subset
+            dropped += 1
+            yield 1, f"{lineno}\t{reason}\n".encode("utf-8")
+            continue
+        line = f"{fields[0]}\t{fields[1]}\t{source}\t{target}\t{fields[4]}"
+        batch += line, "\n"
+        size += len(line)
+        if size >= _WRITE_BATCH:
+            yield 0, "".join(batch).encode("utf-8")
+            kept += len(batch) // 2
+            size, batch = 0, []
+    if batch:
+        yield 0, "".join(batch).encode("utf-8")
+    return kept + (len(batch) // 2), dropped
 
 
 def clean_pair(source: str, target: str) -> tuple[str, str, str | None]:
@@ -602,32 +645,28 @@ def write_tsv(
 
 def write_tsv_rows(rows: Iterable[str], path: str | Path) -> int:
     """Write one line per row atomically; returns the number of rows."""
-    count = 0
-
-    def counted() -> Iterator[str]:
-        nonlocal count
-        for count, row in enumerate(rows, 1):
-            yield row
-
     with _atomic_open(path) as handle:
-        handle.writelines(encode_rows(counted()))
-    return count
+        return drain(encode_rows(rows), [handle.write])
 
 
-def encode_rows(rows: Iterable[str]) -> Iterator[bytes]:
-    """Each row and a newline, UTF-8, about :data:`_WRITE_BATCH` characters a piece.
+def encode_rows(rows: Iterable[str]) -> Work[int]:
+    """Each row and a newline, UTF-8, as pieces of output 0; returns the row count.
 
-    Pieces this size are reused from the heap rather than mapped fresh.
+    A piece holds about :data:`_WRITE_BATCH` characters: pieces this size
+    are reused from the heap rather than mapped fresh.
     """
-    size, batch = 0, []
+    count = size = 0
+    batch: list[str] = []
     for row in rows:
         batch += row, "\n"
         size += len(row)
         if size >= _WRITE_BATCH:
-            yield "".join(batch).encode("utf-8")
+            yield 0, "".join(batch).encode("utf-8")
+            count += len(batch) // 2
             size, batch = 0, []
     if batch:
-        yield "".join(batch).encode("utf-8")
+        yield 0, "".join(batch).encode("utf-8")
+    return count + (len(batch) // 2)
 
 
 def write_tsv_bytes(lines: Iterable[bytes], path: str | Path) -> None:
@@ -688,30 +727,9 @@ class _HashingFile(io.FileIO):
         return n
 
 
-class SkipLog:
-    """An open skip report: :meth:`append` writes one (line number, reason) row."""
-
-    def __init__(self, handle: BinaryIO):
-        self._write = handle.write
-        self.count = 0
-
-    def append(self, skip: tuple[int, str]) -> None:
-        self._write(f"{skip[0]}\t{skip[1]}\n".encode("utf-8"))
-        self.count += 1
-
-
-@contextlib.contextmanager
-def open_skip_report(path: str | Path) -> Iterator[SkipLog]:
-    """A skip report written as it grows, renamed into place if the block succeeds."""
-    with _atomic_open(path) as handle:
-        yield SkipLog(handle)
-
-
 def write_skip_report(report: IngestReport, path: str | Path) -> None:
     """Plain-text sidecar: one ``<line>\\t<reason>`` row per dropped pair."""
-    with open_skip_report(path) as log:
-        for skip in report.skipped:
-            log.append(skip)
+    write_tsv_rows((f"{lineno}\t{reason}" for lineno, reason in report.skipped), path)
 
 
 def format_stats_table(stats_value: CorpusStats) -> str:

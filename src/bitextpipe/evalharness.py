@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Collection, Iterator, Sequence
 
 from . import errors, metrics
-from .corpus import ordered_map, write_tsv_rows
+from .corpus import Work, ordered_map, write_tsv_rows
 from .errors import MetricError
 from .lang import LanguageTag, parse_pair
 from .metrics import BLEU_SIGNATURE, CHRF, CHRF_PP, BleuStats, ChrfStats
@@ -133,13 +133,15 @@ def _chunks(hyp_path: str | Path, ref_path: str | Path) -> Iterator[list[tuple[s
         yield chunk
 
 
-def _chunk_stats(chunk: list[tuple[str, str]]) -> tuple[tuple, tuple[BleuStats, ChrfStats]]:
-    """Summed BLEU and chrF++ statistics of one chunk of segments (and no output)."""
+def _chunk_stats(chunk: list[tuple[str, str]]) -> Work[tuple[BleuStats, ChrfStats]]:
+    """The work function of ``score``: summed BLEU and chrF++ statistics of
+    one chunk of segments, and no output."""
     hyps, refs = zip(*chunk)
-    return (), (
+    return (
         metrics.sum_stats(metrics.bleu_segment_stats, hyps, refs),
         metrics.sum_stats(metrics.chrf_segment_stats, hyps, refs, CHRF_PP),
     )
+    yield  # a generator, as every work function is
 
 
 def _add_stats(total: tuple[BleuStats, ChrfStats],

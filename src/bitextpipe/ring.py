@@ -13,6 +13,7 @@ import select
 import signal
 from typing import BinaryIO, Callable, Iterator, Sequence, TypeVar
 
+from .corpus import drain
 from .errors import PipelineError
 
 S = TypeVar("S")
@@ -149,14 +150,15 @@ class Ring:
                     if task == index:
                         self._write(results, ("ok", self._read(token_in)))
                     break
+                pieces: list[list[bytes]] = [[] for _ in self.outputs]
                 try:
-                    result, error = self.compute(task), None
+                    part = drain(self.compute(task), [held.append for held in pieces])
+                    error = None
                 except Exception as exc:
-                    result, error = None, exc
+                    error = exc
                 token = self._read(token_in)
                 if error is None:
                     try:
-                        pieces, part = result
                         for handle, data in zip(self.outputs, pieces):
                             handle.writelines(data)
                             handle.flush()

@@ -402,6 +402,12 @@ def test_seed_selection_budget():
     _passline("seed selection", f"{budget} pairs, composition {dict(recount)}")
 
 
+def _unlink(*paths: Path) -> None:
+    """Remove a test's large files once it has checked them: they take GBs."""
+    for path in paths:
+        path.unlink()
+
+
 @pytest.mark.slow
 def test_streaming_ingest_memory_bounded_at_10m_lines(tmp_path):
     # corpus-size-independent working set: 10M lines under the same ceiling
@@ -422,6 +428,7 @@ def test_streaming_ingest_memory_bounded_at_10m_lines(tmp_path):
     assert proc.returncode == 0, proc.stderr
     count = sum(1 for _ in open(out, encoding="utf-8"))
     assert count == n
+    _unlink(src, tgt, out, Path(f"{out}.skipped.txt"))
     _passline("streaming ingest memory", f"10M lines under {MEMORY_CEILING >> 20} MiB")
 
 
@@ -451,6 +458,7 @@ def test_streaming_skip_report_memory_bounded_at_10m_lines(tmp_path):
         for count, line in enumerate(handle, start=1):
             assert line == f"{2 * count}\tempty source\n"
     assert count == n // 2
+    _unlink(src, tgt, out, Path(f"{out}.skipped.txt"))
     _passline("streaming skip report", f"5M of 10M lines skipped under "
                                        f"{MEMORY_CEILING >> 20} MiB")
 
@@ -495,6 +503,7 @@ def test_selection_memory_bounded_at_10m_lines(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "big.tsv", "out.tsv.plan.tsv", "out.tsv.plot.tsv"
     ]
+    _unlink(corpus)
     _passline("selection memory", f"reduce, sample, seed-select on 10M lines under "
                                   f"{MEMORY_CEILING >> 20} MiB")
 

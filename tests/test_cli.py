@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -1332,7 +1333,9 @@ class TestDigests:
         assert capsys.readouterr() == ("", f"error: {corpus}: changed while read\n")
         assert list(out.parent.iterdir()) == []
 
-    @pytest.mark.parametrize("command", ["sample", "seed-select"])
+    # At one thread every command on the worker map reads its input whole,
+    # once: a range scan there would read it twice.
+    @pytest.mark.parametrize("command", ["sample", "seed-select", "ingest", "stats", "augment"])
     def test_one_process_reads_its_input_once_and_no_output(self, writer_inputs, monkeypatch,
                                                             tmp_path, command):
         from bitextpipe import manifest
@@ -1363,5 +1366,79 @@ class TestDigests:
         argv, out_dir = writer_inputs
         assert run_cli(*argv(command), "--threads", 1) == 0
         corpus = Path(os.path.realpath(tmp_path / "corpus.tsv"))
+        inputs = [corpus, corpus.with_name("muse_hin.txt")] if command == "augment" else [corpus]
         mine = {path: n for path, n in read.items() if Path(path).is_relative_to(corpus.parent)}
-        assert mine == {str(corpus): corpus.stat().st_size}  # and not a byte of out/
+        assert mine == {str(p): p.stat().st_size for p in inputs}  # and not a byte of out/
+
+
+def _bitextpipe(*argv, **popen) -> subprocess.Popen:
+    """``python -m bitextpipe`` with ``argv`` in a child process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(corpus_mod.__file__).parents[1]))
+    return subprocess.Popen([sys.executable, "-m", "bitextpipe", *map(str, argv)], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, **popen)
+
+
+class TestPipesAndSignals:
+    """A pipe read twice, or a SIGTERM, ends a run without a hang or a temp file."""
+
+    @pytest.mark.parametrize("command", ["reduce", "mixture"])
+    def test_a_fifo_in_read_twice_is_rejected(self, tmp_path, command):
+        corpus, fifo = tmp_path / "c.tsv", tmp_path / "in.fifo"
+        corpus.write_bytes(b"".join(_rows(12)))
+        os.mkfifo(fifo)
+        out = tmp_path / "out" / "o.tsv"
+        out.parent.mkdir()
+        argv = [command, "--in", fifo, "--out", out, "--threads", 1]
+        argv += ["--aug", corpus] if command == "mixture" else []
+        writer = subprocess.Popen(["sh", "-c", 'cat "$0" > "$1"', corpus, fifo])
+        child = _bitextpipe(*argv)
+        try:
+            # A second open of the pipe, its writer gone, would wait for good.
+            stdout, stderr = child.communicate(timeout=30)
+        finally:
+            for process in (child, writer):
+                process.kill()
+                process.wait()
+        assert (child.returncode, stdout) == (1, "")
+        assert stderr == f"error: {fifo}: not a regular file, and this command reads it twice\n"
+        assert list(out.parent.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["reduce", "mixture"])
+    def test_a_missing_in_is_one_read_error(self, tmp_path, capsys, command):
+        missing = tmp_path / "nope.tsv"
+        argv = [command, "--in", missing, "--out", tmp_path / "o.tsv"]
+        argv += ["--aug", missing] if command == "mixture" else []
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read {missing}: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sigterm_mid_stream_removes_every_temp_file(self, tmp_path):
+        fifo = tmp_path / "in.fifo"
+        os.mkfifo(fifo)
+        out = tmp_path / "out" / "o.tsv"
+        out.parent.mkdir()
+        child = _bitextpipe("ingest", "--in", fifo, "--out", out, "--threads", 1)
+        try:
+            with open(fifo, "wb") as writer:  # opens once the child reads
+                writer.write(b"".join(_rows(100)))
+                writer.flush()
+                assert sorted(p.suffix for p in out.parent.iterdir()) == [".tmp", ".tmp"]
+                child.send_signal(signal.SIGTERM)  # the pipe is still open: mid-stream
+                stdout, stderr = child.communicate(timeout=30)
+        finally:
+            child.kill()
+            child.wait()
+        assert (child.returncode, stdout, stderr) == (143, "", "")
+        assert list(out.parent.iterdir()) == []
+
+    def test_an_in_process_call_keeps_the_callers_sigterm_handler(self, writer_inputs):
+        def handler(signum, frame):
+            pass
+
+        argv, _ = writer_inputs
+        previous = signal.signal(signal.SIGTERM, handler)
+        try:
+            assert run_cli(*argv("ingest")) == 0
+            assert signal.getsignal(signal.SIGTERM) is handler
+        finally:
+            signal.signal(signal.SIGTERM, previous)

@@ -15,6 +15,7 @@ from bitextpipe.corpus import (
     CorpusStats,
     ParallelCorpus,
     SentencePair,
+    Work,
     accounting_language,
     clean_text,
     file_ranges,
@@ -507,13 +508,19 @@ def _collect(token: list, part: object) -> list:
     return token + [part]
 
 
-def _numbered(task: int) -> tuple[tuple[bytes], int]:
+def _numbered(task: int) -> Work[int]:
+    """A work function: two pieces of output 0, its task as the part."""
+    yield 0, f"{task}".encode()
     time.sleep(0.002 * (task % 3 == 0))  # finish out of order
-    return [[f"{task}\n".encode()]], task
+    yield 0, b"\n"
+    return task
 
 
 class TestWorkerMap:
-    """:func:`ordered_map`: results applied in task order, errors at their position."""
+    """:func:`ordered_map`: results applied in task order, errors at their position.
+
+    A work function yields ``(output index, bytes)`` pieces and returns its part.
+    """
 
     @pytest.mark.parametrize("threads", [1, 2, 3, 8])
     def test_order_is_kept(self, tmp_path, threads):
@@ -550,9 +557,10 @@ class TestWorkerMap:
                 yield task
 
         def compute(task):
+            yield 0, f"{task}\n".encode()  # a piece before the error lands nowhere
             if task == where["compute"]:
                 raise ValueError(f"compute {task}")
-            return _numbered(task)
+            return task
 
         def add(token, part):
             if part == where["add"]:
@@ -574,7 +582,8 @@ class TestWorkerMap:
             "def compute(task):\n"
             "    if task == 3:\n"
             "        os.kill(os.getpid(), signal.SIGKILL)\n"
-            "    return (), task\n"
+            "    return task\n"
+            "    yield\n"
             "try:\n"
             "    ordered_map(range(40), 2, compute, lambda t, p: t + p, 0)\n"
             "except Exception as exc:\n"
