@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 import string
+from collections import Counter
 from dataclasses import asdict, dataclass, replace as dc_replace
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
@@ -28,7 +29,7 @@ from .lang import ENGLISH
 from .lexicon import BilingualLexicon, truncate_topk
 from .rng import derive_seed
 from .sampling import largest_remainder
-from .selection import Selection, SpilledPools
+from .selection import Keyed, Selection
 
 MODE_RANDOM_LANGUAGE = "random-language"
 MODE_PAIR_TARGET = "pair-target"
@@ -426,37 +427,36 @@ def build_pretraining_mixture(
 
 
 def select_seed(
-    subset_corpora: Mapping[str, ParallelCorpus] | SpilledPools,
+    corpus: ParallelCorpus | Keyed,
     budget: int = DEFAULT_SEED_BUDGET,
     seed: int = 0,
 ) -> ParallelCorpus | Selection:
     """Sample seed data proportionally to subset sizes, exactly ``budget``.
 
-    Subset labels must come from :data:`SEED_SUBSETS`. Selection within a
-    subset is uniform without replacement and keeps the original order;
-    subsets appear in canonical order in the output, with every pair's
-    subset field set to its subset label. Corpora give a
-    :class:`ParallelCorpus`; spilled pools keyed by subset label (rows
-    already labelled) give a lazy :class:`selection.Selection` of their rows.
+    Pairs are keyed by their subset label, which must come from
+    :data:`SEED_SUBSETS`. Selection within a subset is uniform without
+    replacement, and the selected pairs keep corpus order. A
+    :class:`ParallelCorpus` gives a ``ParallelCorpus``; items keyed and
+    counted by subset label give a lazy :class:`selection.Selection`.
     """
-    unknown = sorted(set(subset_corpora) - set(SEED_SUBSETS))
+    keyed = corpus if isinstance(corpus, Keyed) else Keyed(
+        corpus, _subset, Counter(map(_subset, corpus))
+    )
+    sizes = keyed.counts
+    unknown = sorted(set(sizes) - set(SEED_SUBSETS))
     if unknown:
         raise CorpusError(
             f"unknown seed subsets: {', '.join(unknown)}; expected {SEED_SUBSETS}"
         )
     if budget <= 0:
         raise CorpusError(f"budget must be positive, got {budget}")
-    sizes = {label: len(c) for label, c in subset_corpora.items()}
     available = sum(sizes.values())
     if budget > available:
         raise CorpusError(f"budget {budget} exceeds available pairs {available}")
 
-    allocation = largest_remainder(sizes, budget)
-    selection = Selection(subset_corpora, allocation, SEED_SUBSETS, seed, "seed-select")
-    if isinstance(subset_corpora, SpilledPools):
-        return selection
-    return ParallelCorpus(tuple(
-        pair if pair.subset == label else dc_replace(pair, subset=label)
-        for label, pairs in selection.by_key()
-        for pair in pairs
-    ))
+    selection = Selection(keyed, largest_remainder(sizes, budget), seed, "seed-select")
+    return selection if keyed is corpus else ParallelCorpus(tuple(selection))
+
+
+def _subset(pair: SentencePair) -> str:
+    return pair.subset

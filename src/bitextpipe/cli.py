@@ -27,7 +27,7 @@ import sys
 import time
 from collections import Counter
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Collection, Hashable, Iterator, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Collection, Iterator, Mapping, Sequence, TypeVar
 
 # Only what every subcommand needs is imported here, so a call never pays
 # for another command's modules: each handler imports the rest when it runs
@@ -41,7 +41,7 @@ from .manifest import RunManifest, manifest_path_for, sha256_file
 
 if TYPE_CHECKING:
     from .augment import AugmentationPolicy, SubstitutionSet
-    from .selection import SpilledPools
+    from .selection import Keyed
 
 _CONFIG_ENV = "PIPELINE_CONFIG"
 
@@ -197,20 +197,57 @@ def _execute(run: Run, handler: Callable[[Run], tuple[str, dict]]) -> int:
 # Row streaming helpers (checked raw TSV fields, no object construction)
 
 
-def _count_accounting_tags(run: Run, path: str) -> Counter[str]:
-    """Checked rows per rendered accounting language, in first-seen order.
+def _count_keys(run: Run, key: Callable[[list[str]], str]) -> Counter[str]:
+    """Checked ``--in`` rows per key of their fields, in first-seen order.
 
-    The work of ``stats`` and of ``reduce``'s first read. Each task's counts
-    are added in file order, so the first-seen order is the file's.
+    The work of ``stats`` and the first read of ``reduce``, ``sample`` and
+    ``seed-select``. Each task's counts are added in file order, so the
+    first-seen order is the file's.
     """
 
     def count(task: tuple[str, tuple[int, int, int] | None]) -> corpus_mod.Work[Counter[str]]:
         rows = corpus_mod.iter_tsv_rows(task[0], run.valid_tags, task[1])
-        return Counter(corpus_mod.accounting_language(f[0], f[1]) for _, f in rows)
+        return Counter(key(fields) for _, fields in rows)
         yield  # a work function with no output
 
-    return corpus_mod.ordered_map(*corpus_mod.file_tasks(run.threads, [path]), count, _update,
-                                  Counter())
+    tasks = corpus_mod.file_tasks(run.threads, [run.args.in_path])
+    return corpus_mod.ordered_map(*tasks, count, _update, Counter())
+
+
+def _reread(run: Run, key: Callable[[str], str], counts: Mapping[str, int]) -> Keyed:
+    """``--in``'s rows read a second time, five fields each, keyed by ``key``.
+
+    ``counts`` are the rows per key of the first read, which checked every
+    row, so this one checks none: a row is its line, less a sixth field.
+    If the file changed in between, the draw finds other counts per key or
+    the reader a different digest at end of file, and either fails with
+    ``<in>: changed while read``. ``key`` must take any row, a changed
+    one too.
+    """
+    from .selection import Keyed
+
+    path = run.args.in_path
+    return Keyed(map(_five_fields, corpus_mod.iter_lines(path)), key, counts, path)
+
+
+def _five_fields(line: str) -> str:
+    return line if line.count("\t") == 4 else line[:line.rfind("\t")]
+
+
+def _language(fields: Sequence[str]) -> str:
+    return corpus_mod.accounting_language(fields[0], fields[1])
+
+
+def _row_language(row: str) -> str | None:
+    try:
+        src, tgt, _ = row.split("\t", 2)
+    except ValueError:  # fewer fields than the first read checked: no key
+        return None
+    return corpus_mod.accounting_language(src, tgt)
+
+
+def _row_subset(row: str) -> str:
+    return row[row.rfind("\t") + 1:]
 
 
 def _require_regular(path: str) -> None:
@@ -231,28 +268,6 @@ def _update(token: Counter[str], part: Counter[str]) -> Counter[str]:
 
 def _add_counts(token: tuple[int, ...], part: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(a + b for a, b in zip(token, part))
-
-
-@contextlib.contextmanager
-def _spilled_pools(
-    run: Run, key_and_row: Callable[[list[str]], tuple[Hashable, str]]
-) -> Iterator[SpilledPools]:
-    """Checked ``--in`` rows spilled by key into a directory beside ``--out``.
-
-    The directory is removed when the block exits, on success and on error.
-    """
-    import tempfile
-
-    from .selection import SpilledPools
-
-    out = Path(run.args.out)
-    try:
-        spill_dir = tempfile.TemporaryDirectory(prefix=f"{out.name}.spill.", dir=out.parent)
-    except OSError as exc:  # name the output, not the spill directory
-        raise OSError(exc.errno, exc.strerror, str(out)) from None
-    with spill_dir as spill:
-        rows = corpus_mod.iter_tsv_rows(run.args.in_path, run.valid_tags)
-        yield SpilledPools((key_and_row(fields) for _, fields in rows), spill)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +327,7 @@ def _cmd_ingest(run: Run) -> tuple[str, dict]:
 def _cmd_stats(run: Run) -> tuple[str, dict]:
     args = run.args
     run.input(args.in_path)
-    counts = _count_accounting_tags(run, args.in_path)
+    counts = _count_keys(run, _language)
     stats_value = corpus_mod.stats_from_counts(
         {run.valid_tags[tag]: n for tag, n in counts.items()}
     )
@@ -323,18 +338,18 @@ def _cmd_stats(run: Run) -> tuple[str, dict]:
 
 
 def _cmd_reduce(run: Run) -> tuple[str, dict]:
+    from .selection import Selection
+
     args = run.args
     _require_regular(args.in_path)
     run.input(args.in_path)
     threshold = run.opt("threshold", corpus_mod.HIGH_RESOURCE_THRESHOLD)
     factor = run.opt("factor", corpus_mod.HIGH_RESOURCE_FACTOR)
-    counts = _count_accounting_tags(run, args.in_path)
-    keep = corpus_mod.reduce_keep(counts, threshold, factor, run.seed)
-    rows = (fields for _, fields in corpus_mod.iter_fields(args.in_path))
-    kept_rows = corpus_mod.keep_ordinals(
-        rows, lambda f: corpus_mod.accounting_language(f[0], f[1]), counts, keep, args.in_path
-    )
-    kept = corpus_mod.write_tsv_rows(("\t".join(f[:5]) for f in kept_rows), run.output(args.out))
+    counts = _count_keys(run, _language)
+    keep = corpus_mod.reduce_keep(counts, threshold, factor)
+    kept_rows = Selection(_reread(run, _row_language, counts), {**counts, **keep}, run.seed,
+                          "reduce")
+    kept = corpus_mod.write_tsv_rows(kept_rows, run.output(args.out))
     config = {
         "in": args.in_path,
         "threshold": threshold,
@@ -352,19 +367,17 @@ def _cmd_sample(run: Run) -> tuple[str, dict]:
     from . import sampling
 
     args = run.args
+    _require_regular(args.in_path)
     run.input(args.in_path)
     temperature = run.opt("temperature", 5.0)
-
-    def key_and_row(f: list[str]) -> tuple[str, str]:
-        return corpus_mod.accounting_language(f[0], f[1]), "\t".join(f[:5])
-
-    with _spilled_pools(run, key_and_row) as pools:
-        stats_value = corpus_mod.stats_from_counts(pools.counts)
-        plan = sampling.distribution(stats_value, temperature, seed=run.seed)
-        budget = run.opt("budget", stats_value.total)
-        plan = sampling.allocate(plan, budget)
-        sampled = sampling.materialize(plan, pools, budget, seed=run.seed)
-        corpus_mod.write_tsv_bytes(sampled, run.output(args.out))
+    counts = _count_keys(run, _language)
+    stats_value = corpus_mod.stats_from_counts(counts)
+    plan = sampling.distribution(stats_value, temperature, seed=run.seed)
+    budget = run.opt("budget", stats_value.total)
+    plan = sampling.allocate(plan, budget)
+    sampled = sampling.materialize(plan, _reread(run, _row_language, counts), budget,
+                                   seed=run.seed)
+    corpus_mod.write_tsv_rows(sampled, run.output(args.out))
     sampling.write_plan_tsv(plan, run.output(Path(args.plan_out or f"{args.out}.plan.tsv")))
     sampling.write_plot_tsv(plan, run.output(Path(args.plot_out or f"{args.out}.plot.tsv")))
     config = {
@@ -372,6 +385,7 @@ def _cmd_sample(run: Run) -> tuple[str, dict]:
         "temperature": temperature,
         "budget": budget,
         "seed": run.seed,
+        "threads": run.threads,
     }
     return (
         f"sample: T={temperature:g} budget={budget} languages={len(plan.probabilities)} "
@@ -520,17 +534,15 @@ def _cmd_seed_select(run: Run) -> tuple[str, dict]:
     from . import augment as augment_mod
 
     args = run.args
+    _require_regular(args.in_path)
     run.input(args.in_path)
     budget = run.opt("budget", augment_mod.DEFAULT_SEED_BUDGET)
-
-    def key_and_row(f: list[str]) -> tuple[str, str]:
-        return f[4], "\t".join(f[:5]) + "\tseed:" + f[4]
-
-    with _spilled_pools(run, key_and_row) as pools:
-        selected = augment_mod.select_seed(pools, budget=budget, seed=run.seed)
-        corpus_mod.write_tsv_bytes(selected, run.output(args.out))
-    per_subset = {label: selected.counts.get(label, 0) for label in sorted(pools)}
-    config = {"in": args.in_path, "budget": budget, "seed": run.seed}
+    counts = _count_keys(run, lambda fields: fields[4])
+    selected = augment_mod.select_seed(_reread(run, _row_subset, counts), budget, run.seed)
+    rows = (f"{row}\tseed:{_row_subset(row)}" for row in selected)
+    corpus_mod.write_tsv_rows(rows, run.output(args.out))
+    per_subset = dict(sorted(selected.wants.items()))
+    config = {"in": args.in_path, "budget": budget, "seed": run.seed, "threads": run.threads}
     return f"seed-select: {len(selected)} pairs {per_subset} -> {args.out}", config
 
 
@@ -581,8 +593,9 @@ def _cmd_train_config(run: Run) -> tuple[str, dict]:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="global random seed")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker processes for ingest --in, stats, reduce, augment, mixture "
-                        "and score, default: the usable CPUs (never changes output bytes)")
+                        help="worker processes for ingest --in, stats, reduce, sample, "
+                        "seed-select, augment, mixture and score, default: the usable CPUs "
+                        "(never changes output bytes)")
     parser.add_argument(
         "--tags-file", default=None, help="file of extra language tags, one per line"
     )

@@ -4,9 +4,7 @@ Two representations are used. Library operations work on in-memory
 :class:`ParallelCorpus` values. The CLI streams every command in
 constant memory, on raw TSV fields: corpus commands read checked ``(line
 number, fields)`` rows from :func:`iter_tsv_rows` and write them with
-:func:`write_tsv_rows` or, encoded, :func:`write_tsv_bytes` (``sample``
-and ``seed-select`` spill rows to disk and copy the chosen rows' bytes
-out; see :mod:`selection`). Files are read by the blocks of
+:func:`write_tsv_rows`. Files are read by the blocks of
 :func:`errors.iter_blocks` and written by :func:`_atomic_open`.
 :func:`read_tsv` builds pairs from the same rows. Both representations
 call the same cores: :func:`check_rows` (:func:`split_row`, the field
@@ -14,18 +12,19 @@ check; :func:`check_tags`, with :func:`lang.parse_tag`'s messages;
 :func:`check_pair`, the rules every :class:`SentencePair` obeys),
 :func:`clean_pair` (the empty-side rule), :func:`accounting_language`
 (the accounting rule), :func:`reduce_keep` (the reduction plan) and
-``selection.Selection`` (the draw), both drawing by
-:func:`rng.selection_sample`.
+``selection.Selection`` (the draw of ``reduce``, ``sample`` and
+``seed-select``, in input order, by :func:`rng.selection_sample`).
 
-``ingest``, ``stats``, ``reduce``'s count, ``augment``, ``mixture`` and
-``score`` each have one work function (:data:`Work`), run by
-:func:`ordered_map`, the one worker map, on the tasks of
-:func:`file_tasks`: a whole input file read in this process, or at
-``--threads`` 2 or more the newline-aligned ranges of :func:`file_ranges`,
-which forked workers read themselves (:func:`iter_lines` given a span),
-writing their output to the shared output files in range order. No output
-crosses a pipe, and the bytes are those of one process at any thread
-count. :func:`usable_cpus` is the default thread count.
+``ingest``, ``stats``, the counting reads of ``reduce``, ``sample`` and
+``seed-select``, ``augment``, ``mixture`` and ``score`` each have one work
+function (:data:`Work`), run by :func:`ordered_map`, the one worker map,
+on the tasks of :func:`file_tasks`: a whole input file read in this
+process, or at ``--threads`` 2 or more the newline-aligned ranges of
+:func:`file_ranges`, which forked workers read themselves
+(:func:`iter_lines` given a span), writing their output to the shared
+output files in range order. No output crosses a pipe, and the bytes are
+those of one process at any thread count. :func:`usable_cpus` is the
+default thread count.
 
 Wire format (one sentence pair per line)::
 
@@ -53,7 +52,6 @@ from typing import (BinaryIO, Callable, Collection, Generator, Iterable, Iterato
 from . import errors
 from .errors import CorpusError, TagError
 from .lang import ENGLISH, LANGUAGE_NAMES, LanguageTag, parse_tag, rendered_tags
-from .rng import derive_rng, selection_sample
 
 K = TypeVar("K")
 L = TypeVar("L")
@@ -439,9 +437,14 @@ def iter_paired_rows(
         yield lineno, (src_lang, tgt_lang, src, tgt, subset)
 
 
+def pair_language(pair: SentencePair) -> LanguageTag:
+    """The accounting language of a pair."""
+    return accounting_language(pair.src_lang, pair.tgt_lang)
+
+
 def stats(corpus: ParallelCorpus) -> CorpusStats:
     """Count pairs per accounting language."""
-    return CorpusStats(dict(Counter(accounting_language(p.src_lang, p.tgt_lang) for p in corpus)))
+    return CorpusStats(dict(Counter(map(pair_language, corpus))))
 
 
 def stats_from_counts(counts: Mapping[LanguageTag, int]) -> CorpusStats:
@@ -465,67 +468,30 @@ def reduce_highresource(
     original order. Languages at or below the threshold pass through
     untouched. Deterministic given (corpus, seed).
     """
+    from .selection import Keyed, Selection
+
     counts = stats(corpus).counts
-    keep = reduce_keep(counts, threshold, factor, seed)
+    keep = reduce_keep(counts, threshold, factor)
     if not keep:
         return corpus
-    kept = keep_ordinals(
-        corpus, lambda p: accounting_language(p.src_lang, p.tgt_lang), counts, keep, "corpus"
-    )
-    return ParallelCorpus(tuple(kept))
+    return ParallelCorpus(tuple(
+        Selection(Keyed(corpus, pair_language, counts), {**counts, **keep}, seed, "reduce")
+    ))
 
 
-def reduce_keep(
-    counts: Mapping[K, int], threshold: int, factor: float, seed: int
-) -> dict[K, Iterator[bool]]:
-    """The reduction plan: for each over-threshold key, the draw of its survivors.
+def reduce_keep(counts: Mapping[K, int], threshold: int, factor: float) -> dict[K, int]:
+    """The reduction plan: the pairs each over-threshold key keeps.
 
-    Keys are accounting languages (tags or rendered tags), counted in
-    corpus order. A key of ``n`` pairs keeps ``ceil(factor * n)``, drawn
-    by :func:`rng.selection_sample` from ``derive_rng(seed, "reduce",
-    str(key))``: the draw says, for each of the key's pairs in order,
-    whether it survives, and is consumed by one :func:`keep_ordinals`
-    pass. Keys at or below the threshold are absent from the plan and
-    keep every pair.
+    Keys are accounting languages (tags or rendered tags). A key of ``n``
+    pairs over ``threshold`` keeps ``ceil(factor * n)``, which
+    ``selection.Selection`` draws with the purpose ``"reduce"``. Keys at
+    or below the threshold are absent from the plan and keep every pair.
     """
     if not 0.0 < factor <= 1.0:
         raise CorpusError(f"factor must be in (0, 1], got {factor}")
     if threshold <= 0:
         raise CorpusError(f"threshold must be positive, got {threshold}")
-    return {
-        key: selection_sample(n, math.ceil(factor * n), derive_rng(seed, "reduce", str(key)))
-        for key, n in counts.items()
-        if n > threshold
-    }
-
-
-def keep_ordinals(
-    items: Iterable[T],
-    key: Callable[[T], K],
-    counts: Mapping[K, int],
-    keep: Mapping[K, Iterator[bool]],
-    source: str | Path,
-) -> Iterator[T]:
-    """Stream the items a :func:`reduce_keep` plan retains, in order.
-
-    ``counts`` are the items per key that the plan was made from. Items
-    holding more or fewer of a key than that raise :class:`CorpusError`
-    naming ``source``: the input changed after it was counted.
-    """
-    left = dict(counts)
-    for item in items:
-        k = key(item)
-        if not left.get(k):
-            raise CorpusError(f"{source}: changed while read: more {k} rows than first counted")
-        left[k] -= 1
-        draw = keep.get(k)
-        if draw is None or next(draw, False):
-            yield item
-    short = [str(k) for k, n in left.items() if n]
-    if short:
-        raise CorpusError(
-            f"{source}: changed while read: fewer {', '.join(short)} rows than first counted"
-        )
+    return {key: math.ceil(factor * n) for key, n in counts.items() if n > threshold}
 
 
 def reverse(corpus: ParallelCorpus) -> ParallelCorpus:
@@ -667,12 +633,6 @@ def encode_rows(rows: Iterable[str]) -> Work[int]:
     if batch:
         yield 0, "".join(batch).encode("utf-8")
     return count + (len(batch) // 2)
-
-
-def write_tsv_bytes(lines: Iterable[bytes], path: str | Path) -> None:
-    """Write already encoded lines (newline included) atomically."""
-    with _atomic_open(path) as handle:
-        handle.writelines(lines)
 
 
 @contextlib.contextmanager

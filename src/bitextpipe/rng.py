@@ -9,8 +9,11 @@ blake2b is stable everywhere.
 
 Reduce, temperature sampling and seed selection all draw their subsets by
 :func:`selection_sample` (Knuth's Algorithm S), one pass over a key's
-items in their order, in constant memory. Releases before 0.2.0
-replicated ``Random.sample`` instead, so their draws kept other rows.
+items in their order, in constant memory, through one draw
+(``selection.Selection``) that walks the whole input in order. Releases
+before 0.2.0 replicated ``Random.sample`` instead, so their draws kept
+other rows; 0.2.0 drew the same rows as 0.3.0, but wrote them grouped by
+key.
 """
 
 from __future__ import annotations

@@ -10,10 +10,10 @@ Target counts for a fixed budget are allocated by largest-remainder
 rounding over exact rational quotas, which preserves the budget exactly
 and is independent of input order.
 
-:func:`materialize` draws from an in-memory corpus or from spilled
-pools (:class:`selection.SpilledPools`, one bucket file per language);
-both go through the same draw (:class:`selection.Selection`), so the CLI
-holds no part of the corpus and writes the same bytes.
+:func:`materialize` draws from an in-memory corpus or from the CLI's
+keyed rows (:class:`selection.Keyed`) through the same draw
+(:class:`selection.Selection`), so the CLI holds no part of the corpus
+and writes the same rows, in input order.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, TypeVar
 
-from .corpus import CorpusStats, ParallelCorpus, SentencePair, accounting_language, write_tsv_rows
+from .corpus import CorpusStats, ParallelCorpus, pair_language, stats, write_tsv_rows
 from .errors import PlanError
 from .lang import LanguageTag
-from .selection import Selection, SpilledPools
+from .selection import Keyed, Selection
 
 K = TypeVar("K")
 
@@ -101,47 +101,44 @@ def allocate(plan: SamplingPlan, budget: int) -> SamplingPlan:
 
 def materialize(
     plan: SamplingPlan,
-    corpus: ParallelCorpus | SpilledPools,
+    corpus: ParallelCorpus | Keyed,
     budget: int | None = None,
     seed: int | None = None,
 ) -> ParallelCorpus | Selection:
     """Draw the planned number of pairs per language from ``corpus``.
 
     Languages whose target count is at most their supply are downsampled
-    without replacement (survivors keep corpus order); languages needing
-    more are repeated whole plus a seeded remainder sample (see
-    :class:`selection.Selection`). Output is grouped by rendered tag, so
-    it depends only on (plan, corpus, seed). A :class:`ParallelCorpus` gives a
-    ``ParallelCorpus``; spilled pools keyed by accounting language give a
-    lazy :class:`selection.Selection` of their encoded rows.
+    without replacement; languages needing more repeat every pair, then
+    draw the rest by a seeded remainder sample (see
+    :class:`selection.Selection`). Output keeps corpus order, with a
+    repeated pair's copies adjacent, and depends only on (plan, corpus,
+    seed). A :class:`ParallelCorpus` gives a ``ParallelCorpus``; items
+    keyed and counted by accounting language give a lazy
+    :class:`selection.Selection`.
     """
-    if isinstance(corpus, ParallelCorpus):
-        groups: dict[LanguageTag, list[SentencePair]] = {}
-        for pair in corpus:
-            groups.setdefault(accounting_language(pair.src_lang, pair.tgt_lang), []).append(pair)
-    else:
-        groups = corpus
+    keyed = corpus if isinstance(corpus, Keyed) else Keyed(
+        corpus, pair_language, stats(corpus).counts
+    )
+    counts = keyed.counts
     if budget is None:
-        budget = plan.budget if plan.budget is not None else sum(map(len, groups.values()))
+        budget = plan.budget if plan.budget is not None else sum(counts.values())
     if seed is None:
         seed = plan.seed if plan.seed is not None else 0
     if plan.counts is None or plan.budget != budget:
         plan = allocate(plan, budget)
     assert plan.counts is not None
 
-    missing_in_plan = sorted(str(t) for t in groups if t not in plan.probabilities)
+    missing_in_plan = sorted(str(t) for t in counts if t not in plan.probabilities)
     if missing_in_plan:
         raise PlanError(f"corpus languages missing from plan: {', '.join(missing_in_plan)}")
-    unsupplied = sorted(
-        str(t) for t, c in plan.counts.items() if c > 0 and t not in groups
-    )
+    unsupplied = sorted(str(t) for t, c in plan.counts.items() if c > 0 and t not in counts)
     if unsupplied:
-        raise PlanError(f"plan wants pairs for languages absent from corpus: {', '.join(unsupplied)}")
+        raise PlanError(
+            f"plan wants pairs for languages absent from corpus: {', '.join(unsupplied)}"
+        )
 
-    selection = Selection(groups, plan.counts, plan.languages(), seed, "materialize")
-    if isinstance(corpus, ParallelCorpus):
-        return ParallelCorpus(tuple(selection))
-    return selection
+    selection = Selection(keyed, plan.counts, seed, "materialize")
+    return selection if keyed is corpus else ParallelCorpus(tuple(selection))
 
 
 def write_plan_tsv(plan: SamplingPlan, path: str | Path) -> None:

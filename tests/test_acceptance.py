@@ -379,14 +379,11 @@ def test_seed_selection_budget():
         "Wiki": 700_000,
     }
     hin = parse_tag("hin_Deva")
-    subsets = {
-        label: ParallelCorpus(
-            tuple(SentencePair("s", "t", ENGLISH, hin, label) for _ in range(n))
-        )
-        for label, n in sizes.items()
-    }
+    pool = ParallelCorpus(tuple(
+        SentencePair("s", "t", ENGLISH, hin, label) for label, n in sizes.items() for _ in range(n)
+    ))
     budget = 2_260_000
-    selected = select_seed(subsets, budget=budget, seed=99)
+    selected = select_seed(pool, budget=budget, seed=99)
     assert len(selected) == budget
 
     # independent largest-remainder recomputation with exact rationals

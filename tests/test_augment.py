@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from bitextpipe.augment import (
     MODE_PAIR_TARGET,
     MODE_RANDOM_LANGUAGE,
-    SEED_SUBSETS,
     AugmentationPolicy,
     MixtureManifest,
     SubstitutionSet,
@@ -409,15 +408,12 @@ class TestMixture:
 
 class TestSelectSeed:
     def _subsets(self, sizes):
-        out = {}
-        for label, n in sizes.items():
-            out[label] = ParallelCorpus(
-                tuple(
-                    SentencePair(f"{label} src {i}", f"tgt {i}", ENG, HIN, label)
-                    for i in range(n)
-                )
-            )
-        return out
+        """One corpus holding each subset's pairs in turn."""
+        return ParallelCorpus(tuple(
+            SentencePair(f"{label} src {i}", f"tgt {i}", ENG, HIN, label)
+            for label, n in sizes.items()
+            for i in range(n)
+        ))
 
     def test_proportional_sixty_forty(self):
         subsets = self._subsets({"ILCI": 60, "Wiki": 40})
@@ -446,11 +442,14 @@ class TestSelectSeed:
         assert a.pairs == b.pairs
         assert a.pairs != c.pairs
 
-    def test_output_in_canonical_subset_order(self):
-        subsets = self._subsets({"Wiki": 10, "ILCI": 10, "NLLB Seed": 10})
-        out = select_seed(subsets, budget=30, seed=1)
-        labels = [p.subset for p in out]
-        assert labels == sorted(labels, key=SEED_SUBSETS.index)
+    def test_output_in_corpus_order(self):
+        pairs = self._subsets({"Wiki": 10, "ILCI": 10, "NLLB Seed": 10}).pairs
+        interleaved = ParallelCorpus(pairs[::2] + pairs[1::2])
+        out = select_seed(interleaved, budget=15, seed=1)
+        positions = [interleaved.pairs.index(p) for p in out]
+        assert len(out) == 15 and positions == sorted(positions)
+        full = select_seed(interleaved, budget=30, seed=1)
+        assert full.pairs == interleaved.pairs
 
     def test_budget_exceeds_availability(self):
         subsets = self._subsets({"ILCI": 5})
@@ -458,9 +457,8 @@ class TestSelectSeed:
             select_seed(subsets, budget=6, seed=1)
 
     def test_unknown_subset_label(self):
-        subsets = self._subsets({"ILCI": 5})
-        subsets["Backtranslated"] = subsets.pop("ILCI")
-        with pytest.raises(CorpusError, match="unknown"):
+        subsets = self._subsets({"ILCI": 5, "Backtranslated": 2})
+        with pytest.raises(CorpusError, match="unknown seed subsets: Backtranslated;"):
             select_seed(subsets, budget=3, seed=1)
 
     def test_invalid_budget(self):

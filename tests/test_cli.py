@@ -143,26 +143,31 @@ class TestStatsReduceSample:
                        "--threshold", 50, "--seed", 3) == 0
         assert out.read_bytes() == corpus.read_bytes()
 
-    @pytest.mark.parametrize("extra", [5_000, -5])
-    def test_reduce_input_changed_between_reads(self, tmp_path, en_hi_files, monkeypatch,
-                                                capsys, extra):
-        corpus = _ingest(tmp_path, en_hi_files)
-        out = tmp_path / "reduced.tsv"
-        first_read = corpus_mod.iter_fields
+    @pytest.mark.parametrize("change", ["more rows", "fewer rows", "a row without fields"])
+    @pytest.mark.parametrize("command, option", [
+        ("reduce", "--threshold"), ("sample", "--budget"), ("seed-select", "--budget"),
+    ])
+    def test_input_changed_between_reads(self, tmp_path, monkeypatch, capsys, command, option,
+                                         change):
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_bytes(b"".join(_rows(50)))
+        first_read, reads = corpus_mod.iter_lines, []
 
-        def changed_read(path):  # the second read sees a longer or shorter file
-            rows = list(first_read(path))
-            return iter(rows + rows[:1] * extra if extra > 0 else rows[:extra])
+        def changed_read(path, span=None):  # the second read sees another file
+            lines = list(first_read(path, span))
+            reads.append(path)
+            if len(reads) == 2:
+                lines = {"more rows": lines + lines[:1] * 5_000, "fewer rows": lines[:-5],
+                         "a row without fields": ["x", *lines[1:]]}[change]
+            return iter(lines)
 
-        monkeypatch.setattr(corpus_mod, "iter_fields", changed_read)
-        capsys.readouterr()
-        assert run_cli("reduce", "--in", corpus, "--out", out,
-                       "--threshold", 20, "--seed", 3) == 1
+        monkeypatch.setattr(corpus_mod, "iter_lines", changed_read)
+        assert run_cli(command, "--in", corpus, "--out", tmp_path / "o.tsv",
+                       option, 20, "--seed", 3) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {corpus}: changed while read") and err.count("\n") == 1
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.tsv", "corpus.tsv.run.json",
-                                                              "corpus.tsv.skipped.txt", "en.txt",
-                                                              "hi.txt"]
+        assert len(reads) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.tsv"]
 
     def test_sample_writes_plan_and_plot(self, tmp_path, en_hi_files):
         corpus = _ingest(tmp_path, en_hi_files)
@@ -463,6 +468,8 @@ _RANGE_COMMANDS = {
     "ingest": ["ingest", "--in", "CORPUS"],
     "stats": ["stats", "--in", "CORPUS"],
     "reduce": ["reduce", "--in", "CORPUS", "--threshold", "3"],
+    "sample": ["sample", "--in", "CORPUS", "--budget", "40"],
+    "seed-select": ["seed-select", "--in", "CORPUS", "--budget", "7"],
     "augment": ["augment", "--in", "CORPUS", "--lex", "LEX", "--prob", "0.5"],
     "mixture": ["mixture", "--in", "CORPUS", "--aug", "GOOD"],
     "mixture-aug": ["mixture", "--in", "GOOD", "--aug", "CORPUS"],
@@ -705,8 +712,6 @@ class TestExtraTags:
     @staticmethod
     def _library_bytes(command, corpus, tags, lexicons, root):
         """What the library writes for ``command``, given the same arguments."""
-        from collections import defaultdict
-
         from bitextpipe import augment, corpus as corpus_lib, lexicon, sampling
         from bitextpipe.lang import load_extra_tags, parse_tag
 
@@ -722,11 +727,7 @@ class TestExtraTags:
             plan = sampling.allocate(sampling.distribution(corpus_lib.stats(pairs), 5.0), 20)
             corpus_lib.write_tsv(sampling.materialize(plan, pairs, 20, seed=1), out)
         elif command == "seed-select":
-            by_subset = defaultdict(list)
-            for pair in pairs:
-                by_subset[pair.subset].append(pair)
-            pools = {label: corpus_lib.ParallelCorpus(tuple(p)) for label, p in by_subset.items()}
-            selected = augment.select_seed(pools, 7, 2)
+            selected = augment.select_seed(pairs, 7, 2)
             corpus_lib.write_tsv(selected, out, origins=(f"seed:{p.subset}" for p in selected))
         elif command == "mixture":
             mixed, manifest = augment.build_pretraining_mixture(pairs, pairs)
@@ -1045,11 +1046,13 @@ class TestConfigAndManifest:
     def test_out_in_missing_directory_is_one_error_line(self, tmp_path, en_hi_files, capsys,
                                                          command):
         corpus = _ingest(tmp_path, en_hi_files)
+        if command == "seed-select":  # a seed pool: its subsets are checked before the write
+            corpus.write_bytes(corpus.read_bytes().replace(b"\tgeneral\n", b"\tWiki\n"))
         out = tmp_path / "nodir" / "x.tsv"
         argv = {
             "reduce": ["reduce", "--in", corpus],
             "sample": ["sample", "--in", corpus],
-            "seed-select": ["seed-select", "--in", corpus],
+            "seed-select": ["seed-select", "--in", corpus, "--budget", 5],
             "score": ["score", "--hyp", en_hi_files[1], "--ref", en_hi_files[1],
                       "--pair", "hin_Deva-eng_Latn"],
         }[command]
@@ -1057,7 +1060,7 @@ class TestConfigAndManifest:
         assert run_cli(*argv, "--out", out) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
-        # the output as given, not a temp or spill name
+        # the output as given, not a temp name
         assert err.endswith(f": '{out}'\n") and ".tmp" not in err
         assert not (tmp_path / "nodir").exists()
         assert not list(tmp_path.rglob("*.tmp"))
@@ -1085,7 +1088,7 @@ _WRITERS = {
     ),
     "sample": (
         ["--in", "CORPUS", "--budget", 3],
-        ["in", "temperature", "budget", "seed"],
+        ["in", "temperature", "budget", "seed", "threads"],
         ["o.tsv", "o.tsv.plan.tsv", "o.tsv.plot.tsv"],
     ),
     "lexicon": (
@@ -1102,7 +1105,7 @@ _WRITERS = {
         ["o.tsv", "o.tsv.mixture.json"],
     ),
     "seed-select": (
-        ["--in", "CORPUS", "--budget", 2], ["in", "budget", "seed"], ["o.tsv"]
+        ["--in", "CORPUS", "--budget", 2], ["in", "budget", "seed", "threads"], ["o.tsv"]
     ),
     "score": (
         ["--hyp", "HYP", "--ref", "HYP", "--pair", "hin_Deva-eng_Latn"],
@@ -1305,12 +1308,13 @@ class TestDigests:
         assert doc["outputs"][str(corpus)] == after
 
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("command", ["reduce", "mixture"])
+    @pytest.mark.parametrize("command", ["reduce", "sample", "seed-select", "mixture"])
     def test_an_input_changed_between_two_reads_fails(self, tmp_path, capsys, ranges,
                                                       monkeypatch, hin_lex, command, threads):
-        # Between reduce's count and keep passes, or mixture's orig and rev
-        # scans, one row's text changes in place: the row counts, the lines
-        # and the file size stay, and only the digests tell the reads apart.
+        # Between the count and draw passes of reduce, sample and seed-select,
+        # or mixture's orig and rev scans, one row's text changes in place: the
+        # row counts, the lines and the file size stay, and only the digests
+        # tell the reads apart.
         files = {"LEX": f"hin_Deva={hin_lex}", "GOOD": tmp_path / "good.tsv"}
         files["GOOD"].write_bytes(b"".join(_rows(12)))
         corpus = files["CORPUS"] = tmp_path / "c.tsv"
@@ -1334,10 +1338,14 @@ class TestDigests:
         assert list(out.parent.iterdir()) == []
 
     # At one thread every command on the worker map reads its input whole,
-    # once: a range scan there would read it twice.
-    @pytest.mark.parametrize("command", ["sample", "seed-select", "ingest", "stats", "augment"])
-    def test_one_process_reads_its_input_once_and_no_output(self, writer_inputs, monkeypatch,
-                                                            tmp_path, command):
+    # once per pass: a range scan there would read it once more.
+    @pytest.mark.parametrize("command, passes", [
+        ("ingest", 1), ("stats", 1), ("augment", 1), ("reduce", 2), ("sample", 2),
+        ("seed-select", 2),
+    ])
+    def test_one_process_reads_its_input_once_a_pass_and_no_output(
+        self, writer_inputs, monkeypatch, tmp_path, command, passes
+    ):
         from bitextpipe import manifest
 
         read: dict[str, int] = {}
@@ -1368,7 +1376,9 @@ class TestDigests:
         corpus = Path(os.path.realpath(tmp_path / "corpus.tsv"))
         inputs = [corpus, corpus.with_name("muse_hin.txt")] if command == "augment" else [corpus]
         mine = {path: n for path, n in read.items() if Path(path).is_relative_to(corpus.parent)}
-        assert mine == {str(p): p.stat().st_size for p in inputs}  # and not a byte of out/
+        expected = {str(p): p.stat().st_size for p in inputs}
+        expected[str(corpus)] *= passes
+        assert mine == expected  # and not a byte of out/
 
 
 def _bitextpipe(*argv, **popen) -> subprocess.Popen:
@@ -1381,7 +1391,7 @@ def _bitextpipe(*argv, **popen) -> subprocess.Popen:
 class TestPipesAndSignals:
     """A pipe read twice, or a SIGTERM, ends a run without a hang or a temp file."""
 
-    @pytest.mark.parametrize("command", ["reduce", "mixture"])
+    @pytest.mark.parametrize("command", ["reduce", "sample", "seed-select", "mixture"])
     def test_a_fifo_in_read_twice_is_rejected(self, tmp_path, command):
         corpus, fifo = tmp_path / "c.tsv", tmp_path / "in.fifo"
         corpus.write_bytes(b"".join(_rows(12)))
@@ -1403,7 +1413,7 @@ class TestPipesAndSignals:
         assert stderr == f"error: {fifo}: not a regular file, and this command reads it twice\n"
         assert list(out.parent.iterdir()) == []
 
-    @pytest.mark.parametrize("command", ["reduce", "mixture"])
+    @pytest.mark.parametrize("command", ["reduce", "sample", "seed-select", "mixture"])
     def test_a_missing_in_is_one_read_error(self, tmp_path, capsys, command):
         missing = tmp_path / "nope.tsv"
         argv = [command, "--in", missing, "--out", tmp_path / "o.tsv"]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import tempfile
-from collections import defaultdict
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -302,11 +301,5 @@ def test_seed_select(corpus, share, seed):
         out = root / "cli.tsv"
         _cli("seed-select", "--in", root / "in.tsv", "--budget", budget,
              "--seed", seed, "--out", out)
-        by_subset = defaultdict(list)
-        for pair in read_tsv(root / "in.tsv"):
-            by_subset[pair.subset].append(pair)
-        selected = select_seed(
-            {label: ParallelCorpus(tuple(pairs)) for label, pairs in by_subset.items()},
-            budget, seed,
-        )
+        selected = select_seed(read_tsv(root / "in.tsv"), budget, seed)
         _same_bytes(out, selected, root, origins=(f"seed:{p.subset}" for p in selected))

@@ -5,9 +5,10 @@ written out below, at edge sizes, for the sizes it rejects, for
 uniformity (chi-squared over fixed seeds) and for its memory, which must
 not grow with the number of items. The second half
 checks that reduce, materialize and select_seed keep exactly the rows the
-reference draw keeps: ``want // n`` whole copies of a key's pool, then
-the remainder that Algorithm S takes from ``derive_rng(seed, purpose,
-key)``.
+reference draw keeps, in corpus order: each of a key's ``n`` pairs ``want
+// n`` times, plus once more if Algorithm S takes it for the remainder,
+drawing from ``derive_rng(seed, purpose, key)``. These are the rows, and
+the copies, that 0.2.0 drew; 0.2.0 grouped them by key.
 """
 
 import itertools
@@ -25,15 +26,15 @@ from bitextpipe.corpus import (
     ParallelCorpus,
     SentencePair,
     accounting_language,
-    keep_ordinals,
     reduce_highresource,
     reduce_keep,
     stats,
 )
+from bitextpipe.errors import CorpusError
 from bitextpipe.lang import parse_tag
 from bitextpipe.rng import derive_rng, selection_sample
 from bitextpipe.sampling import allocate, distribution, largest_remainder, materialize
-from bitextpipe.selection import Selection
+from bitextpipe.selection import Keyed, Selection
 
 from conftest import ENG, REFERENCE_COUNTS
 
@@ -125,8 +126,9 @@ def test_reduce_draw_memory_does_not_grow_with_the_key():
     n = 2_000_000
     tracemalloc.start()
     try:
-        keep = reduce_keep({"k": n}, threshold=1, factor=0.5, seed=1)
-        kept = Counter(keep_ordinals(("k" for _ in range(n)), str, {"k": n}, keep, "gen"))
+        keep = reduce_keep({"k": n}, threshold=1, factor=0.5)
+        keyed = Keyed(("k" for _ in range(n)), str, {"k": n}, "gen")
+        kept = Counter(Selection(keyed, keep, seed=1, purpose="reduce"))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -135,12 +137,15 @@ def test_reduce_draw_memory_does_not_grow_with_the_key():
 
 
 def test_selection_is_sized_lazy_and_reiterable():
-    pools = {"a": ["a0", "a1", "a2"], "b": ["b0", "b1"]}
-    selection = Selection(pools, {"a": 7, "b": 0}, ["b", "a"], seed=3, purpose="test")
-    assert len(selection) == 7 and selection.counts == {"a": 7}
-    items = list(selection)
-    assert items[:6] == ["a0", "a1", "a2"] * 2 and items[6] in pools["a"]
-    assert list(selection) == items
+    items = ["a0", "b0", "a1", "b1", "a2"]
+    keyed = Keyed(items, lambda item: item[0], {"a": 3, "b": 2})
+    selection = Selection(keyed, {"a": 7, "b": 0}, seed=3, purpose="test")
+    assert len(selection) == 7 and selection.wants == {"a": 7, "b": 0}
+    drawn = list(selection)
+    assert Counter(drawn) in ({"a0": 3, "a1": 2, "a2": 2}, {"a0": 2, "a1": 3, "a2": 2},
+                              {"a0": 2, "a1": 2, "a2": 3})
+    assert drawn == sorted(drawn)  # input order, copies adjacent
+    assert list(selection) == drawn
 
 
 @settings(max_examples=100, deadline=None)
@@ -148,14 +153,26 @@ def test_selection_is_sized_lazy_and_reiterable():
        seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_selection_is_whole_copies_plus_a_remainder_sample(n, want, seed):
     pool = [f"p{i}" for i in range(n)]
-    selection = Selection({"k": pool}, {"k": want}, ["k"], seed=seed, purpose="test")
-    expected = [pool[i] for i in _reference_pick(n, want, derive_rng(seed, "test", "k"))]
+    selection = Selection(Keyed(pool, lambda _: "k", {"k": n}), {"k": want}, seed, "test")
+    picked = Counter(_reference_pick(n, want, derive_rng(seed, "test", "k")))
+    expected = [item for i, item in enumerate(pool) for _ in range(picked[i])]
     assert len(selection) == want and list(selection) == expected
 
 
 def test_selection_of_nothing_from_nothing():
-    selection = Selection({"k": []}, {"k": 0}, ["k"], seed=0, purpose="test")
-    assert len(selection) == 0 and selection.counts == {} and list(selection) == []
+    selection = Selection(Keyed([], str, {}), {"k": 0}, seed=0, purpose="test")
+    assert len(selection) == 0 and selection.wants == {} and list(selection) == []
+
+
+@pytest.mark.parametrize("items, message", [
+    ("ababa", "more a rows than first counted"),
+    ("aba", "fewer b rows than first counted"),
+    ("abac", "more c rows than first counted"),
+])
+def test_selection_of_other_counts_than_counted_fails(items, message):
+    selection = Selection(Keyed(items, str, {"a": 2, "b": 2}, "in.tsv"), {"a": 1, "b": 3}, 0, "t")
+    with pytest.raises(CorpusError, match=f"^in.tsv: changed while read: {message}$"):
+        list(selection)
 
 
 # ---------------------------------------------------------------------------
@@ -196,32 +213,35 @@ def test_reduce_keeps_the_old_rows(seed):
     assert reduce_highresource(corpus, threshold, factor, seed).pairs == tuple(expected)
 
 
+def _expected(corpus: ParallelCorpus, key, wants: dict, seed: int, purpose: str) -> tuple:
+    """The corpus walked in order, each pair ``want // n`` times plus once if the pick took it."""
+    counts = Counter(map(key, corpus))
+    picks = {k: Counter(_reference_pick(n, wants.get(k, 0), derive_rng(seed, purpose, str(k))))
+             for k, n in counts.items()}
+    seen: Counter = Counter()
+    expected = []
+    for pair in corpus:
+        k = key(pair)
+        expected += [pair] * picks[k][seen[k]]
+        seen[k] += 1
+    return tuple(expected)
+
+
 @pytest.mark.parametrize("temperature, budget", [(5.0, 12_000), (1.0, 3_000), (5.0, 40_000)])
 def test_materialize_keeps_the_old_rows(temperature, budget):
     corpus = _reference_corpus()
     plan = allocate(distribution(stats(corpus), temperature), budget)
-    groups: dict = {}
-    for pair in corpus:
-        groups.setdefault(accounting_language(pair.src_lang, pair.tgt_lang), []).append(pair)
-    expected = []
-    for tag in plan.languages():
-        pool = groups[tag]
-        rng = derive_rng(5, "materialize", str(tag))
-        expected += [pool[i] for i in _reference_pick(len(pool), plan.counts[tag], rng)]
-    assert materialize(plan, corpus, budget, seed=5).pairs == tuple(expected)
+    expected = _expected(corpus, lambda pair: accounting_language(pair.src_lang, pair.tgt_lang),
+                         plan.counts, 5, "materialize")
+    assert len(expected) == budget
+    assert materialize(plan, corpus, budget, seed=5).pairs == expected
 
 
 @pytest.mark.parametrize("budget", [1, 500, 4_000, 12_000])
 def test_select_seed_keeps_the_old_rows(budget):
     corpus = _reference_corpus()
-    subsets: dict = {}
-    for pair in corpus:
-        subsets.setdefault(pair.subset, []).append(pair)
-    subsets = {label: ParallelCorpus(tuple(pairs)) for label, pairs in subsets.items()}
-    allocation = largest_remainder({label: len(c) for label, c in subsets.items()}, budget)
-    expected = []
-    for label in SEED_SUBSETS:
-        pool = subsets[label].pairs
-        rng = derive_rng(11, "seed-select", label)
-        expected += [pool[i] for i in _reference_pick(len(pool), allocation[label], rng)]
-    assert select_seed(subsets, budget, seed=11).pairs == tuple(expected)
+    sizes = Counter(pair.subset for pair in corpus)
+    allocation = largest_remainder(sizes, budget)
+    expected = _expected(corpus, lambda pair: pair.subset, allocation, 11, "seed-select")
+    assert len(expected) == budget
+    assert select_seed(corpus, budget, seed=11).pairs == expected
