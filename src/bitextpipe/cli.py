@@ -1,12 +1,13 @@
 """Command-line interface: the pipeline as deterministic subcommands.
 
 Every subcommand writes its outputs to explicitly named paths and never
-mutates inputs. A handler declares its inputs and outputs on its
-:class:`Run` and returns its stdout text and config; :func:`_execute`
-then writes the run manifest (``<first output>.run.json``: config
-snapshot, SHA-256 digests of the bytes read and written) last and prints
-the text. A command without an output file writes no manifest. When a run
-fails, the outputs it renamed into place are removed. ``--seed`` is the
+mutates inputs. A handler reads its options and arguments through its
+:class:`Run`, which records each as used, declares its inputs and outputs
+there and returns its stdout text; :func:`_execute` then writes the run
+manifest (``<first output>.run.json``: the recorded config, the seed,
+SHA-256 digests of the bytes read and written) last and prints the text.
+A command without an output file writes no manifest. When a run fails,
+the outputs it renamed into place are removed. ``--seed`` is the
 single entropy source; omitting it picks a random seed that is recorded
 in the manifest. ``--threads`` (default: the usable CPUs) only changes
 scheduling, never bytes: all randomness is drawn from per-record streams.
@@ -94,35 +95,55 @@ def _convert(key: str, raw: str):
 
 
 class Run:
-    """Resolved settings and the declared files of one invocation."""
+    """One invocation: the options and arguments its handler read, and its declared files."""
 
     def __init__(self, args: argparse.Namespace, file_cfg: dict[str, str]):
         self.started = time.monotonic()
         self.args = args
         self.file_cfg = file_cfg
-        seed = self.opt("seed", None)
+        # Each option and argument the handler read, as used: run.json's config.
+        self.config: dict[str, object] = {}
+        self.inputs: list[str | Path] = []
+        self.outputs: list[str | Path] = []
+        self._digests: dict[tuple[str, str], str | None] = {}
+        seed = self._resolve("seed", None)
         self.seed_given = seed is not None
         if seed is None:
             import secrets
 
             seed = secrets.randbits(32)
-        self.seed: int = seed
-        self.threads: int = self.opt("threads", corpus_mod.usable_cpus())
-        if self.threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {self.threads}")
-        self.extra_tags = load_extra_tags(args.tags_file) if args.tags_file else ()
+        self.seed: int = seed  # run.json's top-level seed
+        self._threads: int = self._resolve("threads", corpus_mod.usable_cpus())
+        if self._threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {self._threads}")
+        self.extra_tags = ()
+        if args.tags_file:
+            self.input(args.tags_file)
+            self.extra_tags = load_extra_tags(args.tags_file)
         # Rendered tag -> tag: the tags a corpus row may carry.
         self.valid_tags = rendered_tags(self.extra_tags)
-        self.inputs: list[str | Path] = []
-        # (path as given, the file it resolves to, that file's identity before the write)
-        self.outputs: list[tuple[Path, str, tuple[int, int] | None]] = []
-        self._digests: dict[tuple[str, str], str | None] = {}
 
-    def opt(self, key: str, default):
+    def _resolve(self, key: str, default):
         value = getattr(self.args, key, None)
         if value is None and key in self.file_cfg:
             value = _convert(key, self.file_cfg[key])
         return default if value is None else value
+
+    def opt(self, key: str, default):
+        """The flag, else the defaults file's value, else ``default``; recorded in config."""
+        self.config[key] = value = self._resolve(key, default)
+        return value
+
+    def arg(self, key: str):
+        """An argument as given (a path, a tag, a list of repeated flags); recorded in config."""
+        self.config[key] = value = getattr(self.args, key)
+        return value
+
+    @property
+    def threads(self) -> int:
+        """Worker processes, checked when the run starts; recorded in config once read."""
+        self.config["threads"] = self._threads
+        return self._threads
 
     def input(self, *paths: str | Path) -> None:
         """Declare input files; ``run.json`` records their digests."""
@@ -131,17 +152,9 @@ class Run:
     def output(self, path: _P) -> _P:
         """Declare an output file before writing it; returns ``path``.
 
-        The first output declared names ``<output>.run.json``. The path is
-        resolved as :func:`corpus._atomic_open` resolves it, and the
-        ``(st_dev, st_ino)`` found there now tells a failed run which files
-        it renamed into place.
+        The first output declared names ``<output>.run.json``.
         """
-        real = os.path.realpath(path)
-        before: tuple[int, int] | None = None
-        with contextlib.suppress(OSError):
-            st = os.stat(real)
-            before = (st.st_dev, st.st_ino)
-        self.outputs.append((Path(path), real, before))
+        self.outputs.append(path)
         return path
 
     def digest(self, path: str | Path, kind: str) -> str | None:
@@ -154,38 +167,40 @@ class Run:
             self._digests[key] = sha256_file(path, kind) if os.path.isfile(path) else None
         return self._digests[key]
 
-    def remove_written(self) -> None:
-        """Unlink each declared output that this run renamed into place.
 
-        Only a regular file whose identity changed since it was declared
-        goes: never a symlink itself, a device or pipe written in place, or
-        an earlier run's file that this run did not replace.
-        """
-        for _, real, before in self.outputs:
+def _remove_written() -> None:
+    """Unlink each file that this run's atomic writer renamed into place.
+
+    The writer records those (:data:`errors.digests`), at their resolved
+    paths: never a symlink itself, a device or pipe written in place, or an
+    earlier run's file that this run did not replace.
+    """
+    for kind, path in errors.digests or ():
+        if kind == "out":
             with contextlib.suppress(OSError):
-                st = os.lstat(real)
-                if stat.S_ISREG(st.st_mode) and (st.st_dev, st.st_ino) != before:
-                    os.unlink(real)
+                os.unlink(path)
 
 
-def _execute(run: Run, handler: Callable[[Run], tuple[str, dict]]) -> int:
-    """Run ``handler``, write ``run.json`` last, then print the handler's text.
+def _execute(args: argparse.Namespace) -> int:
+    """Run the command's handler, write ``run.json`` last, then print the handler's text.
 
-    A handler declares its files on ``run`` and returns its stdout text and
-    its ``run.json`` config. On any error the outputs this run wrote are
-    removed and nothing is printed.
+    A handler reads its options and arguments through :class:`Run`,
+    declares its files on it and returns its stdout text. On any error the
+    outputs this run wrote are removed and nothing is printed.
     """
     errors.digests = {}  # this run's, recorded by the reader and the writer
     try:
-        text, config = handler(run)
-        if run.outputs and not run.args.no_manifest:
+        run = Run(args, _load_config_file(os.environ.get(_CONFIG_ENV)))
+        # Looked up per call, so a rebound handler (a tracer) takes effect.
+        text = globals()["_cmd_" + args.command.replace("-", "_")](run)
+        if run.outputs and not args.no_manifest:
             inputs = {str(path): run.digest(path, "in") for path in run.inputs}
-            outputs = {str(path): run.digest(path, "out") for path, _, _ in run.outputs}
-            manifest = RunManifest(run.args.command, config, run.seed, inputs, outputs)
+            outputs = {str(path): run.digest(path, "out") for path in run.outputs}
+            manifest = RunManifest(args.command, run.config, run.seed, inputs, outputs)
             manifest.wall_time_s = time.monotonic() - run.started
-            manifest.write(manifest_path_for(run.outputs[0][0]))
+            manifest.write(manifest_path_for(run.outputs[0]))
     except BaseException:
-        run.remove_written()
+        _remove_written()
         raise
     finally:
         errors.digests = None
@@ -210,7 +225,7 @@ def _count_keys(run: Run, key: Callable[[list[str]], str]) -> Counter[str]:
         return Counter(key(fields) for _, fields in rows)
         yield  # a work function with no output
 
-    tasks = corpus_mod.file_tasks(run.threads, [run.args.in_path])
+    tasks = corpus_mod.file_tasks(run.threads, [run.arg("in")])
     return corpus_mod.ordered_map(*tasks, count, _update, Counter())
 
 
@@ -226,7 +241,7 @@ def _reread(run: Run, key: Callable[[str], str], counts: Mapping[str, int]) -> K
     """
     from .selection import Keyed
 
-    path = run.args.in_path
+    path = run.arg("in")
     return Keyed(map(_five_fields, corpus_mod.iter_lines(path)), key, counts, path)
 
 
@@ -274,15 +289,15 @@ def _add_counts(token: tuple[int, ...], part: tuple[int, ...]) -> tuple[int, ...
 # Subcommand handlers
 
 
-def _cmd_ingest(run: Run) -> tuple[str, dict]:
-    args = run.args
-    out = run.output(Path(args.out))
+def _cmd_ingest(run: Run) -> str:
+    out = run.output(Path(run.args.out))
     skip_path = run.output(Path(f"{out}.skipped.txt"))
-    excluded = set(args.exclude_subset or ())
+    in_path = run.arg("in")
+    excluded = set(run.arg("exclude_subset") or ())
 
-    if args.in_path:
-        run.input(args.in_path)
-        tasks, threads = corpus_mod.file_tasks(run.threads, [args.in_path])
+    if in_path:
+        run.input(in_path)
+        tasks, threads = corpus_mod.file_tasks(run.threads, [in_path])
 
         def rows(task: tuple[str, tuple[int, int, int] | None]
                  ) -> Iterator[tuple[int, list[str]]]:
@@ -293,82 +308,66 @@ def _cmd_ingest(run: Run) -> tuple[str, dict]:
                     raise CorpusError(f"{path}:{lineno}: source and target language are equal")
                 yield lineno, fields
     else:
-        if not (args.src and args.tgt and args.src_lang and args.tgt_lang):
+        src, tgt, src_lang, tgt_lang = map(run.arg, ("src", "tgt", "src_lang", "tgt_lang"))
+        if not (src and tgt and src_lang and tgt_lang):
             raise ConfigError(
                 "ingest needs either --in (TSV) or all of --src/--tgt/--src-lang/--tgt-lang"
             )
-        tags = tuple(str(parse_tag(t, run.extra_tags)) for t in (args.src_lang, args.tgt_lang))
-        subset = args.subset
+        tags = tuple(str(parse_tag(t, run.extra_tags)) for t in (src_lang, tgt_lang))
+        subset = run.arg("subset")
         if subset in excluded:
             raise ConfigError(f"subset {subset!r} is excluded by --exclude-subset")
-        run.input(args.src, args.tgt)
+        run.input(src, tgt)
         # One task: the two files would have to be cut at matching lines.
         tasks, threads = [None], 1
 
         def rows(_: None) -> Iterator[tuple[int, tuple]]:
-            return corpus_mod.iter_paired_rows(args.src, args.tgt, *tags, subset)
+            return corpus_mod.iter_paired_rows(src, tgt, *tags, subset)
 
     kept, skipped = corpus_mod.ordered_map(
         tasks, threads, lambda task: corpus_mod.clean_rows(rows(task), excluded), _add_counts,
         (0, 0), (out, skip_path))
-    config = {
-        "in": args.in_path,
-        "src": args.src,
-        "tgt": args.tgt,
-        "src_lang": args.src_lang,
-        "tgt_lang": args.tgt_lang,
-        "subset": args.subset,
-        "exclude_subset": sorted(excluded),
-        "threads": run.threads,
-    }
-    return f"ingest: kept {kept} pairs, skipped {skipped} -> {out}", config
+    return f"ingest: kept {kept} pairs, skipped {skipped} -> {out}"
 
 
-def _cmd_stats(run: Run) -> tuple[str, dict]:
-    args = run.args
-    run.input(args.in_path)
+def _cmd_stats(run: Run) -> str:
+    run.input(run.arg("in"))
     counts = _count_keys(run, _language)
     stats_value = corpus_mod.stats_from_counts(
         {run.valid_tags[tag]: n for tag, n in counts.items()}
     )
-    if args.out:
+    if run.args.out:
         rows = (f"{tag}\t{n}" for tag, n in sorted(counts.items()))
-        corpus_mod.write_tsv_rows(rows, run.output(args.out))
-    return corpus_mod.format_stats_table(stats_value), {"in": args.in_path, "threads": run.threads}
+        corpus_mod.write_tsv_rows(rows, run.output(run.args.out))
+    return corpus_mod.format_stats_table(stats_value)
 
 
-def _cmd_reduce(run: Run) -> tuple[str, dict]:
+def _cmd_reduce(run: Run) -> str:
     from .selection import Selection
 
-    args = run.args
-    _require_regular(args.in_path)
-    run.input(args.in_path)
+    path = run.arg("in")
+    _require_regular(path)
+    run.input(path)
     threshold = run.opt("threshold", corpus_mod.HIGH_RESOURCE_THRESHOLD)
     factor = run.opt("factor", corpus_mod.HIGH_RESOURCE_FACTOR)
     counts = _count_keys(run, _language)
     keep = corpus_mod.reduce_keep(counts, threshold, factor)
     kept_rows = Selection(_reread(run, _row_language, counts), {**counts, **keep}, run.seed,
                           "reduce")
-    kept = corpus_mod.write_tsv_rows(kept_rows, run.output(args.out))
-    config = {
-        "in": args.in_path,
-        "threshold": threshold,
-        "factor": factor,
-        "seed": run.seed,
-        "threads": run.threads,
-    }
+    kept = corpus_mod.write_tsv_rows(kept_rows, run.output(run.args.out))
     return (
         f"reduce: kept {kept} of {sum(counts.values())} pairs "
-        f"({len(keep)} languages over threshold {threshold}) -> {args.out}"
-    ), config
+        f"({len(keep)} languages over threshold {threshold}) -> {run.args.out}"
+    )
 
 
-def _cmd_sample(run: Run) -> tuple[str, dict]:
+def _cmd_sample(run: Run) -> str:
     from . import sampling
 
     args = run.args
-    _require_regular(args.in_path)
-    run.input(args.in_path)
+    path = run.arg("in")
+    _require_regular(path)
+    run.input(path)
     temperature = run.opt("temperature", 5.0)
     counts = _count_keys(run, _language)
     stats_value = corpus_mod.stats_from_counts(counts)
@@ -380,34 +379,26 @@ def _cmd_sample(run: Run) -> tuple[str, dict]:
     corpus_mod.write_tsv_rows(sampled, run.output(args.out))
     sampling.write_plan_tsv(plan, run.output(Path(args.plan_out or f"{args.out}.plan.tsv")))
     sampling.write_plot_tsv(plan, run.output(Path(args.plot_out or f"{args.out}.plot.tsv")))
-    config = {
-        "in": args.in_path,
-        "temperature": temperature,
-        "budget": budget,
-        "seed": run.seed,
-        "threads": run.threads,
-    }
     return (
         f"sample: T={temperature:g} budget={budget} languages={len(plan.probabilities)} "
         f"-> {args.out}"
-    ), config
+    )
 
 
-def _cmd_lexicon(run: Run) -> tuple[str, dict]:
+def _cmd_lexicon(run: Run) -> str:
     from . import lexicon as lexicon_mod
 
-    args = run.args
-    run.input(args.in_path)
+    path = run.arg("in")
+    run.input(path)
     fmt = run.opt("format", lexicon_mod.MUSE)
     topk = run.opt("topk", lexicon_mod.DEFAULT_TOP_K)
-    tgt = parse_tag(args.tgt_lang, run.extra_tags)
-    lex = lexicon_mod.load(args.in_path, fmt, tgt, top_k=topk)
-    rows = lexicon_mod.write_tsv(lex, run.output(args.out))
-    config = {"in": args.in_path, "format": fmt, "topk": topk, "tgt_lang": str(tgt)}
+    tgt = parse_tag(run.arg("tgt_lang"), run.extra_tags)
+    lex = lexicon_mod.load(path, fmt, tgt, top_k=topk)
+    rows = lexicon_mod.write_tsv(lex, run.output(run.args.out))
     return (
         f"lexicon: {len(lex)} entries ({rows} translations), "
-        f"skipped {lex.skipped_count} lines -> {args.out}"
-    ), config
+        f"skipped {lex.skipped_count} lines -> {run.args.out}"
+    )
 
 
 def _parse_lex_specs(specs: Sequence[str]) -> list[tuple[str, str]]:
@@ -443,11 +434,13 @@ def _augment_chunk(
     return written, *totals
 
 
-def _cmd_augment(run: Run) -> tuple[str, dict]:
+def _cmd_augment(run: Run) -> str:
     from . import augment as augment_mod
     from . import lexicon as lexicon_mod
 
-    args = run.args
+    path = run.arg("in")
+    specs = _parse_lex_specs(run.arg("lex"))
+    run.input(path, *(p for _, p in specs))
     fmt = run.opt("format", lexicon_mod.MUSE)
     policy = augment_mod.AugmentationPolicy(
         probability=run.opt("prob", augment_mod.DEFAULT_PROBABILITY),
@@ -455,135 +448,123 @@ def _cmd_augment(run: Run) -> tuple[str, dict]:
         mode=run.opt("mode", augment_mod.MODE_RANDOM_LANGUAGE),
         seed=run.seed,
     )
-    specs = _parse_lex_specs(args.lex)
-    run.input(args.in_path, *(p for _, p in specs))
 
     def lexicons() -> Iterator[lexicon_mod.BilingualLexicon]:
-        for tag_text, path in specs:
+        for tag_text, lex_path in specs:
             tgt = parse_tag(tag_text, run.extra_tags)
             if tgt == ENGLISH:
                 raise ConfigError("lexicon target language cannot be eng_Latn")
-            yield lexicon_mod.load(path, fmt, tgt, top_k=policy.top_k)
+            yield lexicon_mod.load(lex_path, fmt, tgt, top_k=policy.top_k)
 
     # A generator: each lexicon is read into its top-K entries only, and
     # dropped once its table is built, before the next one is read.
     subs = augment_mod.SubstitutionSet.prepare(lexicons(), policy.top_k)
-    out = run.output(args.out)
+    out = run.output(run.args.out)
     augmented, seen, without_lexicon, matched, replaced = corpus_mod.ordered_map(
-        *corpus_mod.file_tasks(run.threads, [args.in_path]),
+        *corpus_mod.file_tasks(run.threads, [path]),
         lambda task: _augment_chunk(*task, subs, policy, run.valid_tags),
         _add_counts, (0,) * 5, [out])
-    rate = replaced / matched if matched else 0.0
-    config = {
-        "in": args.in_path,
-        "lex": [f"{t}={p}" for t, p in specs],
-        "format": fmt,
-        "prob": policy.probability,
-        "topk": policy.top_k,
-        "mode": policy.mode,
-        "seed": run.seed,
-        "threads": run.threads,
-        "stats": {
-            "pairs_seen": seen,
-            "pairs_augmented": augmented,
-            "pairs_without_lexicon": without_lexicon,
-            "tokens_matched": matched,
-            "tokens_replaced": replaced,
-        },
+    run.config["stats"] = {
+        "pairs_seen": seen,
+        "pairs_augmented": augmented,
+        "pairs_without_lexicon": without_lexicon,
+        "tokens_matched": matched,
+        "tokens_replaced": replaced,
     }
+    rate = replaced / matched if matched else 0.0
     return (
         f"augment: {augmented} of {seen} pairs augmented "
         f"({without_lexicon} without lexicon), {replaced}/{matched} matched tokens "
-        f"replaced (rate {rate:.4f}) -> {args.out}"
-    ), config
+        f"replaced (rate {rate:.4f}) -> {out}"
+    )
 
 
-def _augment_policy(aug_path: str) -> AugmentationPolicy | None:
-    """The policy in the augmented file's run manifest; None if absent or invalid."""
+def _augment_policy(path: Path) -> AugmentationPolicy | None:
+    """The policy in an augmented file's run manifest ``path``; None if absent or invalid."""
     from .augment import AugmentationPolicy
 
     try:
-        doc = json.loads(manifest_path_for(aug_path).read_text(encoding="utf-8"))
+        doc = json.loads("\n".join(iter_lines(path, AugmentError)))
         config = doc["config"]
-        return AugmentationPolicy(config["prob"], config["topk"], config["mode"], config["seed"])
-    except (OSError, ValueError, LookupError, TypeError, AugmentError):
+        return AugmentationPolicy(config["prob"], config["topk"], config["mode"], doc["seed"])
+    except (ValueError, LookupError, TypeError, AugmentError):
         return None
 
 
-def _cmd_mixture(run: Run) -> tuple[str, dict]:
+def _cmd_mixture(run: Run) -> str:
     from . import augment as augment_mod
 
     args = run.args
-    _require_regular(args.in_path)
-    inputs = (args.in_path, args.aug)
-    run.input(*inputs)
+    inputs = (run.arg("in"), run.arg("aug"))
+    _require_regular(inputs[0])
+    # The augmented file's run manifest, where the mixture manifest's policy comes from.
+    aug_manifest = manifest_path_for(inputs[1])
+    run.input(*inputs, aug_manifest)
     counts = augment_mod.write_mixture(inputs, run.valid_tags, run.output(args.out), run.threads)
     mix_path = Path(args.mixture_manifest or f"{args.out}.mixture.json")
     seed = run.seed if run.seed_given else None
-    manifest = augment_mod.MixtureManifest(*counts, sum(counts), seed, _augment_policy(args.aug))
+    manifest = augment_mod.MixtureManifest(*counts, sum(counts), seed,
+                                           _augment_policy(aug_manifest))
     doc = dict(manifest.to_dict(), inputs={str(path): run.digest(path, "in") for path in inputs})
     corpus_mod.write_tsv_rows([json.dumps(doc, indent=2)], run.output(mix_path))
-    config = {"in": args.in_path, "aug": args.aug, "threads": run.threads}
     return (
         f"mixture: {manifest.n_total} pairs "
         f"(2*{manifest.n_original} + {manifest.n_augmented}) -> {args.out}"
-    ), config
+    )
 
 
-def _cmd_seed_select(run: Run) -> tuple[str, dict]:
+def _cmd_seed_select(run: Run) -> str:
     from . import augment as augment_mod
 
-    args = run.args
-    _require_regular(args.in_path)
-    run.input(args.in_path)
+    path = run.arg("in")
+    _require_regular(path)
+    run.input(path)
     budget = run.opt("budget", augment_mod.DEFAULT_SEED_BUDGET)
     counts = _count_keys(run, lambda fields: fields[4])
     selected = augment_mod.select_seed(_reread(run, _row_subset, counts), budget, run.seed)
     rows = (f"{row}\tseed:{_row_subset(row)}" for row in selected)
-    corpus_mod.write_tsv_rows(rows, run.output(args.out))
+    corpus_mod.write_tsv_rows(rows, run.output(run.args.out))
     per_subset = dict(sorted(selected.wants.items()))
-    config = {"in": args.in_path, "budget": budget, "seed": run.seed, "threads": run.threads}
-    return f"seed-select: {len(selected)} pairs {per_subset} -> {args.out}", config
+    return f"seed-select: {len(selected)} pairs {per_subset} -> {run.args.out}"
 
 
-def _cmd_score(run: Run) -> tuple[str, dict]:
+def _cmd_score(run: Run) -> str:
     from . import evalharness
 
-    args = run.args
-    run.input(args.hyp, args.ref)
-    pair = parse_pair(args.pair, run.extra_tags)
-    row = evalharness.score_run(args.hyp, args.ref, pair, run.threads)
-    if args.out:
-        evalharness.write_rows_tsv([row], run.output(args.out))
-    config = {"hyp": args.hyp, "ref": args.ref, "pair": args.pair, "threads": run.threads,
-              "signatures": evalharness.SIGNATURES}
-    return f"{row.pair}\t{row.bleu:.4f}\t{row.chrf:.4f}\t{row.chrf_pp:.4f}", config
+    hyp, ref = run.arg("hyp"), run.arg("ref")
+    run.input(hyp, ref)
+    pair = parse_pair(run.arg("pair"), run.extra_tags)
+    row = evalharness.score_run(hyp, ref, pair, run.threads)
+    if run.args.out:
+        evalharness.write_rows_tsv([row], run.output(run.args.out))
+    run.config["signatures"] = evalharness.SIGNATURES
+    return f"{row.pair}\t{row.bleu:.4f}\t{row.chrf:.4f}\t{row.chrf_pp:.4f}"
 
 
-def _cmd_report(run: Run) -> tuple[str, dict]:
+def _cmd_report(run: Run) -> str:
     from . import evalharness
 
-    args = run.args
-    run.input(*args.in_paths)
+    paths = run.arg("in")
+    run.input(*paths)
     rows: list[evalharness.ScoreRow] = []
-    for path in args.in_paths:
+    for path in paths:
         rows.extend(evalharness.read_rows_tsv(path, run.extra_tags))
     rep = evalharness.report(rows)
-    if args.out:
-        evalharness.write_report_tsv(rep, run.output(args.out))
-    config = {"in": list(args.in_paths), "signatures": evalharness.SIGNATURES}
-    return evalharness.render_text(rep), config
+    if run.args.out:
+        evalharness.write_report_tsv(rep, run.output(run.args.out))
+    run.config["signatures"] = evalharness.SIGNATURES
+    return evalharness.render_text(rep)
 
 
-def _cmd_train_config(run: Run) -> tuple[str, dict]:
+def _cmd_train_config(run: Run) -> str:
     from . import trainconfig
 
-    args = run.args
-    config = trainconfig.emit(args.phase)
-    if not args.out:
-        return json.dumps(config.to_dict(), indent=2), {}
-    trainconfig.write_json(config, run.output(args.out))
-    return f"train-config: {args.phase} -> {args.out}", {"phase": args.phase}
+    phase = run.arg("phase")
+    hyperparameters = trainconfig.emit(phase)
+    if not run.args.out:
+        return json.dumps(hyperparameters.to_dict(), indent=2)
+    trainconfig.write_json(hyperparameters, run.output(run.args.out))
+    return f"train-config: {phase} -> {run.args.out}"
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="validate and normalize a corpus into TSV")
-    p.add_argument("--in", dest="in_path", default=None, help="input corpus TSV")
+    p.add_argument("--in", default=None, help="input corpus TSV")
     p.add_argument("--src", default=None, help="source-side line file")
     p.add_argument("--tgt", default=None, help="target-side line file")
     p.add_argument("--src-lang", default=None)
@@ -623,19 +604,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("stats", help="per-language pair counts")
-    p.add_argument("--in", dest="in_path", required=True)
+    p.add_argument("--in", required=True)
     p.add_argument("--out", default=None, help="optional lang/count TSV")
     _add_common(p)
 
     p = sub.add_parser("reduce", help="halve languages over the high-resource threshold")
-    p.add_argument("--in", dest="in_path", required=True)
+    p.add_argument("--in", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--threshold", type=int, default=None)
     p.add_argument("--factor", type=float, default=None)
     _add_common(p)
 
     p = sub.add_parser("sample", help="temperature-sample the corpus to a budget")
-    p.add_argument("--in", dest="in_path", required=True)
+    p.add_argument("--in", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--temperature", type=float, default=None)
     p.add_argument("--budget", type=int, default=None)
@@ -644,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("lexicon", help="normalize and truncate a bilingual lexicon")
-    p.add_argument("--in", dest="in_path", required=True)
+    p.add_argument("--in", required=True)
     p.add_argument("--format", default=None, choices=list(_FORMATS))
     p.add_argument("--tgt-lang", required=True)
     p.add_argument("--topk", type=int, default=None)
@@ -652,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("augment", help="dictionary code-switching augmentation")
-    p.add_argument("--in", dest="in_path", required=True)
+    p.add_argument("--in", required=True)
     p.add_argument(
         "--lex", action="append", required=True, help="TAG=PATH lexicon file, repeatable"
     )
@@ -664,14 +645,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("mixture", help="original + reversed + augmented pre-training TSV")
-    p.add_argument("--in", dest="in_path", required=True, help="original En->Indic TSV")
+    p.add_argument("--in", required=True, help="original En->Indic TSV")
     p.add_argument("--aug", required=True, help="augmented TSV")
     p.add_argument("--out", required=True)
     p.add_argument("--mixture-manifest", default=None)
     _add_common(p)
 
     p = sub.add_parser("seed-select", help="proportional seed-data selection")
-    p.add_argument("--in", dest="in_path", required=True)
+    p.add_argument("--in", required=True)
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--out", required=True)
     _add_common(p)
@@ -684,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("report", help="aggregate score rows into a table")
-    p.add_argument("--in", dest="in_paths", action="append", required=True)
+    p.add_argument("--in", action="append", required=True)
     p.add_argument("--out", default=None)
     _add_common(p)
 
@@ -706,9 +687,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     # any error, and exits 143; the caller's handler is back on return.
     previous = signal.signal(signal.SIGTERM, _terminated)
     try:
-        run = Run(args, _load_config_file(os.environ.get(_CONFIG_ENV)))
-        # Looked up per call, so a rebound handler (a tracer) takes effect.
-        return _execute(run, globals()["_cmd_" + args.command.replace("-", "_")])
+        return _execute(args)
     except (PipelineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

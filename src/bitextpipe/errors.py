@@ -47,9 +47,10 @@ class ConfigError(PipelineError):
 _READ_BLOCK = 1 << 16
 
 # SHA-256 of each file this run read whole ("in", every byte to end of
-# file) or wrote ("out"; None if forked workers wrote it), by (kind, real
-# path). ``cli._execute`` sets a fresh dict per run and None after it;
-# while it is None (library calls), nothing is hashed.
+# file) or renamed into place ("out"; None if forked workers wrote it), by
+# (kind, real path). ``cli._execute`` sets a fresh dict per run and None
+# after it, and a failed run unlinks the "out" files; while it is None
+# (library calls), nothing is hashed.
 digests: dict[tuple[str, str], str | None] | None = None
 
 

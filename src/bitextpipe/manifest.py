@@ -1,8 +1,8 @@
-"""Run manifests: config snapshot plus input/output digests for every run.
+"""Run manifests: the config a run read, its seed and input/output digests.
 
 A run writes its manifest last, beside its first output, as
 ``<output>.run.json``. Its digests are of the bytes the run read and
-wrote. Two runs with the same config snapshot and input digests must
+wrote. Two runs with the same config, seed and input digests must
 produce the same output digests; wall time is recorded for
 bookkeeping and is the only field allowed to differ.
 """

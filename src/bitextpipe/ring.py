@@ -28,7 +28,9 @@ class Ring:
     The worker whose turn comes after the last task sends ``("ok",
     token)`` on its result pipe; a worker that fails at its turn sends
     ``("error", exception)``. A worker leaves by ``os._exit``, and a dead
-    worker's result pipe reads end of file.
+    worker's result pipe reads end of file. A worker whose token pipe ends,
+    because the worker before it failed, leaves with status 0, so that the
+    error reported is that worker's.
     """
 
     def __init__(self, n: int, compute: Callable, add: Callable, outputs: Sequence[BinaryIO]):
@@ -170,6 +172,8 @@ class Ring:
                     break
                 self._write(token_out, token)
                 index += self.n
+            code = 0
+        except EOFError:  # a pipe ended: the process that left reports why
             code = 0
         finally:
             os._exit(code)

@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -68,6 +69,7 @@ class TestIngest:
         assert manifest["command"] == "ingest"
         assert len(manifest["inputs"]) == 2
         assert len(manifest["outputs"]) == 2  # corpus + skip report
+        assert "threads" not in manifest["config"]  # one task: --threads is never read
 
     def test_tsv_revalidation_with_subset_exclusion(self, tmp_path, en_hi_files):
         corpus = _ingest(tmp_path, en_hi_files)
@@ -306,6 +308,28 @@ class TestLexiconAugmentMixture:
         }
         assert set(doc["inputs"]) == {str(corpus), str(aug)}
 
+    def test_mixture_records_the_augment_manifest_it_reads(self, tmp_path, en_hi_files,
+                                                           hin_lex):
+        corpus = _ingest(tmp_path, en_hi_files)
+        aug = tmp_path / "aug.tsv"
+        assert run_cli("augment", "--in", corpus, "--lex", f"hin_Deva={hin_lex}",
+                       "--seed", 5, "--out", aug) == 0
+        aug_manifest = tmp_path / "aug.tsv.run.json"
+        docs = []
+        for name, prob in (("a.tsv", 0.3), ("b.tsv", 0.4)):
+            doc = json.loads(aug_manifest.read_text(encoding="utf-8"))
+            doc["config"]["prob"] = prob
+            aug_manifest.write_text(json.dumps(doc), encoding="utf-8")
+            assert run_cli("mixture", "--in", corpus, "--aug", aug, "--seed", 1,
+                           "--out", tmp_path / name) == 0
+            docs.append(json.loads((tmp_path / f"{name}.run.json").read_text()))
+            assert docs[-1]["inputs"][str(aug_manifest)] == _sha256(aug_manifest)
+        a, b = docs
+        assert (a["command"], a["config"], a["seed"]) == (b["command"], b["config"], b["seed"])
+        assert a["inputs"] != b["inputs"]  # the policies came from different files
+        assert (tmp_path / "a.tsv.mixture.json").read_bytes() != \
+            (tmp_path / "b.tsv.mixture.json").read_bytes()
+
     def test_mixture_failed_sidecar_write_leaves_no_output(self, tmp_path, en_hi_files):
         corpus = _ingest(tmp_path, en_hi_files)
         mix = tmp_path / "mix.tsv"
@@ -333,11 +357,12 @@ class TestLexiconAugmentMixture:
         mix = tmp_path / "mix.tsv"
         assert run_cli("mixture", "--in", corpus, "--aug", aug, "--out", mix) == 0
         assert sorted(hashed) == sorted(
-            [str(corpus), str(aug), str(mix), f"{mix}.mixture.json"]
+            [str(corpus), str(aug), f"{aug}.run.json", str(mix), f"{mix}.mixture.json"]
         )
         doc = json.loads((tmp_path / "mix.tsv.mixture.json").read_text())
         run_doc = json.loads((tmp_path / "mix.tsv.run.json").read_text())
-        assert doc["inputs"] == run_doc["inputs"]
+        assert run_doc["inputs"] == {**doc["inputs"], f"{aug}.run.json": sha256_file(
+            f"{aug}.run.json")}
         assert doc["inputs"][str(aug)] == sha256_file(aug)
 
     def test_augment_threads_do_not_change_bytes(self, tmp_path, en_hi_files, hin_lex):
@@ -530,6 +555,24 @@ class TestRangeWorkers:
         assert outputs[0]["o.tsv"]
         if command == "ingest":
             assert outputs[0]["o.tsv.skipped.txt"] == b"3\tempty target\n12\tempty target\n"
+
+    def test_the_worker_after_a_failed_one_does_not_mask_its_error(
+        self, tmp_path, capsys, files, monkeypatch
+    ):
+        # Worker 0 waits for the token that failed worker 1 never sends. Once
+        # both have left, both result pipes are ready, worker 0's first.
+        from bitextpipe import ring
+
+        wait = ring.Ring._wait
+        monkeypatch.setattr(ring.Ring, "_wait", lambda self: time.sleep(0.5) or wait(self))
+        rows = _rows(4)
+        rows[3] = rows[3].replace(b"\tWiki", b" Wiki")  # the second range
+        corpus = files["CORPUS"] = tmp_path / "c.tsv"
+        corpus.write_bytes(b"".join(rows))
+        assert run_cli(*_argv("stats", files, tmp_path / "o.tsv", 2)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {corpus}:4: expected 5 or 6 tab-separated fields, got 4\n"
+        )
 
     @pytest.mark.parametrize("command", list(_RANGE_COMMANDS))
     def test_the_first_error_in_the_file_wins(self, tmp_path, capsys, files, command):
@@ -1007,6 +1050,10 @@ class TestConfigAndManifest:
 
         manifest = json.loads(Path(str(from_cfg) + ".run.json").read_text())
         assert manifest["seed"] == 7  # seed came from the config file
+        assert manifest["config"]["prob"] == 0.0  # and prob, recorded as used
+        assert "seed" not in manifest["config"]
+        manifest = json.loads(Path(str(overridden) + ".run.json").read_text())
+        assert (manifest["seed"], manifest["config"]["prob"]) == (7, 1.0)
 
     def test_unknown_config_key_rejected(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "defaults.cfg"
@@ -1028,6 +1075,16 @@ class TestConfigAndManifest:
         assert run_cli("reduce", "--in", corpus, "--out", out) == 0
         manifest = json.loads(Path(str(out) + ".run.json").read_text())
         assert isinstance(manifest["seed"], int)
+
+    def test_tags_file_is_an_input(self, tmp_path, en_hi_files):
+        corpus = _ingest(tmp_path, en_hi_files)
+        tags = tmp_path / "tags.txt"
+        tags.write_text("# extra\nsnd_Arab\n", encoding="utf-8")
+        out = tmp_path / "s.tsv"
+        assert run_cli("stats", "--in", corpus, "--tags-file", tags, "--out", out) == 0
+        doc = json.loads(Path(f"{out}.run.json").read_text(encoding="utf-8"))
+        assert doc["inputs"] == {str(tags): _sha256(tags), str(corpus): _sha256(corpus)}
+        assert list(doc["config"]) == ["in", "threads"]
 
     @pytest.mark.parametrize("content", [None, b"snd_Arab\n\xff\n"])
     def test_unreadable_tags_file_is_one_error_line(self, tmp_path, en_hi_files, capsys,
@@ -1077,18 +1134,18 @@ class TestConfigAndManifest:
 _WRITERS = {
     "ingest": (
         ["--in", "CORPUS"],
-        ["in", "src", "tgt", "src_lang", "tgt_lang", "subset", "exclude_subset", "threads"],
+        ["in", "exclude_subset", "threads"],
         ["o.tsv", "o.tsv.skipped.txt"],
     ),
     "stats": (["--in", "CORPUS"], ["in", "threads"], ["o.tsv"]),
     "reduce": (
         ["--in", "CORPUS", "--threshold", 2],
-        ["in", "threshold", "factor", "seed", "threads"],
+        ["in", "threshold", "factor", "threads"],
         ["o.tsv"],
     ),
     "sample": (
         ["--in", "CORPUS", "--budget", 3],
-        ["in", "temperature", "budget", "seed", "threads"],
+        ["in", "temperature", "threads", "budget"],
         ["o.tsv", "o.tsv.plan.tsv", "o.tsv.plot.tsv"],
     ),
     "lexicon": (
@@ -1096,7 +1153,7 @@ _WRITERS = {
     ),
     "augment": (
         ["--in", "CORPUS", "--lex", "hin_Deva=LEX"],
-        ["in", "lex", "format", "prob", "topk", "mode", "seed", "threads", "stats"],
+        ["in", "lex", "format", "prob", "topk", "mode", "threads", "stats"],
         ["o.tsv"],
     ),
     "mixture": (
@@ -1105,7 +1162,7 @@ _WRITERS = {
         ["o.tsv", "o.tsv.mixture.json"],
     ),
     "seed-select": (
-        ["--in", "CORPUS", "--budget", 2], ["in", "budget", "seed", "threads"], ["o.tsv"]
+        ["--in", "CORPUS", "--budget", 2], ["in", "budget", "threads"], ["o.tsv"]
     ),
     "score": (
         ["--hyp", "HYP", "--ref", "HYP", "--pair", "hin_Deva-eng_Latn"],
@@ -1114,6 +1171,15 @@ _WRITERS = {
     ),
     "report": (["--in", "ROWS"], ["in", "signatures"], ["o.tsv"]),
     "train-config": (["--phase", "pretrain"], ["phase"], ["o.tsv"]),
+}
+
+# Options beyond _WRITERS' argv that the config must record as given.
+_MORE_OPTIONS = {
+    "ingest": ["--exclude-subset", "web", "--exclude-subset", "news"],
+    "reduce": ["--factor", 0.25],
+    "sample": ["--temperature", 2.5],
+    "lexicon": ["--format", "muse", "--topk", 3],
+    "augment": ["--format", "muse", "--prob", 0.25, "--topk", 3, "--mode", "pair-target"],
 }
 
 # The commands that read a corpus TSV given as --in.
@@ -1173,6 +1239,26 @@ class TestRunner:
             }
             assert "bleu|o:4" in doc["config"]["signatures"]["bleu"]
             assert "nw:2" in doc["config"]["signatures"]["chrfpp"]
+
+    @pytest.mark.parametrize("command", list(_WRITERS))
+    def test_config_records_every_option_given(self, writer_inputs, command):
+        argv, out_dir = writer_inputs
+        given = [*argv(command), *_MORE_OPTIONS.get(command, ())]
+        if "threads" in _WRITERS[command][1]:
+            given += ["--threads", 2]
+        assert run_cli(*given) == 0
+        doc = json.loads((out_dir / "o.tsv.run.json").read_text(encoding="utf-8"))
+        config = doc["config"]
+        for flag, value in zip(given[1::2], given[2::2]):  # the (flag, value) pairs
+            if flag in ("--out", "--seed"):
+                continue
+            recorded = config[flag[2:].replace("-", "_")]
+            if isinstance(recorded, list):  # a repeatable flag
+                assert str(value) in recorded, flag
+            else:
+                assert str(recorded) == str(value), flag
+        assert doc["seed"] == 1 and "seed" not in config  # the seed is top level
+        assert "out" not in config
 
     @pytest.mark.parametrize("command", list(_WRITERS))
     def test_failed_run_json_write_leaves_no_output(self, writer_inputs, capsys, command):
@@ -1277,6 +1363,9 @@ class TestDigests:
         argv, out_dir = writer_inputs
         assert run_cli(*argv(command), "--threads", threads) == 0
         doc = json.loads((out_dir / "o.tsv.run.json").read_text(encoding="utf-8"))
+        if command == "mixture":  # --aug has no run.json beside it: declared, digest null
+            aug_manifest = out_dir.parent / "corpus.tsv.run.json"
+            assert not aug_manifest.exists() and doc["inputs"].pop(str(aug_manifest)) is None
         recorded = [*doc["inputs"].items(), *doc["outputs"].items()]
         if command == "mixture":
             mixture = json.loads((out_dir / "o.tsv.mixture.json").read_text(encoding="utf-8"))

@@ -18,7 +18,6 @@ ALLOWED = {
     ("errors", "iter_blocks"),  # the line reader
     ("corpus", "_atomic_open"),  # the atomic writer
     ("manifest", "sha256_file"),  # run.json digests that no read or write recorded
-    ("cli", "_augment_policy"),  # the augmented file's run.json
 }
 
 
