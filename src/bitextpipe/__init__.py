@@ -13,7 +13,7 @@ that are actually needed.
 
 from importlib import import_module
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 # Public name -> defining submodule, or "submodule:attribute" when renamed.
 _EXPORTS = {

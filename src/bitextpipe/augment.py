@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 import string
 from collections import Counter
-from dataclasses import asdict, dataclass, replace as dc_replace
+from dataclasses import dataclass, replace as dc_replace
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
@@ -307,15 +307,13 @@ class MixtureManifest:
             raise AugmentError("reversed pair count must equal original pair count")
 
     def to_dict(self) -> dict:
-        out: dict = {
+        """The four counts, as the ``stats`` of a ``mixture`` run's ``run.json``."""
+        return {
             "original_pairs": self.n_original,
             "reversed_pairs": self.n_reversed,
             "augmented_pairs": self.n_augmented,
             "total_pairs": self.n_total,
-            "seed": self.seed,
         }
-        out["policy"] = None if self.policy is None else asdict(self.policy)
-        return out
 
 
 def mixture_line(origin: str, row: Sequence[str]) -> str:
@@ -330,18 +328,18 @@ def write_mixture(
 ) -> list[int]:
     """Write the mixture of two corpus TSVs to ``out``; return its three row counts.
 
-    ``paths`` are the original and the augmented corpus: the mixture is the
-    ``orig`` rows of the original, its ``rev`` rows, then the ``aug`` rows,
-    each read whole or by range (:func:`corpus.file_tasks`). Sources must be
-    English and augmented targets original targets; errors name
-    ``<path>:<line>``. The token carries the counts and the original
-    targets. An ``aug`` task notes the line where each of its targets first
-    occurs and checks them at its turn, so the first error in file order is
-    raised: a target absent before the task's own first error, else that
-    error.
+    ``paths`` are the original and the augmented corpus, each read once,
+    whole or by range (:func:`corpus.file_tasks`): the mixture is each
+    ``orig`` row of the original followed by its ``rev`` row, then the
+    ``aug`` rows. Sources must be English and augmented targets original
+    targets; errors name ``<path>:<line>``. The token carries the counts
+    and the original targets. An ``aug`` task notes the line where each of
+    its targets first occurs and checks them at its turn, so the first
+    error in file order is raised: a target absent before the task's own
+    first error, else that error.
     """
     eng = _ENG_TEXT
-    names = {"orig": paths[0], "rev": paths[0], "aug": paths[1]}
+    names = dict(zip(("orig", "aug"), paths))
 
     def section(task: tuple[str, tuple[int, int, int] | None]) -> Work[tuple]:
         origin, span = task
@@ -349,11 +347,12 @@ def write_mixture(
 
         def lines() -> Iterator[str]:
             for lineno, row in iter_tsv_rows(names[origin], valid_tags, span):
-                if origin != "rev":
-                    if row[0] != eng:
-                        raise not_english_source(names[origin], lineno, origin)
-                    first_lines.setdefault(row[1], lineno)
+                if row[0] != eng:
+                    raise not_english_source(names[origin], lineno, origin)
+                first_lines.setdefault(row[1], lineno)
                 yield mixture_line(origin, row)
+                if origin == "orig":
+                    yield mixture_line("rev", row)
 
         try:
             n = yield from encode_rows(lines())
@@ -368,16 +367,17 @@ def write_mixture(
         origin, n, first_lines, error = part
         if origin == "orig":
             targets.update(first_lines)
-        elif origin == "aug":
+        else:
             check_targets(first_lines, targets, paths[1])
         if error is not None:
             raise error
         counts[origin] += n
         return token
 
-    tasks = file_tasks(threads, list(names.values()), list(names))
-    counts, _ = ordered_map(*tasks, section, add, ({origin: 0 for origin in names}, set()), [out])
-    return list(counts.values())
+    tasks = file_tasks(threads, paths, list(names))
+    counts, _ = ordered_map(*tasks, section, add, ({"orig": 0, "aug": 0}, set()), [out])
+    original = counts["orig"] // 2  # two lines per row: its orig and its rev
+    return [original, original, counts["aug"]]
 
 
 def not_english_source(name: str, lineno: int, origin: str) -> AugmentError:
@@ -402,7 +402,7 @@ def build_pretraining_mixture(
     seed: int | None = None,
     policy: AugmentationPolicy | None = None,
 ) -> tuple[ParallelCorpus, MixtureManifest]:
-    """Original pairs, their reversals, and augmented pairs, in that order.
+    """Each original pair followed by its reversal, then the augmented pairs.
 
     Checked as :func:`write_mixture` checks its files, in the same order;
     errors name ``original:<n>`` or ``augmented:<n>``, the pair's position.
@@ -416,7 +416,7 @@ def build_pretraining_mixture(
         if pair.src_lang != ENGLISH:
             raise not_english_source("augmented", lineno, "aug")
         check_targets({str(pair.tgt_lang): lineno}, targets, "augmented")
-    pairs = (*en_indic, *map(reverse_pair, en_indic), *augmented)
+    pairs = (*(p for pair in en_indic for p in (pair, reverse_pair(pair))), *augmented)
     manifest = MixtureManifest(len(en_indic), len(en_indic), len(augmented), len(pairs), seed,
                                policy)
     return ParallelCorpus(pairs), manifest

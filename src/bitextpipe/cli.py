@@ -105,9 +105,7 @@ class Run:
         self.config: dict[str, object] = {}
         self.inputs: list[str | Path] = []
         self.outputs: list[str | Path] = []
-        self._digests: dict[tuple[str, str], str | None] = {}
         seed = self._resolve("seed", None)
-        self.seed_given = seed is not None
         if seed is None:
             import secrets
 
@@ -157,16 +155,6 @@ class Run:
         self.outputs.append(path)
         return path
 
-    def digest(self, path: str | Path, kind: str) -> str | None:
-        """SHA-256 of ``path`` as this run read (``kind`` "in") or wrote ("out") it.
-
-        Looked up once per path and kind; ``None`` for a pipe or device.
-        """
-        key = kind, str(path)
-        if key not in self._digests:
-            self._digests[key] = sha256_file(path, kind) if os.path.isfile(path) else None
-        return self._digests[key]
-
 
 def _remove_written() -> None:
     """Unlink each file that this run's atomic writer renamed into place.
@@ -194,8 +182,11 @@ def _execute(args: argparse.Namespace) -> int:
         # Looked up per call, so a rebound handler (a tracer) takes effect.
         text = globals()["_cmd_" + args.command.replace("-", "_")](run)
         if run.outputs and not args.no_manifest:
-            inputs = {str(path): run.digest(path, "in") for path in run.inputs}
-            outputs = {str(path): run.digest(path, "out") for path in run.outputs}
+            # SHA-256 as this run read or wrote the file; None for a pipe or device.
+            inputs = {str(p): sha256_file(p, "in") if os.path.isfile(p) else None
+                      for p in run.inputs}
+            outputs = {str(p): sha256_file(p, "out") if os.path.isfile(p) else None
+                       for p in run.outputs}
             manifest = RunManifest(args.command, run.config, run.seed, inputs, outputs)
             manifest.wall_time_s = time.monotonic() - run.started
             manifest.write(manifest_path_for(run.outputs[0]))
@@ -268,8 +259,10 @@ def _row_subset(row: str) -> str:
 def _require_regular(path: str) -> None:
     """Reject an input that is not a regular file, for a command that reads it twice.
 
-    A pipe cannot be opened for a second read once its writer has gone:
-    the open would wait for good. A missing file is left to the first read.
+    ``reduce``, ``sample`` and ``seed-select`` read ``--in`` twice, and
+    ``mixture`` reads a file twice when ``--in`` and ``--aug`` name it. A
+    pipe cannot be opened for a second read once its writer has gone: the
+    open would wait for good. A missing file is left to the first read.
     """
     with contextlib.suppress(OSError):
         if not stat.S_ISREG(os.stat(path).st_mode):
@@ -479,16 +472,19 @@ def _cmd_augment(run: Run) -> str:
     )
 
 
-def _augment_policy(path: Path) -> AugmentationPolicy | None:
-    """The policy in an augmented file's run manifest ``path``; None if absent or invalid."""
+def _augment_policy(path: Path) -> dict | None:
+    """The policy dict in an augmented file's run manifest ``path``; None if absent or invalid."""
+    from dataclasses import asdict
+
     from .augment import AugmentationPolicy
 
     try:
         doc = json.loads("\n".join(iter_lines(path, AugmentError)))
         config = doc["config"]
-        return AugmentationPolicy(config["prob"], config["topk"], config["mode"], doc["seed"])
+        policy = AugmentationPolicy(config["prob"], config["topk"], config["mode"], doc["seed"])
     except (ValueError, LookupError, TypeError, AugmentError):
         return None
+    return asdict(policy)
 
 
 def _cmd_mixture(run: Run) -> str:
@@ -496,17 +492,16 @@ def _cmd_mixture(run: Run) -> str:
 
     args = run.args
     inputs = (run.arg("in"), run.arg("aug"))
-    _require_regular(inputs[0])
-    # The augmented file's run manifest, where the mixture manifest's policy comes from.
+    with contextlib.suppress(OSError):  # a missing file is left to its read
+        if os.path.samefile(*inputs):
+            _require_regular(inputs[0])
+    # The augmented file's run manifest, where the policy comes from.
     aug_manifest = manifest_path_for(inputs[1])
     run.input(*inputs, aug_manifest)
     counts = augment_mod.write_mixture(inputs, run.valid_tags, run.output(args.out), run.threads)
-    mix_path = Path(args.mixture_manifest or f"{args.out}.mixture.json")
-    seed = run.seed if run.seed_given else None
-    manifest = augment_mod.MixtureManifest(*counts, sum(counts), seed,
-                                           _augment_policy(aug_manifest))
-    doc = dict(manifest.to_dict(), inputs={str(path): run.digest(path, "in") for path in inputs})
-    corpus_mod.write_tsv_rows([json.dumps(doc, indent=2)], run.output(mix_path))
+    manifest = augment_mod.MixtureManifest(*counts, sum(counts))
+    run.config["stats"] = manifest.to_dict()
+    run.config["policy"] = _augment_policy(aug_manifest)
     return (
         f"mixture: {manifest.n_total} pairs "
         f"(2*{manifest.n_original} + {manifest.n_augmented}) -> {args.out}"
@@ -648,7 +643,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", required=True, help="original En->Indic TSV")
     p.add_argument("--aug", required=True, help="augmented TSV")
     p.add_argument("--out", required=True)
-    p.add_argument("--mixture-manifest", default=None)
     _add_common(p)
 
     p = sub.add_parser("seed-select", help="proportional seed-data selection")

@@ -18,7 +18,7 @@ from pathlib import Path
 from . import errors
 from .corpus import write_tsv_rows
 
-VERSION = "0.3.0"
+VERSION = "0.4.0"
 
 
 def sha256_file(path: str | Path, kind: str = "in") -> str:

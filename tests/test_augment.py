@@ -378,12 +378,17 @@ class TestMixture:
         assert (manifest.n_original, manifest.n_reversed, manifest.n_augmented) == (
             1000, 1000, 300
         )
-        reversed_block = tuple(map(reverse_pair, corpus))
-        assert mixture.pairs == corpus.pairs + reversed_block + augmented.pairs
-        # reversed block really is the reversal of the original block
-        assert mixture[1000].source == mixture[0].target
-        assert mixture[1000].src_lang == mixture[0].tgt_lang
-        assert manifest.to_dict()["policy"]["probability"] == 1.0
+        assert mixture.pairs[:2000:2] == corpus.pairs
+        assert mixture.pairs[1:2000:2] == tuple(map(reverse_pair, corpus))
+        assert mixture.pairs[2000:] == augmented.pairs
+        # each original pair is followed by its reversal
+        assert mixture[1].source == mixture[0].target
+        assert mixture[1].src_lang == mixture[0].tgt_lang
+        assert manifest.policy.probability == 1.0
+        assert manifest.to_dict() == {
+            "original_pairs": 1000, "reversed_pairs": 1000, "augmented_pairs": 300,
+            "total_pairs": 2300,
+        }
 
     def test_direction_validation(self):
         good = ParallelCorpus((mk_pair("a", "b"),))

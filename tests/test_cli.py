@@ -290,23 +290,25 @@ class TestLexiconAugmentMixture:
         lines = mix.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 150
         origins = [line.split("\t")[5] for line in lines]
-        assert origins.count("orig") == 50
-        assert origins.count("rev") == 50
-        assert origins.count("aug") == 50
-        reversed_row = lines[50].split("\t")
-        assert reversed_row[0] == "hin_Deva" and reversed_row[1] == "eng_Latn"
-        doc = json.loads((tmp_path / "mix.tsv.mixture.json").read_text())
-        assert doc["total_pairs"] == 150
-        assert doc["total_pairs"] == 2 * doc["original_pairs"] + doc["augmented_pairs"]
+        assert origins == ["orig", "rev"] * 50 + ["aug"] * 50  # each row, then its reversal
+        corpus_lines = corpus.read_text(encoding="utf-8").splitlines()
+        for row, line, reversed_line in zip(corpus_lines, lines[::2], lines[1:100:2]):
+            src, tgt, source, target, subset = row.split("\t")
+            assert line == f"{row}\torig"
+            assert reversed_line == f"{tgt}\t{src}\t{target}\t{source}\t{subset}\trev"
+        config = json.loads((tmp_path / "mix.tsv.run.json").read_text())["config"]
+        assert config["stats"] == {
+            "original_pairs": 50, "reversed_pairs": 50, "augmented_pairs": 50, "total_pairs": 150
+        }
         # the augment run manifest sits next to aug.tsv, so the mixture
-        # manifest recovers the policy snapshot from it
-        assert doc["policy"] == {
+        # recovers the policy snapshot from it
+        assert config["policy"] == {
             "probability": 1.0,
             "top_k": 4000,
             "mode": "random-language",
             "seed": 5,
         }
-        assert set(doc["inputs"]) == {str(corpus), str(aug)}
+        assert not list(tmp_path.glob("*.mixture.json"))
 
     def test_mixture_records_the_augment_manifest_it_reads(self, tmp_path, en_hi_files,
                                                            hin_lex):
@@ -325,17 +327,9 @@ class TestLexiconAugmentMixture:
             docs.append(json.loads((tmp_path / f"{name}.run.json").read_text()))
             assert docs[-1]["inputs"][str(aug_manifest)] == _sha256(aug_manifest)
         a, b = docs
+        assert [doc["config"].pop("policy")["probability"] for doc in docs] == [0.3, 0.4]
         assert (a["command"], a["config"], a["seed"]) == (b["command"], b["config"], b["seed"])
         assert a["inputs"] != b["inputs"]  # the policies came from different files
-        assert (tmp_path / "a.tsv.mixture.json").read_bytes() != \
-            (tmp_path / "b.tsv.mixture.json").read_bytes()
-
-    def test_mixture_failed_sidecar_write_leaves_no_output(self, tmp_path, en_hi_files):
-        corpus = _ingest(tmp_path, en_hi_files)
-        mix = tmp_path / "mix.tsv"
-        assert run_cli("mixture", "--in", corpus, "--aug", corpus, "--out", mix,
-                       "--mixture-manifest", tmp_path / "nodir" / "m.json") == 1
-        assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("mix")) == []
 
     def test_mixture_hashes_each_input_once(self, tmp_path, en_hi_files, hin_lex,
                                             monkeypatch):
@@ -356,14 +350,11 @@ class TestLexiconAugmentMixture:
         monkeypatch.setattr(cli, "sha256_file", counting)
         mix = tmp_path / "mix.tsv"
         assert run_cli("mixture", "--in", corpus, "--aug", aug, "--out", mix) == 0
-        assert sorted(hashed) == sorted(
-            [str(corpus), str(aug), f"{aug}.run.json", str(mix), f"{mix}.mixture.json"]
-        )
-        doc = json.loads((tmp_path / "mix.tsv.mixture.json").read_text())
+        assert sorted(hashed) == sorted([str(corpus), str(aug), f"{aug}.run.json", str(mix)])
         run_doc = json.loads((tmp_path / "mix.tsv.run.json").read_text())
-        assert run_doc["inputs"] == {**doc["inputs"], f"{aug}.run.json": sha256_file(
-            f"{aug}.run.json")}
-        assert doc["inputs"][str(aug)] == sha256_file(aug)
+        assert run_doc["inputs"] == {
+            str(path): sha256_file(path) for path in (corpus, aug, f"{aug}.run.json")
+        }
 
     def test_augment_threads_do_not_change_bytes(self, tmp_path, en_hi_files, hin_lex):
         corpus = _ingest(tmp_path, en_hi_files)
@@ -414,7 +405,7 @@ class TestLexiconAugmentMixture:
         aug_manifest.write_text(json.dumps(doc) if change else "{not json", encoding="utf-8")
         mix = tmp_path / "mix.tsv"
         assert run_cli("mixture", "--in", corpus, "--aug", aug, "--out", mix) == 0
-        assert json.loads((tmp_path / "mix.tsv.mixture.json").read_text())["policy"] is None
+        assert json.loads((tmp_path / "mix.tsv.run.json").read_text())["config"]["policy"] is None
 
     def test_augment_rejects_non_english_source(self, tmp_path, hin_lex):
         bad = tmp_path / "bad.tsv"
@@ -774,8 +765,8 @@ class TestExtraTags:
             corpus_lib.write_tsv(selected, out, origins=(f"seed:{p.subset}" for p in selected))
         elif command == "mixture":
             mixed, manifest = augment.build_pretraining_mixture(pairs, pairs)
-            origins = ["orig"] * manifest.n_original + ["rev"] * manifest.n_reversed
-            corpus_lib.write_tsv(mixed, out, origins=origins + ["aug"] * manifest.n_augmented)
+            origins = ["orig", "rev"] * manifest.n_original + ["aug"] * manifest.n_augmented
+            corpus_lib.write_tsv(mixed, out, origins=origins)
         else:
             policy = augment.AugmentationPolicy(1.0, lexicon.DEFAULT_TOP_K,
                                                 augment.MODE_RANDOM_LANGUAGE, 5)
@@ -1158,8 +1149,8 @@ _WRITERS = {
     ),
     "mixture": (
         ["--in", "CORPUS", "--aug", "CORPUS"],
-        ["in", "aug", "threads"],
-        ["o.tsv", "o.tsv.mixture.json"],
+        ["in", "aug", "threads", "stats", "policy"],
+        ["o.tsv"],
     ),
     "seed-select": (
         ["--in", "CORPUS", "--budget", 2], ["in", "budget", "threads"], ["o.tsv"]
@@ -1231,6 +1222,11 @@ class TestRunner:
                 "pairs_seen", "pairs_augmented", "pairs_without_lexicon",
                 "tokens_matched", "tokens_replaced",
             ]
+        if command == "mixture":  # the corpus mixed with itself; no <aug>.run.json
+            assert doc["config"]["stats"] == {
+                "original_pairs": 6, "reversed_pairs": 6, "augmented_pairs": 6, "total_pairs": 18
+            }
+            assert doc["config"]["policy"] is None
         if command in ("score", "report"):
             from bitextpipe.metrics import BLEU_SIGNATURE, CHRF, CHRF_PP
 
@@ -1295,9 +1291,9 @@ class TestRunner:
 
         reader = threading.Thread(target=drain, daemon=True)
         reader.start()
+        (out_dir / "o.tsv.run.json").mkdir()  # the run fails after writing the pipe
         try:
-            assert run_cli(*argv("mixture"),
-                           "--mixture-manifest", tmp_path / "nodir" / "m.json") == 1
+            assert run_cli(*argv("mixture")) == 1
         finally:
             reader.join(timeout=10)
         assert not reader.is_alive()
@@ -1367,9 +1363,6 @@ class TestDigests:
             aug_manifest = out_dir.parent / "corpus.tsv.run.json"
             assert not aug_manifest.exists() and doc["inputs"].pop(str(aug_manifest)) is None
         recorded = [*doc["inputs"].items(), *doc["outputs"].items()]
-        if command == "mixture":
-            mixture = json.loads((out_dir / "o.tsv.mixture.json").read_text(encoding="utf-8"))
-            recorded += mixture["inputs"].items()
         assert doc["outputs"] and recorded == [(path, _sha256(path)) for path, _ in recorded]
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -1397,13 +1390,12 @@ class TestDigests:
         assert doc["outputs"][str(corpus)] == after
 
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("command", ["reduce", "sample", "seed-select", "mixture"])
+    @pytest.mark.parametrize("command", ["reduce", "sample", "seed-select"])
     def test_an_input_changed_between_two_reads_fails(self, tmp_path, capsys, ranges,
                                                       monkeypatch, hin_lex, command, threads):
         # Between the count and draw passes of reduce, sample and seed-select,
-        # or mixture's orig and rev scans, one row's text changes in place: the
-        # row counts, the lines and the file size stay, and only the digests
-        # tell the reads apart.
+        # one row's text changes in place: the row counts, the lines and the
+        # file size stay, and only the digests tell the reads apart.
         files = {"LEX": f"hin_Deva={hin_lex}", "GOOD": tmp_path / "good.tsv"}
         files["GOOD"].write_bytes(b"".join(_rows(12)))
         corpus = files["CORPUS"] = tmp_path / "c.tsv"
@@ -1425,6 +1417,30 @@ class TestDigests:
         assert len(whole_reads) == 2
         assert capsys.readouterr() == ("", f"error: {corpus}: changed while read\n")
         assert list(out.parent.iterdir()) == []
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_mixture_reads_its_in_once(self, tmp_path, ranges, monkeypatch, threads):
+        # One whole read of --in: at one thread the read that writes the
+        # rows, at two the one range scan, whose ranges the workers read.
+        files = {"GOOD": tmp_path / "good.tsv"}
+        files["GOOD"].write_bytes(b"".join(_rows(12)))
+        corpus = files["CORPUS"] = tmp_path / "c.tsv"
+        corpus.write_bytes(b"".join(_rows(12)))
+        reads = {"whole": 0, "scan": 0}
+        real_blocks, real_ranges = errors.iter_blocks, corpus_mod.file_ranges
+
+        def iter_blocks(path, size, error, span=None):
+            reads["whole"] += span is None and Path(path) == corpus
+            return real_blocks(path, size, error, span)
+
+        def file_ranges(path):
+            reads["scan"] += Path(path) == corpus
+            return real_ranges(path)
+
+        monkeypatch.setattr(errors, "iter_blocks", iter_blocks)
+        monkeypatch.setattr(corpus_mod, "file_ranges", file_ranges)
+        assert run_cli(*_argv("mixture", files, tmp_path / "o.tsv", threads)) == 0
+        assert reads == {"whole": 1, "scan": threads - 1}
 
     # At one thread every command on the worker map reads its input whole,
     # once per pass: a range scan there would read it once more.
@@ -1480,6 +1496,7 @@ def _bitextpipe(*argv, **popen) -> subprocess.Popen:
 class TestPipesAndSignals:
     """A pipe read twice, or a SIGTERM, ends a run without a hang or a temp file."""
 
+    # mixture reads its --in once, and twice only as its --aug too.
     @pytest.mark.parametrize("command", ["reduce", "sample", "seed-select", "mixture"])
     def test_a_fifo_in_read_twice_is_rejected(self, tmp_path, command):
         corpus, fifo = tmp_path / "c.tsv", tmp_path / "in.fifo"
@@ -1488,7 +1505,7 @@ class TestPipesAndSignals:
         out = tmp_path / "out" / "o.tsv"
         out.parent.mkdir()
         argv = [command, "--in", fifo, "--out", out, "--threads", 1]
-        argv += ["--aug", corpus] if command == "mixture" else []
+        argv += ["--aug", fifo] if command == "mixture" else []
         writer = subprocess.Popen(["sh", "-c", 'cat "$0" > "$1"', corpus, fifo])
         child = _bitextpipe(*argv)
         try:
@@ -1501,6 +1518,27 @@ class TestPipesAndSignals:
         assert (child.returncode, stdout) == (1, "")
         assert stderr == f"error: {fifo}: not a regular file, and this command reads it twice\n"
         assert list(out.parent.iterdir()) == []
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_mixture_reads_a_fifo_in(self, tmp_path, threads):
+        corpus, fifo, aug = tmp_path / "c.tsv", tmp_path / "in.fifo", tmp_path / "aug.tsv"
+        corpus.write_bytes(b"".join(_rows(12)))
+        aug.write_bytes(b"".join(_rows(3)))
+        os.mkfifo(fifo)
+        argv = ["mixture", "--aug", aug, "--threads", threads, "--seed", 1]
+        writer = subprocess.Popen(["sh", "-c", 'cat "$0" > "$1"', corpus, fifo])
+        child = _bitextpipe(*argv, "--in", fifo, "--out", tmp_path / "fifo.tsv")
+        try:
+            _, stderr = child.communicate(timeout=30)
+        finally:
+            for process in (child, writer):
+                process.kill()
+                process.wait()
+        assert (child.returncode, stderr) == (0, ""), stderr
+        assert run_cli(*argv, "--in", corpus, "--out", tmp_path / "file.tsv") == 0
+        assert (tmp_path / "fifo.tsv").read_bytes() == (tmp_path / "file.tsv").read_bytes()
+        doc = json.loads((tmp_path / "fifo.tsv.run.json").read_text(encoding="utf-8"))
+        assert doc["inputs"][str(fifo)] is None
 
     @pytest.mark.parametrize("command", ["reduce", "sample", "seed-select", "mixture"])
     def test_a_missing_in_is_one_read_error(self, tmp_path, capsys, command):

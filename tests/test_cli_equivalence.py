@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -245,17 +246,16 @@ def test_mixture(original, augmented, seed):
         write_tsv(original, root / "in.tsv")
         write_tsv(augmented, root / "aug.tsv")
         out = root / "cli.tsv"
-        _cli("mixture", "--in", root / "in.tsv", "--aug", root / "aug.tsv",
-             "--seed", seed, "--out", out)
+        assert main([str(a) for a in ("mixture", "--in", root / "in.tsv", "--aug",
+                                      root / "aug.tsv", "--seed", seed, "--out", out)]) == 0
         mixture, manifest = build_pretraining_mixture(
             read_tsv(root / "in.tsv"), read_tsv(root / "aug.tsv"), seed=seed
         )
-        origins = (["orig"] * manifest.n_original + ["rev"] * manifest.n_reversed
-                   + ["aug"] * manifest.n_augmented)
+        origins = ["orig", "rev"] * manifest.n_original + ["aug"] * manifest.n_augmented
         _same_bytes(out, mixture, root, origins=origins)
-        recorded = json.loads(Path(f"{out}.mixture.json").read_text(encoding="utf-8"))
-        expected = manifest.to_dict()
-        assert {key: recorded[key] for key in expected} == expected
+        recorded = json.loads(Path(f"{out}.run.json").read_text(encoding="utf-8"))
+        assert recorded["config"]["stats"] == manifest.to_dict()
+        assert recorded["seed"] == manifest.seed
 
 
 @SETTINGS
@@ -277,14 +277,14 @@ def test_mixture_policy_block(original, mode, probability, top_k, seed):
             "augment", "--in", root / "in.tsv", "--lex", f"hin_Deva={lex}", "--mode", mode,
             "--prob", probability, "--topk", top_k, "--seed", seed, "--out", aug,
         )]) == 0
-        _cli("mixture", "--in", root / "in.tsv", "--aug", aug, "--out", out)
+        assert main([str(a) for a in ("mixture", "--in", root / "in.tsv", "--aug", aug,
+                                      "--out", out)]) == 0
         policy = AugmentationPolicy(probability, top_k, mode, seed)
         _, manifest = build_pretraining_mixture(
             read_tsv(root / "in.tsv"), read_tsv(aug), policy=policy
         )
-        recorded = json.loads(Path(f"{out}.mixture.json").read_text(encoding="utf-8"))
-        assert recorded["policy"] == manifest.to_dict()["policy"]
-        assert recorded["policy"] is not None
+        recorded = json.loads(Path(f"{out}.run.json").read_text(encoding="utf-8"))
+        assert recorded["config"]["policy"] == asdict(manifest.policy)
 
 
 @SETTINGS
