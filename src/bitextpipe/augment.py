@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import random
 import string
-from collections import Counter
 from dataclasses import dataclass, replace as dc_replace
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
@@ -29,7 +28,7 @@ from .lang import ENGLISH
 from .lexicon import BilingualLexicon, truncate_topk
 from .rng import derive_seed
 from .sampling import largest_remainder
-from .selection import Keyed, Selection
+from .selection import Keyed, Selection, draw
 
 MODE_RANDOM_LANGUAGE = "random-language"
 MODE_PAIR_TARGET = "pair-target"
@@ -294,8 +293,6 @@ class MixtureManifest:
     n_reversed: int
     n_augmented: int
     n_total: int
-    seed: int | None = None
-    policy: AugmentationPolicy | None = None
 
     def __post_init__(self) -> None:
         if self.n_total != 2 * self.n_original + self.n_augmented:
@@ -399,8 +396,6 @@ def check_targets(first_lines: Mapping[str, int], targets: Collection[str], name
 def build_pretraining_mixture(
     en_indic: ParallelCorpus,
     augmented: ParallelCorpus,
-    seed: int | None = None,
-    policy: AugmentationPolicy | None = None,
 ) -> tuple[ParallelCorpus, MixtureManifest]:
     """Each original pair followed by its reversal, then the augmented pairs.
 
@@ -417,8 +412,7 @@ def build_pretraining_mixture(
             raise not_english_source("augmented", lineno, "aug")
         check_targets({str(pair.tgt_lang): lineno}, targets, "augmented")
     pairs = (*(p for pair in en_indic for p in (pair, reverse_pair(pair))), *augmented)
-    manifest = MixtureManifest(len(en_indic), len(en_indic), len(augmented), len(pairs), seed,
-                               policy)
+    manifest = MixtureManifest(len(en_indic), len(en_indic), len(augmented), len(pairs))
     return ParallelCorpus(pairs), manifest
 
 
@@ -435,27 +429,24 @@ def select_seed(
 
     Pairs are keyed by their subset label, which must come from
     :data:`SEED_SUBSETS`. Selection within a subset is uniform without
-    replacement, and the selected pairs keep corpus order. A
-    :class:`ParallelCorpus` gives a ``ParallelCorpus``; items keyed and
-    counted by subset label give a lazy :class:`selection.Selection`.
+    replacement, and the selected pairs keep corpus order. Pairs, or
+    items keyed by subset label, as :func:`selection.draw` takes them.
     """
-    keyed = corpus if isinstance(corpus, Keyed) else Keyed(
-        corpus, _subset, Counter(map(_subset, corpus))
-    )
-    sizes = keyed.counts
-    unknown = sorted(set(sizes) - set(SEED_SUBSETS))
-    if unknown:
-        raise CorpusError(
-            f"unknown seed subsets: {', '.join(unknown)}; expected {SEED_SUBSETS}"
-        )
-    if budget <= 0:
-        raise CorpusError(f"budget must be positive, got {budget}")
-    available = sum(sizes.values())
-    if budget > available:
-        raise CorpusError(f"budget {budget} exceeds available pairs {available}")
 
-    selection = Selection(keyed, largest_remainder(sizes, budget), seed, "seed-select")
-    return selection if keyed is corpus else ParallelCorpus(tuple(selection))
+    def allocated(sizes: Mapping[str, int]) -> dict[str, int]:
+        unknown = sorted(set(sizes) - set(SEED_SUBSETS))
+        if unknown:
+            raise CorpusError(
+                f"unknown seed subsets: {', '.join(unknown)}; expected {SEED_SUBSETS}"
+            )
+        if budget <= 0:
+            raise CorpusError(f"budget must be positive, got {budget}")
+        available = sum(sizes.values())
+        if budget > available:
+            raise CorpusError(f"budget {budget} exceeds available pairs {available}")
+        return largest_remainder(sizes, budget)
+
+    return draw(corpus, _subset, allocated, seed, "seed-select")
 
 
 def _subset(pair: SentencePair) -> str:

@@ -220,20 +220,23 @@ def _count_keys(run: Run, key: Callable[[list[str]], str]) -> Counter[str]:
     return corpus_mod.ordered_map(*tasks, count, _update, Counter())
 
 
-def _reread(run: Run, key: Callable[[str], str], counts: Mapping[str, int]) -> Keyed:
-    """``--in``'s rows read a second time, five fields each, keyed by ``key``.
+def _keyed_input(run: Run, path: str, key: Callable[[Sequence[str]], str],
+                 row_key: Callable[[str], str | None]) -> Keyed:
+    """``--in`` (``path``) counted per ``key`` of its fields, then read again keyed by ``row_key``.
 
-    ``counts`` are the rows per key of the first read, which checked every
-    row, so this one checks none: a row is its line, less a sixth field.
-    If the file changed in between, the draw finds other counts per key or
-    the reader a different digest at end of file, and either fails with
-    ``<in>: changed while read``. ``key`` must take any row, a changed
-    one too.
+    The input of ``reduce``, ``sample`` and ``seed-select``. The first read
+    (:func:`_count_keys`) checks every row, so the second checks none: a
+    row is its line, less a sixth field. If the file changed in between,
+    the draw finds other counts per key or the reader a different digest at
+    end of file, and either fails with ``<in>: changed while read``.
+    ``row_key`` must take any row, a changed one too.
     """
     from .selection import Keyed
 
-    path = run.arg("in")
-    return Keyed(map(_five_fields, corpus_mod.iter_lines(path)), key, counts, path)
+    _require_regular(path)
+    run.input(path)
+    counts = _count_keys(run, key)
+    return Keyed(map(_five_fields, corpus_mod.iter_lines(path)), row_key, counts, path)
 
 
 def _five_fields(line: str) -> str:
@@ -245,11 +248,8 @@ def _language(fields: Sequence[str]) -> str:
 
 
 def _row_language(row: str) -> str | None:
-    try:
-        src, tgt, _ = row.split("\t", 2)
-    except ValueError:  # fewer fields than the first read checked: no key
-        return None
-    return corpus_mod.accounting_language(src, tgt)
+    fields = row.split("\t", 2)
+    return _language(fields) if len(fields) == 3 else None  # a changed row may have no key
 
 
 def _row_subset(row: str) -> str:
@@ -336,21 +336,16 @@ def _cmd_stats(run: Run) -> str:
 
 
 def _cmd_reduce(run: Run) -> str:
-    from .selection import Selection
-
     path = run.arg("in")
-    _require_regular(path)
-    run.input(path)
     threshold = run.opt("threshold", corpus_mod.HIGH_RESOURCE_THRESHOLD)
     factor = run.opt("factor", corpus_mod.HIGH_RESOURCE_FACTOR)
-    counts = _count_keys(run, _language)
-    keep = corpus_mod.reduce_keep(counts, threshold, factor)
-    kept_rows = Selection(_reread(run, _row_language, counts), {**counts, **keep}, run.seed,
-                          "reduce")
+    rows = _keyed_input(run, path, _language, _row_language)
+    kept_rows = corpus_mod.reduce_highresource(rows, threshold, factor, run.seed)
     kept = corpus_mod.write_tsv_rows(kept_rows, run.output(run.args.out))
+    over = sum(n > threshold for n in rows.counts.values())
     return (
-        f"reduce: kept {kept} of {sum(counts.values())} pairs "
-        f"({len(keep)} languages over threshold {threshold}) -> {run.args.out}"
+        f"reduce: kept {kept} of {sum(rows.counts.values())} pairs "
+        f"({over} languages over threshold {threshold}) -> {run.args.out}"
     )
 
 
@@ -359,16 +354,13 @@ def _cmd_sample(run: Run) -> str:
 
     args = run.args
     path = run.arg("in")
-    _require_regular(path)
-    run.input(path)
     temperature = run.opt("temperature", 5.0)
-    counts = _count_keys(run, _language)
-    stats_value = corpus_mod.stats_from_counts(counts)
-    plan = sampling.distribution(stats_value, temperature, seed=run.seed)
+    rows = _keyed_input(run, path, _language, _row_language)
+    stats_value = corpus_mod.stats_from_counts(rows.counts)
+    plan = sampling.distribution(stats_value, temperature)
     budget = run.opt("budget", stats_value.total)
     plan = sampling.allocate(plan, budget)
-    sampled = sampling.materialize(plan, _reread(run, _row_language, counts), budget,
-                                   seed=run.seed)
+    sampled = sampling.materialize(plan, rows, budget, run.seed)
     corpus_mod.write_tsv_rows(sampled, run.output(args.out))
     sampling.write_plan_tsv(plan, run.output(Path(args.plan_out or f"{args.out}.plan.tsv")))
     sampling.write_plot_tsv(plan, run.output(Path(args.plot_out or f"{args.out}.plot.tsv")))
@@ -512,11 +504,9 @@ def _cmd_seed_select(run: Run) -> str:
     from . import augment as augment_mod
 
     path = run.arg("in")
-    _require_regular(path)
-    run.input(path)
     budget = run.opt("budget", augment_mod.DEFAULT_SEED_BUDGET)
-    counts = _count_keys(run, lambda fields: fields[4])
-    selected = augment_mod.select_seed(_reread(run, _row_subset, counts), budget, run.seed)
+    pool = _keyed_input(run, path, lambda fields: fields[4], _row_subset)
+    selected = augment_mod.select_seed(pool, budget, run.seed)
     rows = (f"{row}\tseed:{_row_subset(row)}" for row in selected)
     corpus_mod.write_tsv_rows(rows, run.output(run.args.out))
     per_subset = dict(sorted(selected.wants.items()))

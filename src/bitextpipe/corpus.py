@@ -3,17 +3,18 @@
 Two representations are used. Library operations work on in-memory
 :class:`ParallelCorpus` values. The CLI streams every command in
 constant memory, on raw TSV fields: corpus commands read checked ``(line
-number, fields)`` rows from :func:`iter_tsv_rows` and write them with
-:func:`write_tsv_rows`. Files are read by the blocks of
+number, fields)`` rows from :func:`iter_tsv_rows` and write lines by
+:func:`encode_rows`, through :func:`write_tsv_rows` or :func:`ordered_map`.
+Files are read by the blocks of
 :func:`errors.iter_blocks` and written by :func:`_atomic_open`.
 :func:`read_tsv` builds pairs from the same rows. Both representations
 call the same cores: :func:`check_rows` (:func:`split_row`, the field
 check; :func:`check_tags`, with :func:`lang.parse_tag`'s messages;
 :func:`check_pair`, the rules every :class:`SentencePair` obeys),
 :func:`clean_pair` (the empty-side rule), :func:`accounting_language`
-(the accounting rule), :func:`reduce_keep` (the reduction plan) and
-``selection.Selection`` (the draw of ``reduce``, ``sample`` and
-``seed-select``, in input order, by :func:`rng.selection_sample`).
+(the accounting rule) and ``selection.draw`` (the draw of ``reduce``,
+``sample`` and ``seed-select``, in input order, by
+:func:`rng.selection_sample`).
 
 ``ingest``, ``stats``, the counting reads of ``reduce``, ``sample`` and
 ``seed-select``, ``augment``, ``mixture`` and ``score`` each have one work
@@ -46,12 +47,15 @@ import stat
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import (BinaryIO, Callable, Collection, Generator, Iterable, Iterator, Mapping,
-                    Sequence, TypeVar)
+from typing import (TYPE_CHECKING, BinaryIO, Callable, Collection, Generator, Iterable,
+                    Iterator, Mapping, Sequence, TypeVar)
 
 from . import errors
 from .errors import CorpusError, TagError
 from .lang import ENGLISH, LANGUAGE_NAMES, LanguageTag, parse_tag, rendered_tags
+
+if TYPE_CHECKING:
+    from .selection import Keyed, Selection
 
 K = TypeVar("K")
 L = TypeVar("L")
@@ -456,42 +460,30 @@ def stats_from_counts(counts: Mapping[LanguageTag, int]) -> CorpusStats:
 
 
 def reduce_highresource(
-    corpus: ParallelCorpus,
+    corpus: ParallelCorpus | Keyed,
     threshold: int = HIGH_RESOURCE_THRESHOLD,
     factor: float = HIGH_RESOURCE_FACTOR,
     seed: int = 0,
-) -> ParallelCorpus:
+) -> ParallelCorpus | Selection:
     """Thin every language whose pair count strictly exceeds ``threshold``.
 
     Over-threshold languages keep ``ceil(factor * n)`` pairs chosen by
     seeded uniform sampling without replacement; survivors stay in their
     original order. Languages at or below the threshold pass through
-    untouched. Deterministic given (corpus, seed).
+    untouched. Deterministic given (corpus, seed). Pairs, or items keyed
+    by accounting language, as ``selection.draw`` takes them.
     """
-    from .selection import Keyed, Selection
+    from .selection import draw
 
-    counts = stats(corpus).counts
-    keep = reduce_keep(counts, threshold, factor)
-    if not keep:
-        return corpus
-    return ParallelCorpus(tuple(
-        Selection(Keyed(corpus, pair_language, counts), {**counts, **keep}, seed, "reduce")
-    ))
-
-
-def reduce_keep(counts: Mapping[K, int], threshold: int, factor: float) -> dict[K, int]:
-    """The reduction plan: the pairs each over-threshold key keeps.
-
-    Keys are accounting languages (tags or rendered tags). A key of ``n``
-    pairs over ``threshold`` keeps ``ceil(factor * n)``, which
-    ``selection.Selection`` draws with the purpose ``"reduce"``. Keys at
-    or below the threshold are absent from the plan and keep every pair.
-    """
     if not 0.0 < factor <= 1.0:
         raise CorpusError(f"factor must be in (0, 1], got {factor}")
     if threshold <= 0:
         raise CorpusError(f"threshold must be positive, got {threshold}")
-    return {key: math.ceil(factor * n) for key, n in counts.items() if n > threshold}
+
+    def keep(counts: Mapping[K, int]) -> dict[K, int]:
+        return {key: math.ceil(factor * n) if n > threshold else n for key, n in counts.items()}
+
+    return draw(corpus, pair_language, keep, seed, "reduce")
 
 
 def reverse(corpus: ParallelCorpus) -> ParallelCorpus:

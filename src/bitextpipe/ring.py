@@ -29,8 +29,9 @@ class Ring:
     token)`` on its result pipe; a worker that fails at its turn sends
     ``("error", exception)``. A worker leaves by ``os._exit``, and a dead
     worker's result pipe reads end of file. A worker whose token pipe ends,
-    because the worker before it failed, leaves with status 0, so that the
-    error reported is that worker's.
+    because the worker before it failed, or who finds the next worker gone
+    when it passes the token, leaves with status 0, so that the error
+    reported is the other worker's.
     """
 
     def __init__(self, n: int, compute: Callable, add: Callable, outputs: Sequence[BinaryIO]):
@@ -40,38 +41,49 @@ class Ring:
         for handle in self.outputs:
             handle.flush()
         n = self.n
-        pipes = [os.pipe() for _ in range(3 * n)]
-        task_pipes, ring_pipes, result_pipes = pipes[:n], pipes[n:2 * n], pipes[2 * n:]
-        mine = {fd for fd_pair in pipes for fd in fd_pair}  # the pipe ends open here
+        mine: set[int] = set()  # the pipe ends open here
+        task_pipes: list[int] = []  # the write end of each worker's task pipe
         self.live: dict[int, int] = {}  # result pipe -> pid of each unreaped worker
         done = False
+
+        def pipe() -> tuple[int, int]:
+            ends = os.pipe()
+            mine.update(ends)
+            return ends
+
         try:
+            # A worker's pipes are opened just before its fork. This process
+            # keeps its task and result ends, and ring pipe 0's until the token.
+            first = token_in = pipe()
             for k in range(n):
+                task, result = pipe(), pipe()
+                token_out = pipe() if k < n - 1 else first
                 pid = os.fork()
                 if pid == 0:
-                    keep = (task_pipes[k][0], ring_pipes[k][0], ring_pipes[(k + 1) % n][1],
-                            result_pipes[k][1])
-                    self._worker(k, mine, *keep)  # never returns
-                self.live[result_pipes[k][0]] = pid
-            self._write(ring_pipes[0][1], token)
-            for fd in mine - {r for r, _ in result_pipes} - {w for _, w in task_pipes}:
-                os.close(fd)
-                mine.discard(fd)
-            for _, fd in task_pipes:
-                os.set_blocking(fd, False)
+                    self._worker(k, mine, task[0], token_in[0], token_out[1], result[1])
+                self.live[result[0]] = pid
+                task_pipes.append(task[1])
+                os.set_blocking(task[1], False)
+                for fd in {task[0], result[1], token_in[0], token_out[1]} - {first[1]}:
+                    os.close(fd)
+                    mine.remove(fd)
+                token_in = token_out
+            self._write(first[1], token)
+            os.close(first[1])
+            mine.remove(first[1])
             self.poll = select.poll()
             for fd in self.live:
                 self.poll.register(fd, select.POLLIN)
             result, failure, sent = None, None, 0
             try:
                 for task in itertools.chain(ahead, tasks):
-                    result = self._send(task_pipes[sent % n][1], ("task", task))
+                    result = self._send(task_pipes[sent % n], ("task", task))
                     sent += 1
                     if result:
                         break
             except Exception as exc:  # the tasks' own error, raised at its position
                 failure = exc
-            for _, w in task_pipes:
+            for w in task_pipes:
                 result = result or self._send(w, ("end", sent))
             kind, value = result or self._wait()
             if kind == "error":
@@ -173,7 +185,7 @@ class Ring:
                 self._write(token_out, token)
                 index += self.n
             code = 0
-        except EOFError:  # a pipe ended: the process that left reports why
+        except (EOFError, BrokenPipeError):  # a pipe ended: the process that left reports why
             code = 0
         finally:
             os._exit(code)

@@ -9,11 +9,6 @@ so T=1 reproduces the raw proportions and large T approaches uniform.
 Target counts for a fixed budget are allocated by largest-remainder
 rounding over exact rational quotas, which preserves the budget exactly
 and is independent of input order.
-
-:func:`materialize` draws from an in-memory corpus or from the CLI's
-keyed rows (:class:`selection.Keyed`) through the same draw
-(:class:`selection.Selection`), so the CLI holds no part of the corpus
-and writes the same rows, in input order.
 """
 
 from __future__ import annotations
@@ -24,10 +19,10 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, TypeVar
 
-from .corpus import CorpusStats, ParallelCorpus, pair_language, stats, write_tsv_rows
+from .corpus import CorpusStats, ParallelCorpus, pair_language, write_tsv_rows
 from .errors import PlanError
 from .lang import LanguageTag
-from .selection import Keyed, Selection
+from .selection import Keyed, Selection, draw
 
 K = TypeVar("K")
 
@@ -41,13 +36,12 @@ class SamplingPlan:
     probabilities: Mapping[LanguageTag, float]
     counts: Mapping[LanguageTag, int] | None = None
     budget: int | None = None
-    seed: int | None = None
 
     def languages(self) -> list[LanguageTag]:
         return sorted(self.probabilities, key=str)
 
 
-def distribution(stats: CorpusStats, temperature: float, seed: int | None = None) -> SamplingPlan:
+def distribution(stats: CorpusStats, temperature: float) -> SamplingPlan:
     """Build the temperature-flattened distribution from exact counts."""
     if temperature <= 0:
         raise PlanError(f"temperature must be positive, got {temperature}")
@@ -67,7 +61,7 @@ def distribution(stats: CorpusStats, temperature: float, seed: int | None = None
             f"(n/N)**(1/T) underflows to 0"
         )
     probabilities = {tag: weight / norm for tag, weight in weights.items()}
-    return SamplingPlan(temperature, counts, probabilities, seed=seed)
+    return SamplingPlan(temperature, counts, probabilities)
 
 
 def largest_remainder(weights: Mapping[K, float], budget: int) -> dict[K, int]:
@@ -102,43 +96,34 @@ def allocate(plan: SamplingPlan, budget: int) -> SamplingPlan:
 def materialize(
     plan: SamplingPlan,
     corpus: ParallelCorpus | Keyed,
-    budget: int | None = None,
-    seed: int | None = None,
+    budget: int,
+    seed: int = 0,
 ) -> ParallelCorpus | Selection:
-    """Draw the planned number of pairs per language from ``corpus``.
+    """Draw ``budget`` pairs from ``corpus``, per language as :func:`allocate` plans them.
 
     Languages whose target count is at most their supply are downsampled
     without replacement; languages needing more repeat every pair, then
     draw the rest by a seeded remainder sample (see
     :class:`selection.Selection`). Output keeps corpus order, with a
     repeated pair's copies adjacent, and depends only on (plan, corpus,
-    seed). A :class:`ParallelCorpus` gives a ``ParallelCorpus``; items
-    keyed and counted by accounting language give a lazy
-    :class:`selection.Selection`.
+    budget, seed). Pairs, or items keyed by accounting language, as
+    :func:`selection.draw` takes them.
     """
-    keyed = corpus if isinstance(corpus, Keyed) else Keyed(
-        corpus, pair_language, stats(corpus).counts
-    )
-    counts = keyed.counts
-    if budget is None:
-        budget = plan.budget if plan.budget is not None else sum(counts.values())
-    if seed is None:
-        seed = plan.seed if plan.seed is not None else 0
-    if plan.counts is None or plan.budget != budget:
-        plan = allocate(plan, budget)
-    assert plan.counts is not None
+    wants = allocate(plan, budget).counts
+    assert wants is not None
 
-    missing_in_plan = sorted(str(t) for t in counts if t not in plan.probabilities)
-    if missing_in_plan:
-        raise PlanError(f"corpus languages missing from plan: {', '.join(missing_in_plan)}")
-    unsupplied = sorted(str(t) for t, c in plan.counts.items() if c > 0 and t not in counts)
-    if unsupplied:
-        raise PlanError(
-            f"plan wants pairs for languages absent from corpus: {', '.join(unsupplied)}"
-        )
+    def checked(counts: Mapping[LanguageTag, int]) -> Mapping[LanguageTag, int]:
+        missing_in_plan = sorted(str(t) for t in counts if t not in plan.probabilities)
+        if missing_in_plan:
+            raise PlanError(f"corpus languages missing from plan: {', '.join(missing_in_plan)}")
+        unsupplied = sorted(str(t) for t, c in wants.items() if c > 0 and t not in counts)
+        if unsupplied:
+            raise PlanError(
+                f"plan wants pairs for languages absent from corpus: {', '.join(unsupplied)}"
+            )
+        return wants
 
-    selection = Selection(keyed, plan.counts, seed, "materialize")
-    return selection if keyed is corpus else ParallelCorpus(tuple(selection))
+    return draw(corpus, pair_language, checked, seed, "materialize")
 
 
 def write_plan_tsv(plan: SamplingPlan, path: str | Path) -> None:

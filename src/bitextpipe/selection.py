@@ -3,18 +3,20 @@
 :class:`Selection` streams :class:`Keyed` items once, in input order, and
 yields each item ``want // n`` times, copies adjacent, plus once more if
 its key's remainder draw (:func:`rng.selection_sample`) takes it. It keeps
-a few numbers per key and nothing per item. The library passes a corpus's
-pairs; the CLI passes the lines of a second read of ``--in``, keyed and
-counted by the first, so ``reduce``, ``sample`` and ``seed-select`` hold
-no part of the corpus and write their rows in file order.
+a few numbers per key and nothing per item. :func:`draw` runs it for the
+library's three draws, on a corpus's pairs or on keyed items such as the
+CLI's second read of ``--in``, so ``reduce``, ``sample`` and
+``seed-select`` hold no part of the corpus and write rows in file order.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from pathlib import Path
 from typing import Callable, Generic, Hashable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
+from .corpus import ParallelCorpus
 from .errors import CorpusError
 from .rng import derive_rng, selection_sample
 
@@ -85,3 +87,23 @@ class Selection(Generic[K, T]):
             raise CorpusError(
                 f"{source}: changed while read: fewer {', '.join(short)} rows than first counted"
             )
+
+
+def draw(
+    corpus: ParallelCorpus | Keyed,
+    key: Callable,
+    plan: Callable[[Mapping[K, int]], Mapping[K, int]],
+    seed: int,
+    purpose: str,
+) -> ParallelCorpus | Selection:
+    """Draw ``plan(counts)[key]`` items of each key from ``corpus``; ``plan`` checks the counts.
+
+    Keyed items give the lazy selection. A :class:`ParallelCorpus` is keyed
+    by ``key`` and counted here, and gives a ``ParallelCorpus`` of the drawn
+    pairs.
+    """
+    keyed = corpus if isinstance(corpus, Keyed) else Keyed(
+        corpus, key, Counter(map(key, corpus))
+    )
+    selection = Selection(keyed, plan(keyed.counts), seed, purpose)
+    return selection if keyed is corpus else ParallelCorpus(tuple(selection))

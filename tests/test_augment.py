@@ -368,11 +368,10 @@ class TestMixture:
 
     def test_fixture_recount(self):
         corpus = ParallelCorpus(tuple(mk_pair(f"s{i}", f"t{i}") for i in range(1000)))
-        policy = AugmentationPolicy(probability=1.0, mode=MODE_PAIR_TARGET, seed=3)
         augmented = ParallelCorpus(
             tuple(mk_pair(f"s{i} कुत्ता", f"t{i}") for i in range(300))
         )
-        mixture, manifest = build_pretraining_mixture(corpus, augmented, policy=policy)
+        mixture, manifest = build_pretraining_mixture(corpus, augmented)
         assert manifest.n_total == 2300
         assert len(mixture.pairs) == 2300
         assert (manifest.n_original, manifest.n_reversed, manifest.n_augmented) == (
@@ -384,7 +383,6 @@ class TestMixture:
         # each original pair is followed by its reversal
         assert mixture[1].source == mixture[0].target
         assert mixture[1].src_lang == mixture[0].tgt_lang
-        assert manifest.policy.probability == 1.0
         assert manifest.to_dict() == {
             "original_pairs": 1000, "reversed_pairs": 1000, "augmented_pairs": 300,
             "total_pairs": 2300,

@@ -654,6 +654,31 @@ class TestRangeWorkers:
                                capture_output=True, text=True, timeout=120)
         assert child.returncode == 0, child.stderr
 
+    def test_many_workers_fit_a_low_open_file_limit(self, tmp_path):
+        # Sixteen workers under a 64-descriptor limit: the map holds two pipe
+        # ends per worker, not the six of every worker opened before a fork.
+        corpus = tmp_path / "c.tsv"
+        corpus.write_bytes(b"".join(_rows(40)))
+        code = (
+            "import resource, sys\n"
+            "from bitextpipe import cli, corpus\n"
+            "_, hard = resource.getrlimit(resource.RLIMIT_NOFILE)\n"
+            "resource.setrlimit(resource.RLIMIT_NOFILE, (64, hard))\n"
+            f"corpus.RANGE_BYTES, corpus.SPREAD_BYTES = {self.RANGE}, 0\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(corpus_mod.__file__).parents[1]))
+        outputs = []
+        for threads in (1, 16):
+            out = tmp_path / f"t{threads}" / "o.tsv"
+            out.parent.mkdir()
+            argv = ["ingest", "--in", corpus, "--threads", threads, "--out", out]
+            child = subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
+                                   capture_output=True, text=True, timeout=120)
+            assert child.returncode == 0, child.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == b"".join(_rows(40))
+
 
 class TestRowRules:
     @pytest.mark.parametrize("command", [

@@ -573,6 +573,79 @@ class TestWorkerMap:
             ordered_map(tasks(), threads, compute, add, [], [out])
         assert list(out.parent.iterdir()) == []
 
+    @pytest.mark.parametrize("threads", [2, 3])
+    @pytest.mark.parametrize("failing", [(), (25, 26)])
+    def test_tasks_larger_than_a_pipe(self, tmp_path, threads, failing):
+        # A task pickles to more than a pipe holds (64 KiB), so sending it
+        # waits on the full pipe until its worker reads the rest.
+        def compute(task):
+            index, data = task
+            if index in failing:
+                raise ValueError(f"compute {index}")
+            yield 0, b"%d %d\n" % (index, len(data))
+            return index
+
+        out = tmp_path / "out" / "o.txt"
+        out.parent.mkdir()
+        tasks = ((i, bytes(1 << 17)) for i in range(30))
+        if not failing:
+            assert ordered_map(tasks, threads, compute, _collect, [], [out]) == list(range(30))
+            assert out.read_bytes() == b"".join(b"%d 131072\n" % i for i in range(30))
+            return
+        with pytest.raises(ValueError, match="compute 25$"):
+            ordered_map(tasks, threads, compute, _collect, [], [out])
+        assert list(out.parent.iterdir()) == []
+
+    def test_a_task_sent_to_a_worker_that_has_left_raises_the_error_before_it(self, tmp_path):
+        # Task 1 fails, and both workers leave while the next tasks are slow
+        # to come: task 4 then meets a closed task pipe.
+        def tasks():
+            yield from range(4)
+            time.sleep(0.5)
+            yield from range(4, 8)
+
+        def compute(task):
+            if task == 1:
+                raise ValueError(f"compute {task}")
+            yield 0, b"%d\n" % task
+            return task
+
+        out = tmp_path / "out" / "o.txt"
+        out.parent.mkdir()
+        with pytest.raises(ValueError, match="compute 1$"):
+            ordered_map(tasks(), 2, compute, _collect, [], [out])
+        assert list(out.parent.iterdir()) == []
+
+    def test_a_worker_that_dies_on_a_full_task_pipe_never_hangs_the_run(self):
+        # The worker of task 4 dies while this process waits to send it task
+        # 4 + 2, more than its pipe holds.
+        code = (
+            "import os, signal, time\n"
+            "from bitextpipe.corpus import ordered_map\n"
+            "def compute(task):\n"
+            "    if task[0] == 4:\n"
+            "        time.sleep(0.3)\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return task[0]\n"
+            "    yield\n"
+            "tasks = ((i, bytes(1 << 17)) for i in range(40))\n"
+            "try:\n"
+            "    ordered_map(tasks, 2, compute, lambda t, p: t + p, 0)\n"
+            "except Exception as exc:\n"
+            "    print(type(exc).__name__, exc)\n"
+        )
+        child = subprocess.Popen([sys.executable, "-c", code], text=True,
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                 start_new_session=True)
+        try:
+            out, err = child.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            pytest.fail("the worker map hung on a dead worker")
+        assert child.returncode == 0, err
+        assert out.startswith("PipelineError worker process ") and "died (exit status -9)" in out
+
     def test_a_worker_that_dies_never_hangs_the_run(self):
         # Run the map in a child process, so a regression fails here instead
         # of hanging the suite.

@@ -27,7 +27,6 @@ from bitextpipe.corpus import (
     SentencePair,
     accounting_language,
     reduce_highresource,
-    reduce_keep,
     stats,
 )
 from bitextpipe.errors import CorpusError
@@ -126,9 +125,8 @@ def test_reduce_draw_memory_does_not_grow_with_the_key():
     n = 2_000_000
     tracemalloc.start()
     try:
-        keep = reduce_keep({"k": n}, threshold=1, factor=0.5)
         keyed = Keyed(("k" for _ in range(n)), str, {"k": n}, "gen")
-        kept = Counter(Selection(keyed, keep, seed=1, purpose="reduce"))
+        kept = Counter(reduce_highresource(keyed, threshold=1, factor=0.5, seed=1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
